@@ -77,9 +77,14 @@ def _cmd_simulate(args) -> int:
     env, name = _load_environment(args.scenario, args.env_file)
     grid = _parse_grid(args.grid)
     seed = _base_seed(args.seed)
-    params = sim.ChannelParams(
-        noise_sigma=args.noise_sigma, range_jitter_sigma=args.jitter_sigma
-    )
+    if args.passes < 1 or args.samples_per_cell < 1:
+        raise UsageError("--passes and --samples-per-cell must be >= 1")
+    try:
+        params = sim.ChannelParams(
+            noise_sigma=args.noise_sigma, range_jitter_sigma=args.jitter_sigma
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     mset = sim.generate_dataset(
         env, grid, args.passes, args.samples_per_cell, seed, params, scenario_name=name
     )
@@ -110,7 +115,12 @@ def _load_train_config(args) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {args.config}")
-        cfg = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            cfg = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
     overrides = {
         "dataset": args.dataset,
         "pipeline": args.pipeline,
@@ -185,13 +195,16 @@ def _cmd_train(args) -> int:
         model = ae.build(n, e1, e2, d1, seed=seed)
     except ae.ConstraintError as exc:
         raise UsageError(str(exc)) from exc
-    config = ae.TrainConfig(
-        batch_size=batch,
-        learning_rate=lr,
-        max_epochs=int(cfg["max_epochs"]),
-        patience=int(cfg["patience"]),
-        seed=seed,
-    )
+    try:
+        config = ae.TrainConfig(
+            batch_size=batch,
+            learning_rate=lr,
+            max_epochs=int(cfg["max_epochs"]),
+            patience=int(cfg["patience"]),
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     trained, report = ae.train(model, train_rows, val_rows, config)
 
     out_dir = Path(cfg["out_dir"])

@@ -14,11 +14,8 @@ only and frozen for inference.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -92,72 +89,34 @@ def find_peaks(signal, k: int = 6) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# PCA (cyclic Jacobi eigendecomposition)
+# PCA (thin SVD of the centred rows)
 # ---------------------------------------------------------------------------
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, in no
-    particular order. Converged when the off-diagonal Frobenius norm drops
-    below ``tol``.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    idx = np.arange(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(a * a) - np.sum(np.diag(a) ** 2)), 0.0))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-300:
-                    continue
-                tau = diff / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[idx, p].copy()
-                col_q = a[idx, q].copy()
-                a[idx, p] = c * col_p - s * col_q
-                a[idx, q] = s * col_p + c * col_q
-                row_p = a[p, idx].copy()
-                row_q = a[q, idx].copy()
-                a[p, idx] = c * row_p - s * row_q
-                a[q, idx] = s * row_p + c * row_q
-                vp = v[idx, p].copy()
-                vq = v[idx, q].copy()
-                v[idx, p] = c * vp - s * vq
-                v[idx, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
 
 def fit_pca(rows: np.ndarray, variance_target: float = 0.90) -> PcaModel:
     """Fit a PCA keeping the smallest number of components whose cumulative
-    explained variance reaches ``variance_target``."""
+    explained variance reaches ``variance_target``.
+
+    The components come from a thin SVD of the centred rows, so the d x d
+    covariance is never formed. SVD signs are arbitrary and may differ
+    between LAPACK builds, so each component is flipped to make its
+    largest-magnitude entry positive.
+    """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError("need a 2D matrix with at least 2 rows")
     mean = rows.mean(axis=0)
     centered = rows - mean
-    cov = centered.T @ centered / (rows.shape[0] - 1)
-    total = float(np.trace(cov))
+    total = float(np.sum(centered * centered)) / (rows.shape[0] - 1)
     if total <= 1e-300:
         raise ValueError("degenerate data: zero total variance")
-    eigvals, eigvecs = jacobi_eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
-    ratios = eigvals / total
-    cum = np.cumsum(ratios)
-    k = int(np.searchsorted(cum, variance_target - 1e-12) + 1)
-    k = min(k, len(eigvals))
-    return PcaModel(mean=mean, components=eigvecs[:, :k].copy(), explained_ratio=ratios[:k].copy())
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    ratios = s**2 / (rows.shape[0] - 1) / total
+    k = int(np.searchsorted(np.cumsum(ratios), variance_target - 1e-12) + 1)
+    k = min(k, len(ratios))
+    components = vt[:k].T
+    pivots = np.abs(components).argmax(axis=0)
+    components = components * np.sign(components[pivots, np.arange(k)])
+    return PcaModel(mean=mean, components=components, explained_ratio=ratios[:k].copy())
 
 
 def apply_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -165,20 +124,6 @@ def apply_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
     if x.shape != model.mean.shape:
         raise ValueError(f"expected vector of length {model.mean.shape[0]}, got {x.shape}")
     return model.components.T @ (x - model.mean)
-
-
-def save_pca(model: PcaModel, path: str | Path) -> None:
-    obj = {
-        "mean": model.mean.tolist(),
-        "components": model.components.tolist(),  # row-major (d rows of k)
-        "explained_ratio": model.explained_ratio.tolist(),
-    }
-    Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
-
-
-def load_pca(path: str | Path) -> PcaModel:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return pca_from_json(obj)
 
 
 def pca_to_json(model: PcaModel) -> dict:

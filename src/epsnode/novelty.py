@@ -141,21 +141,41 @@ def write_error_map_csv(emap: ErrorMap, path: str | Path) -> None:
 
 
 def read_error_map_csv(path: str | Path) -> ErrorMap:
+    """Inverse of :func:`write_error_map_csv`. Every grid cell must appear
+    exactly once; a malformed, out-of-range, duplicate or missing row raises
+    ``ValueError`` naming the file and line."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as f:
         first = f.readline().strip()
         if not first.startswith("# grid="):
-            raise ValueError(f"{path}: missing grid comment line")
-        ox, oy, nx, ny, cs = first[len("# grid=") :].split(",")
-        grid = GridMap(origin=(float(ox), float(oy)), nx=int(nx), ny=int(ny), cell_size=float(cs))
+            raise ValueError(f"{path}:1: missing grid comment line")
+        try:
+            ox, oy, nx, ny, cs = first[len("# grid=") :].split(",")
+            grid = GridMap(origin=(float(ox), float(oy)), nx=int(nx), ny=int(ny), cell_size=float(cs))
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: invalid grid comment: {exc}") from exc
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["i", "j", "value", "count"]:
-            raise ValueError(f"{path}: unexpected header {header}")
+            raise ValueError(f"{path}:2: unexpected header {header}")
         values = np.full((grid.ny, grid.nx), np.nan)
         counts = np.zeros((grid.ny, grid.nx), dtype=int)
+        seen = np.zeros((grid.ny, grid.nx), dtype=bool)
         for row in reader:
-            i, j = int(row[0]), int(row[1])
-            values[j, i] = float(row[2])
-            counts[j, i] = int(row[3])
+            where = f"{path}:{reader.line_num + 1}"  # the grid line precedes the reader
+            try:
+                i_s, j_s, value_s, count_s = row
+                i, j, value, count = int(i_s), int(j_s), float(value_s), int(count_s)
+            except ValueError as exc:
+                raise ValueError(f"{where}: malformed row {row}: {exc}") from exc
+            if not grid.contains_cell(i, j):
+                raise ValueError(f"{where}: cell ({i}, {j}) outside the {grid.nx}x{grid.ny} grid")
+            if seen[j, i]:
+                raise ValueError(f"{where}: duplicate cell ({i}, {j})")
+            seen[j, i] = True
+            values[j, i] = value
+            counts[j, i] = count
+    if not seen.all():
+        j, i = np.argwhere(~seen)[0]
+        raise ValueError(f"{path}: {int((~seen).sum())} cells missing, first ({i}, {j})")
     return ErrorMap(grid=grid, values=values, counts=counts)

@@ -70,9 +70,6 @@ class Rect:
     def contains(self, p: Point) -> bool:
         return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
 
-    def contains_strict(self, p: Point) -> bool:
-        return self.xmin < p[0] < self.xmax and self.ymin < p[1] < self.ymax
-
     def distance_to(self, p: Point) -> float:
         """Euclidean distance from a point to the rectangle (0 inside)."""
         dx = max(self.xmin - p[0], 0.0, p[0] - self.xmax)
@@ -211,15 +208,11 @@ def line_of_sight(env: Environment, a: Point, b: Point) -> bool:
     for p in (a, b):
         if not env.room.contains(p):
             raise ValueError(f"point {p} outside room")
-    return not any(_segment_crosses_interior(a, b, o.footprint) for o in env.obstacles)
+    return not _blocking_obstacles(env, a, b)
 
 
 def _blocking_obstacles(env: Environment, a: Point, b: Point) -> list[Obstacle]:
     return [o for o in env.obstacles if _segment_crosses_interior(a, b, o.footprint)]
-
-
-def _unobstructed(env: Environment, a: Point, b: Point) -> bool:
-    return not any(_segment_crosses_interior(a, b, o.footprint) for o in env.obstacles)
 
 
 @dataclass(frozen=True)
@@ -315,7 +308,7 @@ def propagation_paths(
             continue
         if not env.room.contains(ref):
             continue
-        if not (_unobstructed(env, tag, ref) and _unobstructed(env, ref, apos)):
+        if _blocking_obstacles(env, tag, ref) or _blocking_obstacles(env, ref, apos):
             continue
         d_total = math.dist(tag, image)
         amp = face.reflectivity / max(d_total, 0.1)

@@ -88,16 +88,20 @@ def preset_c_set(grid):
 
 def train_pipeline(pipeline, dims, batch_size, train_set, val_set, seed=ACCEPT_SEED):
     """Train one best-architecture model on nominal data; returns
-    (model, scaler, report)."""
-    raw_train = feat.extract_matrix(train_set.measurements, pipeline)
+    (model, scaler, report, pca). The PCA pipeline fits its projection on the
+    training CIRs first; the other pipelines get pca=None."""
+    pca = None
+    if pipeline is feat.Pipeline.PCA:
+        pca = feat.fit_pca(np.array([feat.cir_concat(m) for m in train_set.measurements]))
+    raw_train = feat.extract_matrix(train_set.measurements, pipeline, pca)
     scaler = feat.fit_scaler(raw_train)
     rows_train = feat.scale(scaler, raw_train)
-    rows_val = feat.scale(scaler, feat.extract_matrix(val_set.measurements, pipeline))
+    rows_val = feat.scale(scaler, feat.extract_matrix(val_set.measurements, pipeline, pca))
     n = rows_train.shape[1]
     model = ae.build(n, dims[0], dims[1], dims[0], seed=seed)
     config = ae.TrainConfig(batch_size=batch_size, learning_rate=1e-3, seed=seed)
     model, report = ae.train(model, rows_train, rows_val, config)
-    return model, scaler, report
+    return model, scaler, report, pca
 
 
 @pytest.fixture(scope="session")
@@ -110,3 +114,10 @@ def trained_rng(nominal_split):
 def trained_ma(nominal_split):
     train_set, val_set = nominal_split
     return train_pipeline(feat.Pipeline.MA, (70, 90), 64, train_set, val_set)
+
+
+@pytest.fixture(scope="session")
+def trained_pca(nominal_split):
+    """(N, 120, 165, 120) with N = 4 + k, k taken from the data."""
+    train_set, val_set = nominal_split
+    return train_pipeline(feat.Pipeline.PCA, (120, 165), 32, train_set, val_set)

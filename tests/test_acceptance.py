@@ -43,8 +43,8 @@ def near_far_ratio(emap, env, near=0.5, far=1.5):
 
 
 def score_fixture(trained, pipeline, mset):
-    model, scaler, _ = trained
-    return nov.score(model, scaler, pipeline, None, mset)
+    model, scaler, _, pca = trained
+    return nov.score(model, scaler, pipeline, pca, mset)
 
 
 def test_criterion_1_equation_fidelity():
@@ -200,12 +200,13 @@ def test_criterion_4_kl_kde(grid):
 
 
 @pytest.fixture(scope="session")
-def scored_maps(trained_rng, trained_ma, preset_b_set, preset_c_set):
-    """Error maps and per-sample errors for both pipelines on both presets."""
+def scored_maps(trained_rng, trained_ma, trained_pca, preset_b_set, preset_c_set):
+    """Error maps and per-sample errors for all three pipelines on both presets."""
     out = {}
     for pname, mset in (("B", preset_b_set), ("C", preset_c_set)):
         out[("RNG", pname)] = score_fixture(trained_rng, feat.Pipeline.RNG, mset)
         out[("MA", pname)] = score_fixture(trained_ma, feat.Pipeline.MA, mset)
+        out[("PCA", pname)] = score_fixture(trained_pca, feat.Pipeline.PCA, mset)
     return out
 
 
@@ -273,8 +274,10 @@ def test_criterion_8_determinism(tmp_path, nominal_split, scored_maps,
         paths = {}
         rng = train_pipeline(feat.Pipeline.RNG, (15, 30), 32, train_set, val_set)
         ma = train_pipeline(feat.Pipeline.MA, (70, 90), 64, train_set, val_set)
+        pca = train_pipeline(feat.Pipeline.PCA, (120, 165), 32, train_set, val_set)
         for pipe_name, trained, pipeline in (("RNG", rng, feat.Pipeline.RNG),
-                                             ("MA", ma, feat.Pipeline.MA)):
+                                             ("MA", ma, feat.Pipeline.MA),
+                                             ("PCA", pca, feat.Pipeline.PCA)):
             for preset, mset in (("B", b_set), ("C", c_set)):
                 emap, _, _ = score_fixture(trained, pipeline, mset)
                 path = tmp_path / f"{tag}_{pipe_name}_{preset}.csv"

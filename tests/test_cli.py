@@ -24,11 +24,11 @@ def simulate(tmp_path, name="sim.jsonl", scenario="nominal", seed=3, extra=()):
     return out
 
 
-def train(tmp_path, dataset, out_name="model", seed=3):
+def train(tmp_path, dataset, out_name="model", seed=3, pipeline="RNG", arch=("8", "12", "8")):
     out_dir = tmp_path / out_name
     rc = cli.main([
-        "train", "--dataset", str(dataset), "--pipeline", "RNG",
-        "--architecture", "8", "12", "8", "--batch-size", "8",
+        "train", "--dataset", str(dataset), "--pipeline", pipeline,
+        "--architecture", *arch, "--batch-size", "8",
         "--learning-rate", "0.01", "--max-epochs", "30", "--patience", "30",
         "--seed", str(seed), "--out-dir", str(out_dir),
     ])
@@ -69,6 +69,16 @@ class TestSimulate:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("extra", [("--passes", "0"), ("--noise-sigma", "-1")])
+    def test_invalid_parameter_is_usage_error(self, tmp_path, capsys, extra):
+        rc = cli.main([
+            "simulate", "--scenario", "nominal", "--grid", GRID,
+            "--out", str(tmp_path / "x.jsonl"), *extra,
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_bad_grid_spec_is_usage_error(self, tmp_path, capsys):
         rc = cli.main([
             "simulate", "--scenario", "nominal", "--grid", "1,2,3",
@@ -105,6 +115,24 @@ class TestTrainScoreEvaluate:
         ])
         assert rc == 2
         assert "N < N_E1" in capsys.readouterr().err
+
+    def test_malformed_config_is_usage_error(self, workspace, capsys):
+        tmp_path, _, _, _ = workspace
+        config = tmp_path / "bad.json"
+        config.write_text("{bad", encoding="utf-8")
+        rc = cli.main(["train", "--config", str(config)])
+        assert rc == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_invalid_training_parameter_is_usage_error(self, workspace, capsys):
+        tmp_path, nominal, _, _ = workspace
+        rc = cli.main([
+            "train", "--dataset", str(nominal), "--pipeline", "RNG",
+            "--architecture", "8", "12", "8", "--batch-size", "0",
+            "--out-dir", str(tmp_path / "bad_batch"),
+        ])
+        assert rc == 2
+        assert "batch_size" in capsys.readouterr().err
 
     def test_score_outputs(self, workspace, capsys):
         tmp_path, _, perturbed, model_dir = workspace
@@ -183,6 +211,23 @@ class TestTrainScoreEvaluate:
         ])
         assert rc == 2
         assert "no novelty" in capsys.readouterr().err
+
+
+class TestPcaPipeline:
+    def test_train_and_score(self, workspace, capsys):
+        tmp_path, nominal, perturbed, _ = workspace
+        # 16 training rows give k <= 15 components, so N = 4 + k < 24
+        runs = [train(tmp_path, nominal, f"pca_{tag}", pipeline="PCA", arch=("24", "32", "24"))
+                for tag in "ab"]
+        assert (runs[0] / "model.json").read_bytes() == (runs[1] / "model.json").read_bytes()
+        out_dir = tmp_path / "score_pca"
+        rc = cli.main([
+            "score", "--model", str(runs[0] / "model.json"),
+            "--dataset", str(perturbed), "--out-dir", str(out_dir),
+        ])
+        assert rc == 0
+        assert np.all(np.isfinite(nov.read_error_map_csv(out_dir / "error_map.csv").values))
+        capsys.readouterr()
 
 
 class TestGridsearchCommand:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestScore:
         assert emap.counts[1, 2] == 0
 
     def test_cell_value_is_mean_of_sample_totals(self, trained_rng, preset_b_set):
-        model, scaler, _ = trained_rng
+        model, scaler, _, _ = trained_rng
         emap, _, samples = nov.score(model, scaler, feat.Pipeline.RNG, None, preset_b_set)
         cell = (6, 3)
         totals = [s.total for s in samples if s.cell == cell]
@@ -112,7 +113,7 @@ class TestScore:
         assert emap.counts[cell[1], cell[0]] == len(totals)
 
     def test_sample_totals_match_per_anchor_norm(self, trained_rng, preset_c_set):
-        model, scaler, _ = trained_rng
+        model, scaler, _, _ = trained_rng
         _, _, samples = nov.score(model, scaler, feat.Pipeline.RNG, None, preset_c_set)
         for s in samples[:50]:
             expected = math.sqrt(math.fsum(e * e for e in s.per_anchor))
@@ -169,3 +170,39 @@ class TestCsv:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("# grid=1.0,1.25,8,5,0.5")
         assert lines[1] == "i,j,value,count"
+
+    HEAD = "# grid=0.0,0.0,2,2,0.5\ni,j,value,count\n"
+    FULL = ["0,0,1.0,1", "1,0,2.0,1", "0,1,nan,0", "1,1,4.0,1"]
+
+    @pytest.mark.parametrize(
+        "rows, located",
+        [
+            (FULL[:3] + ["99,0,1.0,1"], ":6: cell (99, 0) outside the 2x2 grid"),
+            (FULL + ["0,0,1.0,1"], ":7: duplicate cell (0, 0)"),
+            (FULL[:3], ": 1 cells missing, first (1, 1)"),
+            (["0,0,abc,1"] + FULL[1:], ":3: malformed row"),
+            (["0,0,1.0,x"] + FULL[1:], ":3: malformed row"),
+            (FULL[:2] + ["0,1,1.0"] + FULL[3:], ":5: malformed row"),
+        ],
+    )
+    def test_bad_rows_are_located(self, tmp_path, rows, located):
+        path = tmp_path / "map.csv"
+        path.write_text(self.HEAD + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}{located}")):
+            nov.read_error_map_csv(path)
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, nx, ny, data):
+        n = nx * ny
+        cells = st.one_of(st.floats(allow_nan=False), st.just(math.nan))
+        values = np.array(data.draw(st.lists(cells, min_size=n, max_size=n))).reshape(ny, nx)
+        counts = np.array(
+            data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)), dtype=int
+        ).reshape(ny, nx)
+        grid = ds.GridMap(origin=(0.0, 0.0), nx=nx, ny=ny, cell_size=0.5)
+        path = tmp_path_factory.mktemp("csv") / "map.csv"
+        nov.write_error_map_csv(nov.ErrorMap(grid, values, counts), path)
+        loaded = nov.read_error_map_csv(path)
+        assert loaded.values.tobytes() == values.tobytes()
+        assert np.array_equal(loaded.counts, counts)
