@@ -10,7 +10,7 @@ randomness is seeded so training is bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.max_epochs < 1 or self.patience < 1:
+            raise ValueError("max_epochs and patience must be >= 1")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
 
@@ -250,8 +252,6 @@ def train(
             if epochs_since_improve >= config.patience:
                 break
 
-    if not np.isfinite(best_val):  # no epoch improved; fall back to last state
-        best, best_val = work.copy(), val_curve[-1]
     report = TrainReport(
         train_mse=train_curve,
         val_mse=val_curve,

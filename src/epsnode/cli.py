@@ -12,9 +12,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import autoencoder as ae
 from . import dataset as ds
@@ -83,6 +82,7 @@ def _cmd_simulate(args) -> int:
         params = sim.ChannelParams(
             noise_sigma=args.noise_sigma, range_jitter_sigma=args.jitter_sigma
         )
+        sim.check_grid_in_room(env, grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     mset = sim.generate_dataset(
@@ -98,11 +98,13 @@ def _cmd_simulate(args) -> int:
 
 def _prepare_features(mset, pipeline, val_fraction, seed, variance_target):
     """Split, fit preprocessing on the training half, return scaled rows."""
-    train_set, val_set = ds.split(mset, val_fraction, seed)
+    try:
+        train_set, val_set = ds.split(mset, val_fraction, seed)
+    except ValueError as exc:
+        raise UsageError(f"cannot split the dataset with val_fraction {val_fraction}: {exc}") from exc
     pca = None
     if pipeline is feat.Pipeline.PCA:
-        rows = np.array([feat.cir_concat(m) for m in train_set.measurements])
-        pca = feat.fit_pca(rows, variance_target)
+        pca = feat.fit_pca(feat.cir_matrix(train_set.measurements), variance_target)
     train_raw = feat.extract_matrix(train_set.measurements, pipeline, pca)
     val_raw = feat.extract_matrix(val_set.measurements, pipeline, pca)
     scaler = feat.fit_scaler(train_raw)
@@ -156,10 +158,26 @@ def _load_train_config(args) -> dict:
     return cfg
 
 
+def _train_config(cfg: dict, seed: int) -> ae.TrainConfig:
+    """The validated training settings; a sweep overrides batch size and
+    learning rate per candidate."""
+    try:
+        return ae.TrainConfig(
+            batch_size=int(cfg["batch_size"]),
+            learning_rate=float(cfg["learning_rate"]),
+            max_epochs=int(cfg["max_epochs"]),
+            patience=int(cfg["patience"]),
+            seed=seed,
+        )
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _cmd_train(args) -> int:
     cfg = _load_train_config(args)
     pipeline = cfg["pipeline"]
     seed = _base_seed(int(cfg["seed"]))
+    config = _train_config(cfg, seed)
     if not Path(cfg["dataset"]).exists():
         raise UsageError(f"dataset not found: {cfg['dataset']}")
     mset = ds.load(cfg["dataset"])
@@ -176,11 +194,11 @@ def _cmd_train(args) -> int:
             val_rows,
             parallelism=int(cfg["jobs"]),
             base_seed=seed,
-            max_epochs=int(cfg["max_epochs"]),
-            patience=int(cfg["patience"]),
+            max_epochs=config.max_epochs,
+            patience=config.patience,
         )
         e1, e2, d1 = best.e1, best.e2, best.d1
-        batch, lr = best.batch_size, best.learning_rate
+        config = replace(config, batch_size=best.batch_size, learning_rate=best.learning_rate)
     else:
         try:
             e1, e2, d1 = (int(v) for v in arch)
@@ -188,22 +206,11 @@ def _cmd_train(args) -> int:
             raise UsageError(
                 f"architecture must be [e1, e2, d1] or \"search\", got {arch!r}"
             ) from exc
-        batch, lr = int(cfg["batch_size"]), float(cfg["learning_rate"])
 
     n = train_rows.shape[1]
     try:
         model = ae.build(n, e1, e2, d1, seed=seed)
     except ae.ConstraintError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        config = ae.TrainConfig(
-            batch_size=batch,
-            learning_rate=lr,
-            max_epochs=int(cfg["max_epochs"]),
-            patience=int(cfg["patience"]),
-            seed=seed,
-        )
-    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     trained, report = ae.train(model, train_rows, val_rows, config)
 
@@ -215,8 +222,8 @@ def _cmd_train(args) -> int:
             {
                 "pipeline": pipeline.value,
                 "architecture": [e1, e2, d1],
-                "batch_size": batch,
-                "learning_rate": lr,
+                "batch_size": config.batch_size,
+                "learning_rate": config.learning_rate,
                 "train_mse": report.train_mse,
                 "val_mse": report.val_mse,
                 "stopped_epoch": report.stopped_epoch,
@@ -273,9 +280,10 @@ def _cmd_evaluate(args) -> int:
         emap = nov.read_error_map_csv(args.error_map)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    xmin, ymin, xmax, ymax = emap.grid.extent
-    if not (env.room.contains((xmin, ymin)) and env.room.contains((xmax, ymax))):
-        raise UsageError("error-map grid does not fit the scenario room")
+    try:
+        sim.check_grid_in_room(env, emap.grid)
+    except ValueError as exc:
+        raise UsageError(f"error-map {exc}") from exc
     try:
         pred = ev.kde(emap, args.bandwidth)
         truth = ev.ground_truth_density(env, emap.grid, args.bandwidth)
@@ -302,6 +310,7 @@ def _cmd_gridsearch(args) -> int:
     cfg = _load_train_config(args)
     pipeline = cfg["pipeline"]
     seed = _base_seed(int(cfg["seed"]))
+    config = _train_config(cfg, seed)
     if not Path(cfg["dataset"]).exists():
         raise UsageError(f"dataset not found: {cfg['dataset']}")
     mset = ds.load(cfg["dataset"])
@@ -315,8 +324,8 @@ def _cmd_gridsearch(args) -> int:
         val_rows,
         parallelism=int(cfg["jobs"]),
         base_seed=seed,
-        max_epochs=int(cfg["max_epochs"]),
-        patience=int(cfg["patience"]),
+        max_epochs=config.max_epochs,
+        patience=config.patience,
     )
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

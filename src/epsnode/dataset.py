@@ -70,18 +70,6 @@ class GridMap:
                 yield i, j
 
 
-def cell_index(grid: GridMap, p: tuple[float, float]) -> tuple[int, int]:
-    """Map a point to its (i, j) cell; points on an upper boundary clamp
-    to the last cell."""
-    xmin, ymin, xmax, ymax = grid.extent
-    x, y = p
-    if not (xmin <= x <= xmax and ymin <= y <= ymax):
-        raise ValueError(f"point {p} outside grid extent {grid.extent}")
-    i = min(int(math.floor((x - xmin) / grid.cell_size)), grid.nx - 1)
-    j = min(int(math.floor((y - ymin) / grid.cell_size)), grid.ny - 1)
-    return i, j
-
-
 @dataclass(frozen=True)
 class AnchorReading:
     anchor_id: int
@@ -196,24 +184,16 @@ def load(path: str | Path) -> MeasurementSet:
                     raise DatasetFormatError(f"invalid header: {exc}", line=lineno) from exc
                 continue
             try:
-                anchors = []
-                for a in obj["anchors"]:
-                    cir = np.asarray(a["cir"], dtype=float)
-                    if cir.shape != (CIR_LENGTH,):
-                        raise DatasetFormatError(
-                            f"CIR must have {CIR_LENGTH} samples, got {cir.size}",
-                            line=lineno,
-                        )
-                    anchors.append(AnchorReading(int(a["id"]), float(a["range"]), cir))
+                anchors = tuple(
+                    AnchorReading(int(a["id"]), float(a["range"]), a["cir"]) for a in obj["anchors"]
+                )
                 measurements.append(
                     Measurement(
                         cell=(int(obj["cell"][0]), int(obj["cell"][1])),
                         pass_id=int(obj["pass"]),
-                        per_anchor=tuple(anchors),
+                        per_anchor=anchors,
                     )
                 )
-            except DatasetFormatError:
-                raise
             except (KeyError, TypeError, ValueError, IndexError) as exc:
                 raise DatasetFormatError(f"invalid record: {exc}", line=lineno) from exc
     if header is None:

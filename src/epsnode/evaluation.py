@@ -120,11 +120,3 @@ def ground_truth_density(
     emap = ErrorMap(grid=grid, values=values, counts=np.ones((grid.ny, grid.nx), dtype=int))
     return kde(emap, bandwidth)
 
-
-def density_to_error_map(d: DensityMap) -> ErrorMap:
-    """View a density as an error map for CSV export."""
-    return ErrorMap(
-        grid=d.grid,
-        values=d.p.copy(),
-        counts=np.ones((d.grid.ny, d.grid.nx), dtype=int),
-    )

@@ -19,20 +19,11 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import CIR_LENGTH, Measurement
-
 
 class Pipeline(str, Enum):
     RNG = "RNG"
     MA = "MA"
     PCA = "PCA"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    pipeline: Pipeline
-    values: np.ndarray
-    anchor_slots: dict[int, int]  # anchor_id -> index of its range feature
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class Scaler:
 def moving_average(cir) -> np.ndarray:
     """Two-period moving average, same length as the input;
     y[0] = x[0], y[i] = (x[i] + x[i-1]) / 2."""
-    x = np.asarray(getattr(cir, "samples", cir), dtype=float)
+    x = np.asarray(cir, dtype=float)
     y = x.copy()
     y[1:] = 0.5 * (x[1:] + x[:-1])
     return y
@@ -158,10 +149,7 @@ def scale(scaler: Scaler, v: np.ndarray) -> np.ndarray:
     span = scaler.maxs - scaler.mins
     out = np.zeros_like(v)
     nz = span > 0
-    if v.ndim == 1:
-        out[nz] = (v[nz] - scaler.mins[nz]) / span[nz]
-    else:
-        out[:, nz] = (v[:, nz] - scaler.mins[nz]) / span[nz]
+    out[..., nz] = (v[..., nz] - scaler.mins[nz]) / span[nz]
     return out
 
 
@@ -180,9 +168,10 @@ def scaler_from_json(obj: dict) -> Scaler:
 # extraction
 # ---------------------------------------------------------------------------
 
-def cir_concat(meas: Measurement) -> np.ndarray:
-    """Concatenated per-anchor CIRs in anchor-id order (length 152 * n)."""
-    return np.concatenate([r.cir for r in meas.per_anchor])
+def cir_matrix(measurements) -> np.ndarray:
+    """(m, n_anchors * 152) matrix: each measurement's CIRs concatenated in
+    anchor-id order."""
+    return np.array([np.concatenate([r.cir for r in m.per_anchor]) for m in measurements])
 
 
 def feature_length(pipeline: Pipeline, n_anchors: int, pca: PcaModel | None = None) -> int:
@@ -195,27 +184,28 @@ def feature_length(pipeline: Pipeline, n_anchors: int, pca: PcaModel | None = No
     return n_anchors + pca.k
 
 
-def extract(meas: Measurement, pipeline: Pipeline, pca: PcaModel | None = None) -> FeatureVector:
-    """Build the pipeline-specific feature vector for one measurement."""
-    pipeline = Pipeline(pipeline)
-    ranges = meas.ranges
-    slots = {r.anchor_id: i for i, r in enumerate(meas.per_anchor)}
-    if pipeline is Pipeline.RNG:
-        values = ranges
-    elif pipeline is Pipeline.MA:
-        parts = [ranges]
-        for r in meas.per_anchor:
-            parts.append(find_peaks(moving_average(r.cir), 6))
-        values = np.concatenate(parts)
-    else:
-        if pca is None:
-            raise ValueError("PCA pipeline requires a fitted PcaModel")
-        values = np.concatenate([ranges, apply_pca(pca, cir_concat(meas))])
-    return FeatureVector(pipeline=pipeline, values=values, anchor_slots=slots)
-
-
 def extract_matrix(
     measurements, pipeline: Pipeline, pca: PcaModel | None = None
 ) -> np.ndarray:
-    """Feature matrix (one row per measurement)."""
-    return np.array([extract(m, pipeline, pca).values for m in measurements])
+    """Feature matrix, one row per measurement: the ranges in anchor-id
+    order (the first n_anchors columns of every pipeline), then the
+    pipeline's CIR features.
+
+    MA peaks are found one CIR at a time rather than on an (m, A, 152) CIR
+    cube, which would raise peak memory. PCA projects one row at a time: a
+    batched ``(C - mean) @ components`` is a different BLAS call and
+    changes the last bits of the features.
+    """
+    pipeline = Pipeline(pipeline)
+    if pipeline is Pipeline.PCA and pca is None:
+        raise ValueError("PCA pipeline requires a fitted PcaModel")
+    ranges = np.array([[r.range_m for r in m.per_anchor] for m in measurements], dtype=float)
+    if pipeline is Pipeline.RNG:
+        return ranges
+    if pipeline is Pipeline.MA:
+        peaks = np.array(
+            [[find_peaks(moving_average(r.cir), 6) for r in m.per_anchor] for m in measurements]
+        )
+        return np.hstack([ranges, peaks.reshape(len(ranges), -1)])
+    projected = np.array([apply_pca(pca, row) for row in cir_matrix(measurements)])
+    return np.hstack([ranges, projected])

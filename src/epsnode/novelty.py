@@ -19,24 +19,17 @@ from . import features as feat
 from .dataset import GridMap, MeasurementSet
 
 
-def anchor_error(y_hat: float, y: float) -> float:
-    """Single-anchor error |y_hat - y|."""
+def anchor_error(y_hat, y):
+    """Single-anchor error |y_hat - y|, elementwise on arrays."""
     return abs(y_hat - y)
 
 
-def total_error(e) -> float:
-    """Euclidean norm of the per-anchor errors."""
+def total_error(e):
+    """Euclidean norm of the per-anchor errors, taken over the last axis."""
     e = np.asarray(e, dtype=float)
     if np.any(e < 0):
         raise ValueError("per-anchor errors must be non-negative")
-    return float(np.sqrt(np.sum(e * e)))
-
-
-@dataclass(frozen=True)
-class SampleError:
-    cell: tuple[int, int]
-    per_anchor: np.ndarray  # indexed by anchor position in the measurement
-    total: float
+    return np.sqrt(np.sum(e * e, axis=-1))
 
 
 @dataclass
@@ -72,8 +65,13 @@ def score(
     pca: feat.PcaModel | None,
     mset: MeasurementSet,
     aggregate: str = "mean",
-) -> tuple[ErrorMap, list[AnchorErrorMap], list[SampleError]]:
-    """Score every measurement: extract -> scale -> reconstruct -> errors."""
+) -> tuple[ErrorMap, list[AnchorErrorMap], np.ndarray]:
+    """Score every measurement: extract -> scale -> reconstruct -> errors.
+
+    Returns the total-error map, one map per anchor (in anchor-id order) and
+    the (m, n_anchors) per-anchor errors, one row per measurement in
+    ``mset.measurements`` order.
+    """
     if aggregate not in _AGGREGATORS:
         raise ValueError(f"unknown aggregate {aggregate!r}")
     agg = _AGGREGATORS[aggregate]
@@ -86,30 +84,26 @@ def score(
             f"feature length {expected}"
         )
 
-    grid = mset.grid
-    totals: dict[tuple[int, int], list[float]] = {}
-    per_anchor_acc: dict[tuple[int, int], list[np.ndarray]] = {}
-    sample_errors: list[SampleError] = []
-    for meas in mset.measurements:
-        fv = feat.extract(meas, pipeline, pca)
-        x = feat.scale(scaler, fv.values)
-        recon = ae.forward(model, x)
-        errs = np.array(
-            [anchor_error(recon[slot], x[slot]) for _, slot in sorted(fv.anchor_slots.items())]
-        )
-        tot = total_error(errs)
-        sample_errors.append(SampleError(meas.cell, errs, tot))
-        totals.setdefault(meas.cell, []).append(tot)
-        per_anchor_acc.setdefault(meas.cell, []).append(errs)
+    x = feat.scale(scaler, feat.extract_matrix(mset.measurements, pipeline, pca))
+    # Row by row on purpose: one forward_batch call rounds differently from
+    # per-row forward (with OpenBLAS, 389-398 of preset B's 400 RNG rows
+    # differed, by up to 7e-16, and all 400 MA rows), which would change the
+    # bytes of every error map.
+    recon = np.array([ae.forward(model, row) for row in x])
+    errors = anchor_error(recon[:, :n_anchors], x[:, :n_anchors])
+    totals = total_error(errors)
 
+    rows_by_cell: dict[tuple[int, int], list[int]] = {}
+    for k, meas in enumerate(mset.measurements):
+        rows_by_cell.setdefault(meas.cell, []).append(k)
+    grid = mset.grid
     values = np.full((grid.ny, grid.nx), np.nan)
     counts = np.zeros((grid.ny, grid.nx), dtype=int)
     anchor_values = np.full((n_anchors, grid.ny, grid.nx), np.nan)
-    for (i, j), cell_totals in totals.items():
-        values[j, i] = agg(cell_totals)
-        counts[j, i] = len(cell_totals)
-        stacked = np.vstack(per_anchor_acc[(i, j)])
-        anchor_values[:, j, i] = agg(stacked, axis=0)
+    for (i, j), rows in rows_by_cell.items():
+        values[j, i] = agg(totals[rows])
+        counts[j, i] = len(rows)
+        anchor_values[:, j, i] = agg(errors[rows], axis=0)
 
     anchor_ids = [r.anchor_id for r in mset.measurements[0].per_anchor]
     error_map = ErrorMap(grid=grid, values=values, counts=counts)
@@ -117,7 +111,7 @@ def score(
         AnchorErrorMap(grid=grid, values=anchor_values[k], counts=counts.copy(), anchor_id=aid)
         for k, aid in enumerate(anchor_ids)
     ]
-    return error_map, anchor_maps, sample_errors
+    return error_map, anchor_maps, errors
 
 
 # ---------------------------------------------------------------------------

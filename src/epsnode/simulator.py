@@ -16,7 +16,7 @@ All randomness is driven by explicit integer seeds; every function is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -149,20 +149,6 @@ class ChannelParams:
             raise ValueError("noise/jitter/delay parameters must be non-negative")
         if not (0.0 < self.detect_frac < 1.0):
             raise ValueError("detect_frac must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class Cir:
-    samples: np.ndarray  # shape (152,)
-    sample_period: float = 1.0
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if samples.shape != (CIR_LENGTH,):
-            raise ValueError(f"CIR must have {CIR_LENGTH} samples")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("CIR samples must be finite")
 
 
 @dataclass(frozen=True)
@@ -326,8 +312,8 @@ def synthesize_cir(
     params: ChannelParams,
     rng_seed: int,
     diagnostics: dict | None = None,
-) -> Cir:
-    """Render the CIR seen at ``anchor`` for a transmitter at ``tag``.
+) -> np.ndarray:
+    """Render the (152,) CIR seen at ``anchor`` for a transmitter at ``tag``.
 
     Each propagation path deposits a Gaussian pulse (std ``pulse_sigma``
     samples) at its delay; white Gaussian noise is added on top. Paths whose
@@ -352,22 +338,22 @@ def synthesize_cir(
         samples += rng.normal(0.0, params.noise_sigma, CIR_LENGTH)
     if diagnostics is not None:
         diagnostics["dropped_paths"] = diagnostics.get("dropped_paths", 0) + dropped
-    return Cir(samples, params.sample_period)
+    return samples
 
 
-def estimate_range(cir: Cir, params: ChannelParams, rng_seed: int) -> float:
+def estimate_range(samples: np.ndarray, params: ChannelParams, rng_seed: int) -> float:
     """Leading-edge range estimate: first bin whose magnitude reaches
     ``detect_frac`` of the CIR maximum, plus Gaussian jitter.
 
     When the direct path is attenuated below the threshold the first detected
     path is a reflection, yielding a positive range bias.
     """
-    mag = np.abs(cir.samples)
+    mag = np.abs(samples)
     peak = mag.max()
     if peak == 0.0:
         raise ValueError("no detectable path: CIR is all zero")
     idx = int(np.argmax(mag >= params.detect_frac * peak))
-    r = params.c * idx * cir.sample_period
+    r = params.c * idx * params.sample_period
     if params.range_jitter_sigma > 0.0:
         rng = np.random.default_rng(rng_seed)
         r += rng.normal(0.0, params.range_jitter_sigma)
@@ -464,6 +450,13 @@ def load_environment(path: str | Path) -> Environment:
 # dataset generation
 # ---------------------------------------------------------------------------
 
+def check_grid_in_room(env: Environment, grid: GridMap) -> None:
+    """Raise ``ValueError`` unless the grid's whole extent lies inside the room."""
+    xmin, ymin, xmax, ymax = grid.extent
+    if not (env.room.contains((xmin, ymin)) and env.room.contains((xmax, ymax))):
+        raise ValueError(f"grid extent {grid.extent} does not fit the room {env.room}")
+
+
 def _sample_seeds(base_seed: int, pass_id: int, i: int, j: int, s: int, anchor_id: int):
     """Two independent integer seeds (CIR noise, range jitter) derived from
     the base seed and sample coordinates; schedule-independent by design."""
@@ -485,9 +478,7 @@ def generate_dataset(
     for every pass; deterministic for a fixed seed."""
     if passes < 1 or samples_per_cell < 1:
         raise ValueError("passes and samples_per_cell must be >= 1")
-    xmin, ymin, xmax, ymax = grid.extent
-    if not (env.room.contains((xmin, ymin)) and env.room.contains((xmax, ymax))):
-        raise ValueError("grid extends outside the room")
+    check_grid_in_room(env, grid)
     if params is None:
         params = ChannelParams()
 
@@ -502,6 +493,6 @@ def generate_dataset(
                     cir_seed, jitter_seed = _sample_seeds(seed, pass_id, i, j, s, anchor.id)
                     cir = synthesize_cir(env, tag, anchor, params, cir_seed)
                     r = estimate_range(cir, params, jitter_seed)
-                    readings.append(AnchorReading(anchor.id, r, cir.samples))
+                    readings.append(AnchorReading(anchor.id, r, cir))
                 measurements.append(Measurement((i, j), pass_id, tuple(readings)))
     return MeasurementSet(scenario_name, grid, measurements, seed)

@@ -92,7 +92,7 @@ def train_pipeline(pipeline, dims, batch_size, train_set, val_set, seed=ACCEPT_S
     training CIRs first; the other pipelines get pca=None."""
     pca = None
     if pipeline is feat.Pipeline.PCA:
-        pca = feat.fit_pca(np.array([feat.cir_concat(m) for m in train_set.measurements]))
+        pca = feat.fit_pca(feat.cir_matrix(train_set.measurements))
     raw_train = feat.extract_matrix(train_set.measurements, pipeline, pca)
     scaler = feat.fit_scaler(raw_train)
     rows_train = feat.scale(scaler, raw_train)

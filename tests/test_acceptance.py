@@ -239,8 +239,8 @@ def test_criterion_6_per_anchor_attribution(grid, scored_maps):
 
     combined = np.zeros(4)
     for pipe in ("RNG", "MA"):
-        _, _, samples = scored_maps[(pipe, "B")]
-        combined += np.mean([s.per_anchor for s in samples], axis=0)
+        _, _, errors = scored_maps[(pipe, "B")]
+        combined += np.mean(errors, axis=0)
     measured_top2 = {int(a) for a in np.argsort(combined)[-2:]}
 
     ok = measured_top2 == oracle_top2

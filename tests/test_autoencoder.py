@@ -63,6 +63,11 @@ class TestForward:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("max_epochs, patience", [(0, 0), (-3, -3), (5, 0)])
+    def test_config_rejects_epoch_counts_below_one(self, max_epochs, patience):
+        with pytest.raises(ValueError, match="max_epochs and patience"):
+            TrainConfig(max_epochs=max_epochs, patience=patience)
+
     def test_overfits_single_constant_row(self):
         target = np.array([[0.3, 0.7, 0.1, 0.9]])
         model = ae.build(4, 8, 12, 8, seed=0)
@@ -144,6 +149,6 @@ class TestPersistence:
         bundle = ae.load_bundle(path)
         loaded = bundle["model"]
         assert loaded.dims == model.dims
-        assert all(np.allclose(a, b) for a, b in zip(loaded.weights, model.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
         assert bundle["pipeline"] is feat.Pipeline.RNG
-        assert np.allclose(bundle["scaler"].maxs, scaler.maxs)
+        assert np.array_equal(bundle["scaler"].maxs, scaler.maxs)

@@ -69,7 +69,10 @@ class TestSimulate:
         assert rc == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("extra", [("--passes", "0"), ("--noise-sigma", "-1")])
+    @pytest.mark.parametrize(
+        "extra",
+        [("--passes", "0"), ("--noise-sigma", "-1"), ("--grid", "5,4,8,5,0.5")],
+    )
     def test_invalid_parameter_is_usage_error(self, tmp_path, capsys, extra):
         rc = cli.main([
             "simulate", "--scenario", "nominal", "--grid", GRID,
@@ -133,6 +136,29 @@ class TestTrainScoreEvaluate:
         ])
         assert rc == 2
         assert "batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("train", ("--architecture", "8", "12", "8", "--max-epochs", "0", "--patience", "0")),
+            ("train", ("--architecture", "8", "12", "8", "--max-epochs", "-3", "--patience", "-3")),
+            ("train", ("--max-epochs", "-3")),
+            ("gridsearch", ("--max-epochs", "2", "--patience", "5")),
+            ("train", ("--architecture", "8", "12", "8", "--val-fraction", "1.5")),
+            # every cell holds 5 samples, so all of them go to validation
+            ("train", ("--architecture", "8", "12", "8", "--val-fraction", "0.99")),
+        ],
+    )
+    def test_invalid_training_setup_is_usage_error(self, workspace, capsys, command, extra):
+        tmp_path, nominal, _, _ = workspace
+        out_dir = tmp_path / "bad_setup"
+        rc = cli.main([
+            command, "--dataset", str(nominal), "--pipeline", "RNG",
+            "--out-dir", str(out_dir), *extra,
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_score_outputs(self, workspace, capsys):
         tmp_path, _, perturbed, model_dir = workspace

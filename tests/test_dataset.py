@@ -1,6 +1,8 @@
 """Grid map, measurement containers, persistence, and splitting."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from conftest import msets_equal
@@ -12,10 +14,21 @@ from epsnode.dataset import (
     GridMap,
     Measurement,
     MeasurementSet,
-    cell_index,
 )
 
 CIR = ds.CIR_LENGTH
+
+
+def cell_index(grid: GridMap, p: tuple[float, float]) -> tuple[int, int]:
+    """Map a point to its (i, j) cell; points on an upper boundary clamp
+    to the last cell."""
+    xmin, ymin, xmax, ymax = grid.extent
+    x, y = p
+    if not (xmin <= x <= xmax and ymin <= y <= ymax):
+        raise ValueError(f"point {p} outside grid extent {grid.extent}")
+    i = min(int(math.floor((x - xmin) / grid.cell_size)), grid.nx - 1)
+    j = min(int(math.floor((y - ymin) / grid.cell_size)), grid.ny - 1)
+    return i, j
 
 
 def reading(anchor_id, range_m=3.0):
@@ -110,7 +123,7 @@ class TestPersistence:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].replace("0.0, 0.0]", "0.0]", 1)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError, match=f"line 2: .*CIR must have {CIR} samples"):
             ds.load(path)
 
     def test_format_error_carries_line_number(self, tmp_path):

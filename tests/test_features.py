@@ -159,39 +159,41 @@ class TestExtraction:
     def test_rng_features_are_ranges(self):
         rng = np.random.default_rng(0)
         meas = make_measurement(rng)
-        fv = feat.extract(meas, Pipeline.RNG)
-        assert np.allclose(fv.values, meas.ranges)
-        assert fv.anchor_slots == {0: 0, 1: 1, 2: 2, 3: 3}
+        mat = feat.extract_matrix([meas], Pipeline.RNG)
+        assert np.allclose(mat[0], meas.ranges)
+        # anchor k's range sits in column k
+        assert all(mat[0, r.anchor_id] == r.range_m for r in meas.per_anchor)
 
     def test_ma_length(self):
         rng = np.random.default_rng(1)
-        fv = feat.extract(make_measurement(rng), Pipeline.MA)
-        assert len(fv.values) == 28
+        mat = feat.extract_matrix([make_measurement(rng)], Pipeline.MA)
+        assert mat.shape == (1, 28)
         assert feat.feature_length(Pipeline.MA, 4) == 28
 
     def test_ma_peaks_come_from_smoothed_cir(self):
         rng = np.random.default_rng(2)
         meas = make_measurement(rng)
-        fv = feat.extract(meas, Pipeline.MA)
+        mat = feat.extract_matrix([meas], Pipeline.MA)
         smoothed = feat.moving_average(meas.per_anchor[0].cir)
-        assert np.allclose(fv.values[4:10], feat.find_peaks(smoothed, k=6))
+        assert np.allclose(mat[0, 4:10], feat.find_peaks(smoothed, k=6))
 
     def test_pca_pipeline_length(self):
         rng = np.random.default_rng(3)
         mset = [make_measurement(rng) for _ in range(12)]
-        cirs = np.array([feat.cir_concat(m) for m in mset])
-        assert cirs.shape[1] == 4 * CIR
+        cirs = feat.cir_matrix(mset)
+        assert cirs.shape == (12, 4 * CIR)
+        assert np.array_equal(cirs[0, CIR : 2 * CIR], mset[0].per_anchor[1].cir)
         pca = feat.fit_pca(cirs)
         k = pca.k
-        fv = feat.extract(mset[0], Pipeline.PCA, pca)
-        assert len(fv.values) == 4 + k
+        mat = feat.extract_matrix(mset[:1], Pipeline.PCA, pca)
+        assert mat.shape == (1, 4 + k)
         assert feat.feature_length(Pipeline.PCA, 4, pca) == 4 + k
-        assert fv.anchor_slots == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert all(mat[0, r.anchor_id] == r.range_m for r in mset[0].per_anchor)
 
     def test_pca_pipeline_requires_model(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            feat.extract(make_measurement(rng), Pipeline.PCA)
+            feat.extract_matrix([make_measurement(rng)], Pipeline.PCA)
 
     def test_extract_matrix_shape(self):
         rng = np.random.default_rng(5)

@@ -10,7 +10,6 @@ from epsnode import simulator as sim
 from epsnode.simulator import (
     Anchor,
     ChannelParams,
-    Cir,
     Environment,
     Material,
     Obstacle,
@@ -89,8 +88,8 @@ class TestSynthesizeCir:
         params = ChannelParams(noise_sigma=0.0)
         tag = (C, 0.0)  # exactly one sample period of travel
         cir = sim.synthesize_cir(env, tag, env.anchors[0], params, rng_seed=0)
-        assert len(cir.samples) == sim.CIR_LENGTH
-        assert int(np.argmax(cir.samples)) == 1
+        assert len(cir) == sim.CIR_LENGTH
+        assert int(np.argmax(cir)) == 1
 
     def test_reflection_pulse_bin(self):
         # one close wall gives a 4.0 m image path; the other walls are remote
@@ -104,7 +103,7 @@ class TestSynthesizeCir:
         env = Environment(room=room, anchors=anchors, obstacles=())
         params = ChannelParams(noise_sigma=0.0)
         cir = sim.synthesize_cir(env, (1.499, 0.0), env.anchors[0], params, rng_seed=0)
-        s = cir.samples
+        s = cir
         direct_bin = round(1.499 / C)
         assert int(np.argmax(s)) == direct_bin
         # image path 4.0 m -> 13.34 ns -> pulse centred in bin 13
@@ -115,7 +114,7 @@ class TestSynthesizeCir:
         params = ChannelParams()
         a = sim.synthesize_cir(env, (3.0, 4.0), env.anchors[1], params, rng_seed=7)
         b = sim.synthesize_cir(env, (3.0, 4.0), env.anchors[1], params, rng_seed=7)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_late_paths_reported_dropped(self):
         env = make_env(room=Rect(0.0, 0.0, 60.0, 60.0),
@@ -132,25 +131,25 @@ class TestEstimateRange:
         params = ChannelParams(noise_sigma=0.0, range_jitter_sigma=0.0)
         samples = np.zeros(sim.CIR_LENGTH)
         samples[10] = 1.0
-        assert sim.estimate_range(Cir(samples, 1.0), params, 0) == pytest.approx(2.998)
+        assert sim.estimate_range(samples, params, 0) == pytest.approx(2.998)
 
     def test_surviving_reflection_overestimates(self):
         params = ChannelParams(noise_sigma=0.0, range_jitter_sigma=0.0)
         samples = np.zeros(sim.CIR_LENGTH)
         samples[20] = 0.4
-        assert sim.estimate_range(Cir(samples, 1.0), params, 0) == pytest.approx(5.996)
+        assert sim.estimate_range(samples, params, 0) == pytest.approx(5.996)
 
     def test_all_zero_cir_errors(self):
         params = ChannelParams()
         with pytest.raises(ValueError):
-            sim.estimate_range(Cir(np.zeros(sim.CIR_LENGTH), 1.0), params, 0)
+            sim.estimate_range(np.zeros(sim.CIR_LENGTH), params, 0)
 
     def test_leading_edge_beats_stronger_late_peak(self):
         params = ChannelParams(noise_sigma=0.0, range_jitter_sigma=0.0)
         samples = np.zeros(sim.CIR_LENGTH)
         samples[5] = 0.3
         samples[30] = 1.0
-        assert sim.estimate_range(Cir(samples, 1.0), params, 0) == pytest.approx(5 * C)
+        assert sim.estimate_range(samples, params, 0) == pytest.approx(5 * C)
 
 
 class TestNlosBias:
