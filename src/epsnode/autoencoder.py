@@ -9,6 +9,7 @@ randomness is seeded so training is bit-reproducible.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +19,13 @@ import numpy as np
 from . import features as feat
 
 N_LAYERS = 5
+# Adam (Kingma & Ba 2015), the least validation-MSE drop that early stopping
+# counts as an improvement, and the output layer's Leaky ReLU slope.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+MIN_DELTA = 1e-6
+LEAKY_ALPHA = 0.01
 
 
 class ConstraintError(ValueError):
@@ -36,24 +44,41 @@ class TrainingDivergedError(RuntimeError):
         self.learning_rate = learning_rate
 
 
+def _layer_views(dims: tuple[int, ...], flat: np.ndarray | None = None):
+    """``(flat, weights, biases)`` with per-layer views of ``flat`` (zeros when
+    None). The only code that knows the layout: layer by layer, the row-major
+    (fan_in, fan_out) weights, then the fan_out biases."""
+    if len(dims) != N_LAYERS:
+        raise ValueError(f"dims must have {N_LAYERS} entries, got {list(dims)}")
+    layers = list(zip(dims[:1] + dims[:-1], dims))
+    ends = list(itertools.accumulate(n_in * n_out + n_out for n_in, n_out in layers))
+    flat = np.zeros(ends[-1]) if flat is None else flat
+    if flat.shape != (ends[-1],):
+        raise ValueError(f"dims {list(dims)} need {ends[-1]} parameters, got {flat.shape}")
+    # plain slices: this runs on every training step, where np.split would
+    # cost as much as the gradient itself
+    weights = [flat[end - n_out * (n_in + 1) : end - n_out].reshape(n_in, n_out)
+               for (n_in, n_out), end in zip(layers, ends)]
+    biases = [flat[end - n_out : end] for (_, n_out), end in zip(layers, ends)]
+    return flat, weights, biases
+
+
 @dataclass
 class AutoencoderModel:
     dims: tuple[int, int, int, int, int]  # (N, E1, E2, D1, N)
-    weights: list[np.ndarray]             # weights[l] has shape (dims[l_in], dims[l_out])
-    biases: list[np.ndarray]
-    leaky_alpha: float = 0.01
+    params: np.ndarray                    # flat float64, see _layer_views
+    leaky_alpha: float = LEAKY_ALPHA
+
+    def __post_init__(self):
+        # weights[l] has shape (dims[l_in], dims[l_out]); both lists are views
+        _, self.weights, self.biases = _layer_views(self.dims, self.params)
 
     @property
     def n(self) -> int:
         return self.dims[0]
 
     def copy(self) -> "AutoencoderModel":
-        return AutoencoderModel(
-            dims=self.dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            leaky_alpha=self.leaky_alpha,
-        )
+        return AutoencoderModel(self.dims, self.params.copy(), self.leaky_alpha)
 
 
 @dataclass(frozen=True)
@@ -62,11 +87,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 200
     patience: int = 20
-    min_delta: float = 1e-6
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -87,33 +108,34 @@ class TrainReport:
     final_val_mse: float
 
 
-def build(
-    n: int, e1: int, e2: int, d1: int, leaky_alpha: float = 0.01, seed: int = 0
-) -> AutoencoderModel:
+def constraint_violation(n: int, e1: int, e2: int, d1: int) -> str | None:
+    """The violated overcompleteness inequality, or None when they all hold."""
+    if e1 <= n:
+        return f"N < N_E1 violated: {n} >= {e1}"
+    if e2 < e1:
+        return f"N_E1 <= N_E2 violated: {e1} > {e2}"
+    if d1 <= n:
+        return f"N_D1 > N violated: {d1} <= {n}"
+    return None
+
+
+def build(n: int, e1: int, e2: int, d1: int, seed: int = 0) -> AutoencoderModel:
     """Construct a model with fan-in-scaled uniform weights and zero biases.
 
     Raises ConstraintError naming the violated inequality when the
     overcompleteness constraints do not hold.
     """
-    if e1 <= n:
-        raise ConstraintError(f"N < N_E1 violated: {n} >= {e1}")
-    if e2 < e1:
-        raise ConstraintError(f"N_E1 <= N_E2 violated: {e1} > {e2}")
-    if d1 <= n:
-        raise ConstraintError(f"N_D1 > N violated: {d1} <= {n}")
-    if leaky_alpha <= 0:
-        raise ValueError("leaky_alpha must be positive")
+    if reason := constraint_violation(n, e1, e2, d1):
+        raise ConstraintError(reason)
     dims = (n, e1, e2, d1, n)
+    params, weights, _ = _layer_views(dims)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
     # dims are the five dense layer widths; the input dimension equals N,
     # so the transition chain is n -> N -> E1 -> E2 -> D1 -> N.
-    for fan_in, fan_out in zip((n,) + dims[:-1], dims):
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return AutoencoderModel(dims=dims, weights=weights, biases=biases, leaky_alpha=leaky_alpha)
+    for w in weights:
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return AutoencoderModel(dims, params)
 
 
 def _activate(z: np.ndarray, layer: int, alpha: float) -> np.ndarray:
@@ -164,22 +186,21 @@ def mse(model: AutoencoderModel, rows: np.ndarray) -> float:
 
 def mse_gradients(model: AutoencoderModel, rows: np.ndarray):
     """Analytic gradients of the batch-and-feature-mean MSE with respect to
-    every weight matrix and bias vector. Returns (loss, grads_w, grads_b)."""
+    every parameter. Returns (loss, grad); grad has the layout of params."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     zs, acts = _forward_cached(model, rows)
     out = acts[-1]
     m, n = rows.shape
     loss = float(np.mean((out - rows) ** 2))
     delta = 2.0 * (out - rows) / (m * n)
-    grads_w = [None] * N_LAYERS
-    grads_b = [None] * N_LAYERS
+    grad, grads_w, grads_b = _layer_views(model.dims, np.empty_like(model.params))
     for layer in range(N_LAYERS - 1, -1, -1):
         delta = delta * _activate_grad(zs[layer], layer, model.leaky_alpha)
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        grads_w[layer][...] = acts[layer].T @ delta
+        grads_b[layer][...] = delta.sum(axis=0)
         if layer > 0:
             delta = delta @ model.weights[layer].T
-    return loss, grads_w, grads_b
+    return loss, grad
 
 
 def train(
@@ -201,10 +222,8 @@ def train(
     work = model.copy()
     rng = np.random.default_rng(config.seed)
 
-    m_w = [np.zeros_like(w) for w in work.weights]
-    v_w = [np.zeros_like(w) for w in work.weights]
-    m_b = [np.zeros_like(b) for b in work.biases]
-    v_b = [np.zeros_like(b) for b in work.biases]
+    mom = np.zeros_like(work.params)
+    vel = np.zeros_like(work.params)
     step = 0
 
     best = work.copy()
@@ -218,32 +237,22 @@ def train(
         order = rng.permutation(n_rows)
         for batch_idx, start in enumerate(range(0, n_rows, config.batch_size)):
             batch = train_rows[order[start : start + config.batch_size]]
-            loss, gw, gb = mse_gradients(work, batch)
+            loss, g = mse_gradients(work, batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, batch_idx, config.learning_rate)
             step += 1
-            corr1 = 1.0 - config.beta1**step
-            corr2 = 1.0 - config.beta2**step
-            for layer in range(N_LAYERS):
-                for params, grads, mom, vel in (
-                    (work.weights, gw, m_w, v_w),
-                    (work.biases, gb, m_b, v_b),
-                ):
-                    g = grads[layer]
-                    mom[layer] = config.beta1 * mom[layer] + (1 - config.beta1) * g
-                    vel[layer] = config.beta2 * vel[layer] + (1 - config.beta2) * g * g
-                    m_hat = mom[layer] / corr1
-                    v_hat = vel[layer] / corr2
-                    params[layer] -= config.learning_rate * m_hat / (
-                        np.sqrt(v_hat) + config.adam_eps
-                    )
+            mom = BETA1 * mom + (1 - BETA1) * g
+            vel = BETA2 * vel + (1 - BETA2) * g * g
+            m_hat = mom / (1.0 - BETA1**step)
+            v_hat = vel / (1.0 - BETA2**step)
+            work.params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         train_curve.append(mse(work, train_rows))
         val = mse(work, val_rows)
         val_curve.append(val)
         if not np.isfinite(val):
             raise TrainingDivergedError(epoch, -1, config.learning_rate)
-        if val < best_val - config.min_delta:
+        if val < best_val - MIN_DELTA:
             best_val = val
             best = work.copy()
             epochs_since_improve = 0
@@ -275,48 +284,32 @@ def _loss_from_layer(model: AutoencoderModel, layer: int, z_batch: np.ndarray, x
 
 
 def finite_difference_gradients(model: AutoencoderModel, x: np.ndarray, step: float = 1e-5):
-    """Central-difference gradients of the single-sample MSE for every weight
-    and bias. Perturbations are applied at the pre-activation of the owning
-    layer, which is algebraically identical to perturbing the parameter but
-    allows batching the downstream forward passes."""
+    """Central-difference gradients of the single-sample MSE for every
+    parameter, in the layout of params. Perturbations are applied at the
+    pre-activation of the owning layer, which is algebraically identical to
+    perturbing the parameter but allows batching the downstream forward
+    passes; a bias acts as the weight of a constant input 1."""
     x = np.asarray(x, dtype=float)
     zs, acts = _forward_cached(model, x[None, :])
-    grads_w, grads_b = [], []
+    grad, grads_w, grads_b = _layer_views(model.dims, np.empty_like(model.params))
     for layer in range(N_LAYERS):
-        a_prev = acts[layer][0]
-        z = zs[layer][0]
-        d_in, d_out = model.weights[layer].shape
-
-        n_params = d_in * d_out
-        rows = np.repeat(np.arange(d_in), d_out)
-        cols = np.tile(np.arange(d_out), d_in)
-        delta = step * a_prev[rows]
-        z_plus = np.tile(z, (n_params, 1))
-        z_minus = z_plus.copy()
-        z_plus[np.arange(n_params), cols] += delta
-        z_minus[np.arange(n_params), cols] -= delta
-        lp = _loss_from_layer(model, layer, z_plus, x)
-        lm = _loss_from_layer(model, layer, z_minus, x)
-        grads_w.append(((lp - lm) / (2.0 * step)).reshape(d_in, d_out))
-
-        z_plus = np.tile(z, (d_out, 1))
-        z_minus = z_plus.copy()
-        z_plus[np.arange(d_out), np.arange(d_out)] += step
-        z_minus[np.arange(d_out), np.arange(d_out)] -= step
-        lp = _loss_from_layer(model, layer, z_plus, x)
-        lm = _loss_from_layer(model, layer, z_minus, x)
-        grads_b.append((lp - lm) / (2.0 * step))
-    return grads_w, grads_b
+        d_out = zs[layer].shape[1]
+        # row i * d_out + j moves unit j by step times input i; the last
+        # input is the biases' constant 1
+        bump = np.kron(step * np.append(acts[layer][0], 1.0)[:, None], np.eye(d_out))
+        lp = _loss_from_layer(model, layer, zs[layer] + bump, x)
+        lm = _loss_from_layer(model, layer, zs[layer] - bump, x)
+        g = (lp - lm) / (2.0 * step)
+        grads_w[layer][...] = g[:-d_out].reshape(grads_w[layer].shape)
+        grads_b[layer][...] = g[-d_out:]
+    return grad
 
 
-def max_relative_error(analytic, numeric) -> float:
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        # the floor keeps finite-difference roundoff on near-zero gradients
-        # from registering as relative error
-        denom = np.maximum(np.abs(a) + np.abs(n), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    # the floor keeps finite-difference roundoff on near-zero gradients
+    # from registering as relative error
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def gradient_check(model: AutoencoderModel, x: np.ndarray, step: float = 1e-5) -> float:
@@ -325,9 +318,8 @@ def gradient_check(model: AutoencoderModel, x: np.ndarray, step: float = 1e-5) -
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"expected input of length {model.n}, got {x.shape}")
-    _, gw, gb = mse_gradients(model, x)
-    fw, fb = finite_difference_gradients(model, x, step)
-    return max(max_relative_error(gw, fw), max_relative_error(gb, fb))
+    _, grad = mse_gradients(model, x)
+    return max_relative_error(grad, finite_difference_gradients(model, x, step))
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +350,21 @@ def save_bundle(
 
 
 def load_bundle(path: str | Path) -> dict:
+    """Read a bundle; raises ValueError naming the file when its weight and
+    bias shapes do not fit its dims."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = AutoencoderModel(
-        dims=tuple(obj["dims"]),
-        weights=[np.asarray(w, dtype=float) for w in obj["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in obj["biases"]],
-        leaky_alpha=float(obj["leaky_alpha"]),
-    )
+    try:
+        params, weights, biases = _layer_views(tuple(obj["dims"]))
+        saved = [np.asarray(a, dtype=float) for a in obj["weights"] + obj["biases"]]
+        shapes, fits = [a.shape for a in saved], [v.shape for v in weights + biases]
+        if shapes != fits:
+            raise ValueError(f"weight and bias shapes {shapes} do not fit dims, which need {fits}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid model bundle: {exc}") from exc
+    for view, values in zip(weights + biases, saved):
+        view[...] = values
     return {
-        "model": model,
+        "model": AutoencoderModel(tuple(obj["dims"]), params, float(obj["leaky_alpha"])),
         "pipeline": feat.Pipeline(obj["pipeline"]) if "pipeline" in obj else None,
         "scaler": feat.scaler_from_json(obj["scaler"]) if "scaler" in obj else None,
         "pca": feat.pca_from_json(obj["pca"]) if "pca" in obj else None,

@@ -126,9 +126,10 @@ def _load_train_config(args) -> dict:
     overrides = {
         "dataset": args.dataset,
         "pipeline": args.pipeline,
-        "architecture": args.architecture,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
+        # the sweep flags exist on train only
+        "architecture": getattr(args, "architecture", None),
+        "batch_size": getattr(args, "batch_size", None),
+        "learning_rate": getattr(args, "learning_rate", None),
         "max_epochs": args.max_epochs,
         "patience": args.patience,
         "val_fraction": args.val_fraction,
@@ -173,30 +174,46 @@ def _train_config(cfg: dict, seed: int) -> ae.TrainConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _cmd_train(args) -> int:
+def _load_training(args):
+    """The config dict, the validated TrainConfig, and the prepared
+    features of ``train`` and ``gridsearch``."""
     cfg = _load_train_config(args)
-    pipeline = cfg["pipeline"]
-    seed = _base_seed(int(cfg["seed"]))
-    config = _train_config(cfg, seed)
+    config = _train_config(cfg, _base_seed(int(cfg["seed"])))
     if not Path(cfg["dataset"]).exists():
         raise UsageError(f"dataset not found: {cfg['dataset']}")
-    mset = ds.load(cfg["dataset"])
-    train_rows, val_rows, scaler, pca = _prepare_features(
-        mset, pipeline, float(cfg["val_fraction"]), seed, float(cfg["variance_target"])
+    return cfg, config, _prepare_features(
+        ds.load(cfg["dataset"]), cfg["pipeline"], float(cfg["val_fraction"]),
+        config.seed, float(cfg["variance_target"]),
     )
 
+
+def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.Candidate:
+    """Run the pipeline's table sweep and write its ranked report."""
+    results, best = gs.run(
+        gs.TABLE_SPACES[cfg["pipeline"]],
+        train_rows,
+        val_rows,
+        parallelism=int(cfg["jobs"]),
+        base_seed=config.seed,
+        max_epochs=config.max_epochs,
+        patience=config.patience,
+    )
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    gs.write_report(results, out_dir / "sweep.json", out_dir / "sweep.csv")
+    print(
+        f"{len(results)} trials; best: e1={best.e1} e2={best.e2} "
+        f"batch={best.batch_size} lr={best.learning_rate}"
+    )
+    return best
+
+
+def _cmd_train(args) -> int:
+    cfg, config, (train_rows, val_rows, scaler, pca) = _load_training(args)
+    pipeline = cfg["pipeline"]
     arch = cfg["architecture"]
     if arch == "search":
-        space = gs.TABLE_SPACES[pipeline]
-        results, best = gs.run(
-            space,
-            train_rows,
-            val_rows,
-            parallelism=int(cfg["jobs"]),
-            base_seed=seed,
-            max_epochs=config.max_epochs,
-            patience=config.patience,
-        )
+        best = _sweep(cfg, config, train_rows, val_rows)
         e1, e2, d1 = best.e1, best.e2, best.d1
         config = replace(config, batch_size=best.batch_size, learning_rate=best.learning_rate)
     else:
@@ -209,7 +226,7 @@ def _cmd_train(args) -> int:
 
     n = train_rows.shape[1]
     try:
-        model = ae.build(n, e1, e2, d1, seed=seed)
+        model = ae.build(n, e1, e2, d1, seed=config.seed)
     except ae.ConstraintError as exc:
         raise UsageError(str(exc)) from exc
     trained, report = ae.train(model, train_rows, val_rows, config)
@@ -246,7 +263,10 @@ def _cmd_score(args) -> int:
     for path, what in ((args.model, "model"), (args.dataset, "dataset")):
         if not Path(path).exists():
             raise UsageError(f"{what} file not found: {path}")
-    bundle = ae.load_bundle(args.model)
+    try:
+        bundle = ae.load_bundle(args.model)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if bundle["pipeline"] is None or bundle["scaler"] is None:
         raise UsageError("model bundle is missing pipeline/scaler metadata")
     mset = ds.load(args.dataset)
@@ -307,34 +327,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
-    cfg = _load_train_config(args)
-    pipeline = cfg["pipeline"]
-    seed = _base_seed(int(cfg["seed"]))
-    config = _train_config(cfg, seed)
-    if not Path(cfg["dataset"]).exists():
-        raise UsageError(f"dataset not found: {cfg['dataset']}")
-    mset = ds.load(cfg["dataset"])
-    train_rows, val_rows, _, _ = _prepare_features(
-        mset, pipeline, float(cfg["val_fraction"]), seed, float(cfg["variance_target"])
-    )
-    space = gs.TABLE_SPACES[pipeline]
-    results, best = gs.run(
-        space,
-        train_rows,
-        val_rows,
-        parallelism=int(cfg["jobs"]),
-        base_seed=seed,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-    )
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    gs.write_report(results, out_dir / "sweep.json", out_dir / "sweep.csv")
-    _write_meta(out_dir, "gridsearch", {k: str(v) for k, v in cfg.items()})
-    print(
-        f"{len(results)} trials; best: e1={best.e1} e2={best.e2} "
-        f"batch={best.batch_size} lr={best.learning_rate}"
-    )
+    cfg, config, (train_rows, val_rows, _, _) = _load_training(args)
+    _sweep(cfg, config, train_rows, val_rows)
+    _write_meta(Path(cfg["out_dir"]), "gridsearch", {k: str(v) for k, v in cfg.items()})
     return 0
 
 
@@ -366,15 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--dataset")
         p.add_argument("--pipeline", choices=[pl.value for pl in feat.Pipeline])
-        p.add_argument(
-            "--architecture",
-            nargs=3,
-            type=int,
-            metavar=("E1", "E2", "D1"),
-            help='hidden layer sizes (train only; omit to use "search")',
-        )
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--learning-rate", type=float)
+        if name == "train":
+            p.add_argument(
+                "--architecture",
+                nargs=3,
+                type=int,
+                metavar=("E1", "E2", "D1"),
+                help='hidden layer sizes (omit to sweep the table and train its best)',
+            )
+            p.add_argument("--batch-size", type=int)
+            p.add_argument("--learning-rate", type=float)
         p.add_argument("--max-epochs", type=int)
         p.add_argument("--patience", type=int)
         p.add_argument("--val-fraction", type=float)

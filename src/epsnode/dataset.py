@@ -208,7 +208,8 @@ def split(
     mset: MeasurementSet, val_fraction: float, seed: int
 ) -> tuple[MeasurementSet, MeasurementSet]:
     """Stratified per-cell split: each cell contributes
-    ``ceil(val_fraction * count)`` samples to validation."""
+    ``ceil(val_fraction * count)`` samples to validation and must keep at
+    least one for training."""
     if not (0.0 < val_fraction < 1.0):
         raise ValueError("val_fraction must be in (0, 1)")
     by_cell: dict[tuple[int, int], list[int]] = {}
@@ -219,9 +220,12 @@ def split(
     val_indices: set[int] = set()
     for cell in sorted(by_cell):
         indices = by_cell[cell]
-        if len(indices) < 2:
-            raise ValueError(f"cell {cell} has fewer than 2 samples, cannot stratify")
         n_val = math.ceil(val_fraction * len(indices))
+        if n_val >= len(indices):  # also every cell with a single sample
+            raise ValueError(
+                f"cell {cell}: val_fraction {val_fraction} takes all {len(indices)} "
+                "of its samples, leaving none for training"
+            )
         picked = rng.permutation(len(indices))[:n_val]
         val_indices.update(indices[k] for k in picked)
 

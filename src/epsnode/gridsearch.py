@@ -87,12 +87,8 @@ def enumerate_candidates(
         for e2 in space.e2_values:
             for batch in space.batch_sizes:
                 for lr in space.learning_rates:
-                    combo = (e1, e2, batch, lr)
-                    if e1 <= n:
-                        skipped.append((combo, f"N < N_E1 violated: {n} >= {e1}"))
-                        continue
-                    if e2 < e1:
-                        skipped.append((combo, f"N_E1 <= N_E2 violated: {e1} > {e2}"))
+                    if reason := ae.constraint_violation(n, e1, e2, e1):
+                        skipped.append(((e1, e2, batch, lr), reason))
                         continue
                     candidates.append(Candidate(index, n, e1, e2, e1, batch, lr))
                     index += 1

@@ -1,10 +1,15 @@
 """Overcomplete autoencoder: construction, forward pass, training, gradients."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsnode import autoencoder as ae
+from epsnode import features as feat
 from epsnode.autoencoder import ConstraintError, TrainConfig
 
 
@@ -31,6 +36,21 @@ class TestBuild:
         a = ae.build(4, 15, 30, 15, seed=3)
         b = ae.build(4, 15, 30, 15, seed=3)
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
+
+    def test_params_layout(self):
+        model = ae.build(4, 15, 30, 15, seed=1)
+        # layer by layer: the row-major weights, then the biases
+        expected = np.concatenate(
+            [a.ravel() for w, b in zip(model.weights, model.biases) for a in (w, b)]
+        )
+        assert model.params.dtype == np.float64
+        assert np.array_equal(model.params, expected)
+        for view in model.weights + model.biases:
+            assert np.shares_memory(view, model.params)
+
+    def test_params_size_must_fit_dims(self):
+        with pytest.raises(ValueError, match="need 129 parameters"):
+            ae.AutoencoderModel((4, 5, 5, 5, 4), np.zeros(130))
 
     def test_init_within_fan_in_bound(self):
         model = ae.build(4, 15, 30, 15, seed=1)
@@ -100,6 +120,30 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(out[0].weights, out[1].weights))
         assert all(np.array_equal(a, b) for a, b in zip(out[0].biases, out[1].biases))
 
+    def test_adam_matches_per_layer_update(self):
+        """One epoch of the fused update equals Adam applied layer by layer
+        and tensor by tensor, bit for bit."""
+        rows = np.random.default_rng(4).uniform(size=(20, 4))
+        model = ae.build(4, 8, 12, 8, seed=4)
+        config = TrainConfig(batch_size=6, learning_rate=1e-2, max_epochs=1, patience=1, seed=4)
+        trained, _ = ae.train(model, rows, rows[:5], config)
+
+        ref = model.copy()
+        params = ref.weights + ref.biases
+        mom = [np.zeros_like(p) for p in params]
+        vel = [np.zeros_like(p) for p in params]
+        order = np.random.default_rng(config.seed).permutation(len(rows))
+        for step, start in enumerate(range(0, len(rows), config.batch_size), start=1):
+            _, flat = ae.mse_gradients(ref, rows[order[start : start + config.batch_size]])
+            grad = ae.AutoencoderModel(ref.dims, flat)
+            for k, g in enumerate(grad.weights + grad.biases):
+                mom[k] = ae.BETA1 * mom[k] + (1 - ae.BETA1) * g
+                vel[k] = ae.BETA2 * vel[k] + (1 - ae.BETA2) * g * g
+                m_hat = mom[k] / (1.0 - ae.BETA1**step)
+                v_hat = vel[k] / (1.0 - ae.BETA2**step)
+                params[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ae.ADAM_EPS)
+        assert np.array_equal(trained.params, ref.params)
+
     def test_report_lengths_match_stopped_epoch(self):
         rng = np.random.default_rng(3)
         rows = rng.uniform(size=(20, 4))
@@ -122,9 +166,13 @@ class TestGradients:
     def test_zero_input_zero_bias_dead_path(self):
         model = ae.build(4, 8, 12, 8, seed=0)
         x = np.zeros(4)
-        _, analytic, _ = ae.mse_gradients(model, x)
-        numeric, _ = ae.finite_difference_gradients(model, x)
-        for g_a, g_n in zip(analytic[1:], numeric[1:]):  # encoder and deeper
+        _, analytic = ae.mse_gradients(model, x)
+        numeric = ae.finite_difference_gradients(model, x)
+        assert analytic.shape == numeric.shape == model.params.shape
+        # per-layer weight views of each flat gradient
+        analytic_w = ae.AutoencoderModel(model.dims, analytic).weights
+        numeric_w = ae.AutoencoderModel(model.dims, numeric).weights
+        for g_a, g_n in zip(analytic_w[1:], numeric_w[1:]):  # encoder and deeper
             assert np.allclose(g_a, 0.0, atol=1e-12)
             assert np.allclose(g_n, 0.0, atol=1e-8)
 
@@ -132,16 +180,15 @@ class TestGradients:
         model = ae.build(4, 8, 12, 8, seed=1)
         rng = np.random.default_rng(1)
         x = rng.uniform(0.25, 0.75, size=4)
-        _, analytic, _ = ae.mse_gradients(model, x)
-        numeric, _ = ae.finite_difference_gradients(model, x)
-        analytic[2] = -analytic[2]
+        _, analytic = ae.mse_gradients(model, x)
+        numeric = ae.finite_difference_gradients(model, x)
+        layer_2 = ae.AutoencoderModel(model.dims, analytic).weights[2]
+        layer_2[...] = -layer_2  # writes through the view into analytic
         assert ae.max_relative_error(analytic, numeric) > 1e-2
 
 
 class TestPersistence:
     def test_bundle_roundtrip(self, tmp_path):
-        from epsnode import features as feat
-
         model = ae.build(4, 8, 12, 8, seed=9)
         scaler = feat.fit_scaler(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]))
         path = tmp_path / "model.json"
@@ -152,3 +199,44 @@ class TestPersistence:
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
         assert bundle["pipeline"] is feat.Pipeline.RNG
         assert np.array_equal(bundle["scaler"].maxs, scaler.maxs)
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 3), st.integers(1, 3),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bundle_roundtrip_is_bit_exact(self, tmp_path_factory, n, de1, de2, dd1, data):
+        model = ae.build(n, n + de1, n + de1 + de2, n + dd1, seed=0)
+        values = data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=model.params.size, max_size=model.params.size,
+        ))
+        model.params[...] = values
+        scaler = feat.fit_scaler(np.vstack([np.zeros(n), np.arange(1.0, n + 1)]))
+        first = tmp_path_factory.mktemp("bundle") / "model.json"
+        ae.save_bundle(first, model, pipeline=feat.Pipeline.RNG, scaler=scaler)
+        loaded = ae.load_bundle(first)["model"]
+        second = first.with_name("again.json")
+        ae.save_bundle(second, loaded, pipeline=feat.Pipeline.RNG, scaler=scaler)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.dims == model.dims
+        assert np.array_equal(loaded.params, model.params)
+
+    @pytest.mark.parametrize(
+        "key, layer, corrupt",
+        [
+            ("weights", 2, lambda w: np.asarray(w).T.tolist()),  # (8, 12) stored as (12, 8)
+            ("weights", 4, lambda w: w[:-1]),                    # a row short
+            ("biases", 1, lambda b: b + [0.0]),                  # one bias too many
+            ("biases", 3, lambda b: None),                       # layer missing
+        ],
+        ids=["transposed", "row-short", "extra-bias", "missing-layer"],
+    )
+    def test_shapes_that_do_not_fit_dims_rejected(self, tmp_path, key, layer, corrupt):
+        path = tmp_path / "model.json"
+        ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9))
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[key][layer] = corrupt(obj[key][layer])
+        if obj[key][layer] is None:
+            del obj[key][layer]
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match="invalid model bundle"):
+            ae.load_bundle(path)

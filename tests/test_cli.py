@@ -8,7 +8,9 @@ import pytest
 
 from epsnode import cli
 from epsnode import dataset as ds
+from epsnode import gridsearch as gs
 from epsnode import novelty as nov
+from epsnode.features import Pipeline
 
 GRID = "1.0,1.25,2,2,0.5"  # four cells inside the room, fast to simulate
 
@@ -160,6 +162,24 @@ class TestTrainScoreEvaluate:
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_split_that_empties_a_cell_is_usage_error(self, tmp_path, capsys):
+        mset = ds.load(simulate(tmp_path))
+        # keep 2 of cell (0, 0)'s samples: ceil(0.6 * 2) takes both, while
+        # the other cells keep 2 of their 5
+        head = [m for m in mset.measurements if m.cell == (0, 0)][:2]
+        rest = [m for m in mset.measurements if m.cell != (0, 0)]
+        lopsided = tmp_path / "lopsided.jsonl"
+        ds.save(ds.MeasurementSet(mset.scenario_name, mset.grid, head + rest, mset.seed), lopsided)
+        out_dir = tmp_path / "model"
+        rc = cli.main([
+            "train", "--dataset", str(lopsided), "--pipeline", "RNG",
+            "--architecture", "8", "12", "8", "--val-fraction", "0.6",
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert "cell (0, 0)" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_score_outputs(self, workspace, capsys):
         tmp_path, _, perturbed, model_dir = workspace
         out_dir = tmp_path / "score_b"
@@ -185,6 +205,21 @@ class TestTrainScoreEvaluate:
         ])
         assert rc == 2
         capsys.readouterr()
+
+    def test_score_rejects_bundle_that_does_not_fit_dims(self, workspace, capsys):
+        tmp_path, _, perturbed, model_dir = workspace
+        obj = json.loads((model_dir / "model.json").read_text(encoding="utf-8"))
+        obj["weights"][2] = np.asarray(obj["weights"][2]).T.tolist()  # (8, 12) as (12, 8)
+        bad = tmp_path / "transposed.json"
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        out_dir = tmp_path / "score_bad"
+        rc = cli.main([
+            "score", "--model", str(bad), "--dataset", str(perturbed),
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert "invalid model bundle" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_evaluate_reports_kl(self, workspace, capsys):
         tmp_path, _, _, model_dir = workspace
@@ -256,18 +291,19 @@ class TestPcaPipeline:
         capsys.readouterr()
 
 
-class TestGridsearchCommand:
-    def test_sweep_reports(self, tmp_path, monkeypatch):
-        from epsnode import gridsearch as gs
-        from epsnode.features import Pipeline
+@pytest.fixture
+def trimmed_rng_table(monkeypatch):
+    """A two-candidate RNG table keeps sweep smoke tests fast."""
+    monkeypatch.setitem(
+        gs.TABLE_SPACES,
+        Pipeline.RNG,
+        gs.SearchSpace(Pipeline.RNG, (8,), (12, 20), (8,), (0.01,)),
+    )
 
+
+class TestGridsearchCommand:
+    def test_sweep_reports(self, tmp_path, trimmed_rng_table):
         nominal = simulate(tmp_path, "n.jsonl")
-        # a trimmed table keeps the smoke test fast
-        monkeypatch.setitem(
-            gs.TABLE_SPACES,
-            Pipeline.RNG,
-            gs.SearchSpace(Pipeline.RNG, (8,), (12, 20), (8,), (0.01,)),
-        )
         out_dir = tmp_path / "sweep"
         rc = cli.main([
             "gridsearch", "--dataset", str(nominal), "--pipeline", "RNG",
@@ -284,3 +320,33 @@ class TestGridsearchCommand:
         rc = cli.main(["gridsearch", "--pipeline", "RNG", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [("--architecture", "8", "12", "8"), ("--batch-size", "8"), ("--learning-rate", "0.01")]
+    )
+    def test_train_only_flags_rejected(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "gridsearch", "--dataset", str(tmp_path / "n.jsonl"), "--pipeline", "RNG",
+                "--out-dir", str(tmp_path / "sweep"), *flag,
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_train_without_architecture_writes_sweep_report(self, tmp_path, trimmed_rng_table, capsys):
+        nominal = simulate(tmp_path, "n.jsonl")
+        out_dir = tmp_path / "searched"
+        rc = cli.main([
+            "train", "--dataset", str(nominal), "--pipeline", "RNG",
+            "--max-epochs", "10", "--patience", "10", "--seed", "2",
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 0
+        records = json.loads((out_dir / "sweep.json").read_text(encoding="utf-8"))
+        assert len(records) == 2
+        assert (out_dir / "sweep.csv").exists()
+        report = json.loads((out_dir / "train_report.json").read_text(encoding="utf-8"))
+        best = records[0]
+        assert report["architecture"] == [best["e1"], best["e2"], best["d1"]]
+        assert report["batch_size"] == best["batch_size"]
+        assert "2 trials; best:" in capsys.readouterr().out

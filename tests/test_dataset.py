@@ -164,6 +164,17 @@ class TestSplit:
         with pytest.raises(ValueError):
             ds.split(mset, 0.2, seed=0)
 
+    def test_rejects_fraction_that_takes_a_whole_cell(self):
+        # ceil(0.6 * 2) takes both samples of cell (0, 0); the other cells
+        # keep 4 of their 10
+        grid = GridMap(origin=(0.0, 0.0), nx=2, ny=2, cell_size=0.5)
+        measurements = [measurement((0, 0)) for _ in range(2)] + [
+            measurement(cell) for cell in ((1, 0), (0, 1), (1, 1)) for _ in range(10)
+        ]
+        mset = MeasurementSet("nominal", grid, measurements, seed=1)
+        with pytest.raises(ValueError, match=r"cell \(0, 0\).*takes all 2 of its samples"):
+            ds.split(mset, 0.6, seed=0)
+
     def test_ceil_rounding(self):
         mset = small_set(n_per_cell=3)
         _, val = ds.split(mset, 0.5, seed=0)
