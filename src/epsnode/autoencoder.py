@@ -47,26 +47,28 @@ class TrainingDivergedError(RuntimeError):
 def _layer_views(dims: tuple[int, ...], flat: np.ndarray | None = None):
     """``(flat, weights, biases)`` with per-layer views of ``flat`` (zeros when
     None). The only code that knows the layout: layer by layer, the row-major
-    (fan_in, fan_out) weights, then the fan_out biases."""
+    (fan_in, fan_out) weights, then the fan_out biases. A (C, P) stack of C
+    parameter vectors gives (C, fan_in, fan_out) weights and (C, 1, fan_out)
+    biases, which broadcast over a (C, rows, fan_in) batch."""
     if len(dims) != N_LAYERS:
         raise ValueError(f"dims must have {N_LAYERS} entries, got {list(dims)}")
     layers = list(zip(dims[:1] + dims[:-1], dims))
     ends = list(itertools.accumulate(n_in * n_out + n_out for n_in, n_out in layers))
     flat = np.zeros(ends[-1]) if flat is None else flat
-    if flat.shape != (ends[-1],):
+    if flat.ndim not in (1, 2) or flat.shape[-1] != ends[-1]:
         raise ValueError(f"dims {list(dims)} need {ends[-1]} parameters, got {flat.shape}")
-    # plain slices: this runs on every training step, where np.split would
-    # cost as much as the gradient itself
-    weights = [flat[end - n_out * (n_in + 1) : end - n_out].reshape(n_in, n_out)
+    stack = flat.shape[:-1]
+    weights = [flat[..., end - n_out * (n_in + 1) : end - n_out].reshape(stack + (n_in, n_out))
                for (n_in, n_out), end in zip(layers, ends)]
-    biases = [flat[end - n_out : end] for (_, n_out), end in zip(layers, ends)]
+    biases = [flat[..., end - n_out : end].reshape(stack + (1,) * len(stack) + (n_out,))
+              for (_, n_out), end in zip(layers, ends)]
     return flat, weights, biases
 
 
 @dataclass
 class AutoencoderModel:
     dims: tuple[int, int, int, int, int]  # (N, E1, E2, D1, N)
-    params: np.ndarray                    # flat float64, see _layer_views
+    params: np.ndarray                    # float64 (P,), or (C, P) for a stack; see _layer_views
     leaky_alpha: float = LEAKY_ALPHA
 
     def __post_init__(self):
@@ -146,7 +148,7 @@ def _activate(z: np.ndarray, layer: int, alpha: float) -> np.ndarray:
 
 def _activate_grad(z: np.ndarray, layer: int, alpha: float) -> np.ndarray:
     if layer < N_LAYERS - 1:
-        return (z > 0.0).astype(float)
+        return z > 0.0  # a multiply casts it to 1.0 / 0.0
     return np.where(z > 0.0, 1.0, alpha)
 
 
@@ -162,45 +164,63 @@ def _forward_cached(model: AutoencoderModel, x: np.ndarray):
     return zs, acts
 
 
+def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
+    """The forward pass without the backprop caches; a stack maps shared (r, n)
+    rows to (C, r, n)."""
+    a = x
+    for layer in range(N_LAYERS):
+        a = _activate(a @ model.weights[layer] + model.biases[layer], layer, model.leaky_alpha)
+    return a
+
+
 def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     """Reconstruction of a single feature vector (length N)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n,):
         raise ValueError(f"expected input of length {model.n}, got {x.shape}")
-    _, acts = _forward_cached(model, x[None, :])
-    return acts[-1][0]
+    return _reconstruct(model, x[None, :])[0]
 
 
 def forward_batch(model: AutoencoderModel, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.n:
         raise ValueError(f"expected (m, {model.n}) matrix, got {rows.shape}")
-    _, acts = _forward_cached(model, rows)
-    return acts[-1]
+    return _reconstruct(model, rows)
 
 
-def mse(model: AutoencoderModel, rows: np.ndarray) -> float:
-    out = forward_batch(model, rows)
-    return float(np.mean((out - rows) ** 2))
+def _stack_mse(stack: AutoencoderModel, rows: np.ndarray) -> np.ndarray:
+    """(C,) MSE of each stacked model on the same (r, n) rows."""
+    return np.mean((_reconstruct(stack, rows) - rows) ** 2, axis=(-2, -1))
+
+
+def _backprop(stack: AutoencoderModel, batch: np.ndarray, grads: AutoencoderModel) -> np.ndarray:
+    """Gradients of each stacked model's batch-and-feature-mean MSE on its own
+    (m, n) slice of the (C, m, n) batch, written into ``grads`` (laid out like
+    ``stack.params``); returns the (C,) losses. A stacked matmul or reduction
+    equals the 2-D call on each slice bit for bit, so a model's gradient does
+    not depend on the stack it is in."""
+    zs, acts = _forward_cached(stack, batch)
+    diff = acts[-1] - batch
+    m, n = batch.shape[-2:]
+    loss = np.add.reduce(diff**2, axis=(-2, -1)) / (m * n)  # np.mean, minus its wrapper
+    delta = 2.0 * diff / (m * n)
+    for layer in range(N_LAYERS - 1, -1, -1):
+        delta = delta * _activate_grad(zs[layer], layer, stack.leaky_alpha)
+        np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads.weights[layer])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[layer])
+        if layer > 0:
+            delta = delta @ stack.weights[layer].swapaxes(-1, -2)
+    return loss
 
 
 def mse_gradients(model: AutoencoderModel, rows: np.ndarray):
     """Analytic gradients of the batch-and-feature-mean MSE with respect to
     every parameter. Returns (loss, grad); grad has the layout of params."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    zs, acts = _forward_cached(model, rows)
-    out = acts[-1]
-    m, n = rows.shape
-    loss = float(np.mean((out - rows) ** 2))
-    delta = 2.0 * (out - rows) / (m * n)
-    grad, grads_w, grads_b = _layer_views(model.dims, np.empty_like(model.params))
-    for layer in range(N_LAYERS - 1, -1, -1):
-        delta = delta * _activate_grad(zs[layer], layer, model.leaky_alpha)
-        grads_w[layer][...] = acts[layer].T @ delta
-        grads_b[layer][...] = delta.sum(axis=0)
-        if layer > 0:
-            delta = delta @ model.weights[layer].T
-    return loss, grad
+    stack = AutoencoderModel(model.dims, model.params[None], model.leaky_alpha)
+    grads = AutoencoderModel(model.dims, np.empty_like(stack.params))
+    loss = _backprop(stack, rows[None], grads)
+    return float(loss[0]), grads.params[0]
 
 
 def train(
@@ -214,60 +234,120 @@ def train(
     The input model is not mutated; the returned model is the snapshot with
     the best validation MSE seen. Shuffling, batching, and accumulation
     order are all fixed by the config seed, so training is deterministic.
+    Raises TrainingDivergedError when a loss becomes non-finite.
+    """
+    result = train_group([model], train_rows, val_rows, [config])[0]
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result
+
+
+def train_group(
+    models: list[AutoencoderModel],
+    train_rows: np.ndarray,
+    val_rows: np.ndarray,
+    configs: list[TrainConfig],
+) -> list[tuple[AutoencoderModel, TrainReport] | TrainingDivergedError]:
+    """``train`` for several models at once, bit for bit.
+
+    The models must share ``dims`` and ``leaky_alpha``, and their configs
+    ``batch_size``, ``max_epochs`` and ``patience``; learning rates and seeds
+    may differ. They train as one (C, P) stack, each with its own shuffling,
+    best snapshot, patience count and curves. A model leaves the stack when it
+    stops early or diverges. Returns, in the models' order, what ``train``
+    returns for each alone, or the TrainingDivergedError it raises.
     """
     train_rows = np.asarray(train_rows, dtype=float)
     val_rows = np.asarray(val_rows, dtype=float)
     if train_rows.size == 0 or val_rows.size == 0:
         raise ValueError("train and validation sets must be nonempty")
-    work = model.copy()
-    rng = np.random.default_rng(config.seed)
+    shared = {(m.dims, m.leaky_alpha, c.batch_size, c.max_epochs, c.patience)
+              for m, c in zip(models, configs)}
+    if len(models) != len(configs) or len(shared) != 1:
+        raise ValueError("a group needs one config per model, and the models must share "
+                         "dims and leaky_alpha, the configs batch_size, max_epochs and patience")
+    dims, alpha, batch_size, max_epochs, patience = shared.pop()
 
-    mom = np.zeros_like(work.params)
-    vel = np.zeros_like(work.params)
+    results: list = [None] * len(models)
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    best = [m.params.copy() for m in models]
+    best_val = [float("inf")] * len(models)
+    waits = [0] * len(models)
+    curves = [([], []) for _ in models]
+
+    def report(k: int):
+        train_curve, val_curve = curves[k]
+        return (AutoencoderModel(dims, best[k], alpha),
+                TrainReport(train_curve, val_curve, len(val_curve), best_val[k]))
+
+    live = list(range(len(models)))  # stack slot -> model index
+    params = np.stack([m.params for m in models])
+    mom, vel = np.zeros_like(params), np.zeros_like(params)
+    lr = np.array([[c.learning_rate] for c in configs])
     step = 0
-
-    best = work.copy()
-    best_val = float("inf")
-    epochs_since_improve = 0
-    train_curve: list[float] = []
-    val_curve: list[float] = []
     n_rows = train_rows.shape[0]
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(n_rows)
-        for batch_idx, start in enumerate(range(0, n_rows, config.batch_size)):
-            batch = train_rows[order[start : start + config.batch_size]]
-            loss, g = mse_gradients(work, batch)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, batch_idx, config.learning_rate)
+    for epoch in range(max_epochs):
+        work = AutoencoderModel(dims, params, alpha)
+        grads = AutoencoderModel(dims, np.empty_like(params))
+        m_hat, denom = np.empty_like(params), np.empty_like(params)
+        g = grads.params
+        orders = np.stack([rngs[k].permutation(n_rows) for k in live])
+        for batch_idx, start in enumerate(range(0, n_rows, batch_size)):
+            loss = _backprop(work, train_rows[orders[:, start : start + batch_size]], grads)
+            if not np.isfinite(loss).all():
+                # a diverged model's result is kept now; its slot runs on,
+                # unread, until the stack is compacted after the epoch
+                for slot in np.flatnonzero(~np.isfinite(loss)):
+                    if results[live[slot]] is None:
+                        results[live[slot]] = TrainingDivergedError(
+                            epoch, batch_idx, configs[live[slot]].learning_rate)
             step += 1
-            mom = BETA1 * mom + (1 - BETA1) * g
-            vel = BETA2 * vel + (1 - BETA2) * g * g
-            m_hat = mom / (1.0 - BETA1**step)
-            v_hat = vel / (1.0 - BETA2**step)
-            work.params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # Adam in place, with the float ops of
+            # mom = BETA1 * mom + (1 - BETA1) * g
+            # vel = BETA2 * vel + (1 - BETA2) * g * g
+            # params -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS)
+            np.multiply(mom, BETA1, out=mom)
+            np.multiply(g, 1 - BETA1, out=m_hat)
+            mom += m_hat
+            np.multiply(vel, BETA2, out=vel)
+            np.multiply(g, 1 - BETA2, out=denom)
+            denom *= g
+            vel += denom
+            np.divide(mom, 1.0 - BETA1**step, out=m_hat)
+            np.multiply(lr, m_hat, out=m_hat)
+            np.divide(vel, 1.0 - BETA2**step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            m_hat /= denom
+            params -= m_hat
 
-        train_curve.append(mse(work, train_rows))
-        val = mse(work, val_rows)
-        val_curve.append(val)
-        if not np.isfinite(val):
-            raise TrainingDivergedError(epoch, -1, config.learning_rate)
-        if val < best_val - MIN_DELTA:
-            best_val = val
-            best = work.copy()
-            epochs_since_improve = 0
-        else:
-            epochs_since_improve += 1
-            if epochs_since_improve >= config.patience:
+        train_mse, val_mse = _stack_mse(work, train_rows), _stack_mse(work, val_rows)
+        for slot, k in enumerate(live):
+            if results[k] is not None:
+                continue
+            curves[k][0].append(float(train_mse[slot]))
+            curves[k][1].append(val := float(val_mse[slot]))
+            if not np.isfinite(val):
+                results[k] = TrainingDivergedError(epoch, -1, configs[k].learning_rate)
+            elif val < best_val[k] - MIN_DELTA:
+                best_val[k] = val
+                best[k] = params[slot].copy()
+                waits[k] = 0
+            else:
+                waits[k] += 1
+                if waits[k] >= patience:
+                    results[k] = report(k)
+        keep = [results[k] is None for k in live]
+        if not all(keep):
+            live = [k for k, kept in zip(live, keep) if kept]
+            if not live:
                 break
+            params, mom, vel, lr = params[keep], mom[keep], vel[keep], lr[keep]
 
-    report = TrainReport(
-        train_mse=train_curve,
-        val_mse=val_curve,
-        stopped_epoch=len(val_curve),
-        final_val_mse=best_val,
-    )
-    return best, report
+    for k in live:
+        results[k] = report(k)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +430,27 @@ def save_bundle(
 
 
 def load_bundle(path: str | Path) -> dict:
-    """Read a bundle; raises ValueError naming the file when its weight and
-    bias shapes do not fit its dims."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a bundle; raises ValueError naming the file when it is not a JSON
+    object, a key is missing, or its weight and bias shapes do not fit its
+    dims."""
     try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
         params, weights, biases = _layer_views(tuple(obj["dims"]))
         saved = [np.asarray(a, dtype=float) for a in obj["weights"] + obj["biases"]]
         shapes, fits = [a.shape for a in saved], [v.shape for v in weights + biases]
         if shapes != fits:
             raise ValueError(f"weight and bias shapes {shapes} do not fit dims, which need {fits}")
+        for view, values in zip(weights + biases, saved):
+            view[...] = values
+        return {
+            "model": AutoencoderModel(tuple(obj["dims"]), params, float(obj["leaky_alpha"])),
+            "pipeline": feat.Pipeline(obj["pipeline"]) if "pipeline" in obj else None,
+            "scaler": feat.scaler_from_json(obj["scaler"]) if "scaler" in obj else None,
+            "pca": feat.pca_from_json(obj["pca"]) if "pca" in obj else None,
+        }
+    except KeyError as exc:
+        raise ValueError(f"{path}: invalid model bundle: missing key {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: invalid model bundle: {exc}") from exc
-    for view, values in zip(weights + biases, saved):
-        view[...] = values
-    return {
-        "model": AutoencoderModel(tuple(obj["dims"]), params, float(obj["leaky_alpha"])),
-        "pipeline": feat.Pipeline(obj["pipeline"]) if "pipeline" in obj else None,
-        "scaler": feat.scaler_from_json(obj["scaler"]) if "scaler" in obj else None,
-        "pca": feat.pca_from_json(obj["pca"]) if "pca" in obj else None,
-    }

@@ -3,8 +3,10 @@ ranking.
 
 Each candidate is trained with a seed derived from the base seed and its
 enumeration index, so results do not depend on execution order or the level
-of parallelism. Trials whose loss diverges are recorded as failed and never
-enter the ranking.
+of parallelism. Candidates that share their layer widths and batch size train
+as one stack (``autoencoder.train_group``), bit-identical to training each
+alone. Trials whose loss diverges are recorded as failed and never enter the
+ranking.
 """
 from __future__ import annotations
 
@@ -99,22 +101,30 @@ def trial_seed(base_seed: int, candidate_index: int) -> int:
     return int(np.random.SeedSequence((base_seed, candidate_index)).generate_state(1)[0])
 
 
-def _run_trial(args) -> TrialResult:
-    cand, train_rows, val_rows, base_seed, max_epochs, patience = args
-    seed = trial_seed(base_seed, cand.index)
-    try:
-        model = ae.build(cand.n, cand.e1, cand.e2, cand.d1, seed=seed)
-        config = ae.TrainConfig(
-            batch_size=cand.batch_size,
-            learning_rate=cand.learning_rate,
+def _run_group(args) -> list[TrialResult]:
+    """Train candidates that share their layer widths and batch size as one
+    ``ae.train_group`` stack; each result equals training it alone."""
+    cands, train_rows, val_rows, base_seed, max_epochs, patience = args
+    seeds = [trial_seed(base_seed, c.index) for c in cands]
+    models = [ae.build(c.n, c.e1, c.e2, c.d1, seed=s) for c, s in zip(cands, seeds)]
+    configs = [
+        ae.TrainConfig(
+            batch_size=c.batch_size,
+            learning_rate=c.learning_rate,
             max_epochs=max_epochs,
             patience=patience,
-            seed=seed,
+            seed=s,
         )
-        _, report = ae.train(model, train_rows, val_rows, config)
-        return TrialResult(cand, "ok", report.final_val_mse, report.stopped_epoch, seed)
-    except ae.TrainingDivergedError as exc:
-        return TrialResult(cand, "failed", None, None, seed, str(exc))
+        for c, s in zip(cands, seeds)
+    ]
+    results = []
+    for cand, seed, outcome in zip(cands, seeds, ae.train_group(models, train_rows, val_rows, configs)):
+        if isinstance(outcome, ae.TrainingDivergedError):
+            results.append(TrialResult(cand, "failed", None, None, seed, str(outcome)))
+        else:
+            report = outcome[1]
+            results.append(TrialResult(cand, "ok", report.final_val_mse, report.stopped_epoch, seed))
+    return results
 
 
 def _rank_key(r: TrialResult):
@@ -140,12 +150,16 @@ def run(
     candidates, _ = enumerate_candidates(space, n)
     if not candidates:
         raise ValueError("search space contains no valid candidates")
-    tasks = [(c, train_rows, val_rows, base_seed, max_epochs, patience) for c in candidates]
+    groups: dict[tuple, list[Candidate]] = {}
+    for c in candidates:
+        groups.setdefault((c.e1, c.e2, c.d1, c.batch_size), []).append(c)
+    tasks = [(g, train_rows, val_rows, base_seed, max_epochs, patience) for g in groups.values()]
     if parallelism <= 1:
-        results = [_run_trial(t) for t in tasks]
+        per_group = [_run_group(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_run_trial, tasks))
+            per_group = list(pool.map(_run_group, tasks))
+    results = [r for group in per_group for r in group]
     ok = sorted((r for r in results if r.status == "ok"), key=_rank_key)
     failed = sorted((r for r in results if r.status != "ok"), key=lambda r: r.candidate.index)
     if not ok:

@@ -144,6 +144,49 @@ class TestTrain:
                 params[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ae.ADAM_EPS)
         assert np.array_equal(trained.params, ref.params)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_group_matches_solo_training(self):
+        """A stack trains each model exactly as ``train`` does alone, also after
+        models ahead of it in the stack stop early or diverge."""
+        rows = np.random.default_rng(4).uniform(size=(60, 4))
+        train_rows, val_rows = rows[:48], rows[48:]
+        lrs = (0.3, 1e40, 1e-3)  # stops early, diverges mid-epoch, runs every epoch
+        models = [ae.build(4, 8, 12, 8, seed=s) for s in range(3)]
+        configs = [TrainConfig(batch_size=8, learning_rate=lr, max_epochs=12, patience=2,
+                               seed=10 + s) for s, lr in enumerate(lrs)]
+        group = ae.train_group(models, train_rows, val_rows, configs)
+
+        early, diverged, survivor = group
+        assert early[1].stopped_epoch < survivor[1].stopped_epoch == 12
+        assert isinstance(diverged, ae.TrainingDivergedError)
+        assert (diverged.epoch, diverged.batch) == (0, 1)
+        for model, config, result in zip(models, configs, group):
+            if isinstance(result, ae.TrainingDivergedError):
+                with pytest.raises(ae.TrainingDivergedError) as solo:
+                    ae.train(model, train_rows, val_rows, config)
+                assert (solo.value.epoch, solo.value.batch, str(solo.value)) == \
+                       (result.epoch, result.batch, str(result))
+            else:
+                solo_model, solo_report = ae.train(model, train_rows, val_rows, config)
+                assert np.array_equal(result[0].params, solo_model.params)
+                assert result[1] == solo_report
+                # the returned model is the best snapshot, not the last state
+                val_mse = np.mean((ae.forward_batch(result[0], val_rows) - val_rows) ** 2)
+                assert float(val_mse) == result[1].final_val_mse
+
+    @pytest.mark.parametrize(
+        "dims, batch_size",
+        [((4, 8, 12, 8), 4), ((4, 8, 16, 8), 8)],
+        ids=["batch-size", "dims"],
+    )
+    def test_group_rejects_models_that_differ_in_shape(self, dims, batch_size):
+        rows = np.random.default_rng(5).uniform(size=(20, 4))
+        models = [ae.build(4, 8, 12, 8, seed=0), ae.build(*dims, seed=1)]
+        configs = [TrainConfig(batch_size=8, max_epochs=2, patience=2),
+                   TrainConfig(batch_size=batch_size, max_epochs=2, patience=2)]
+        with pytest.raises(ValueError, match="must share"):
+            ae.train_group(models, rows[:15], rows[15:], configs)
+
     def test_report_lengths_match_stopped_epoch(self):
         rng = np.random.default_rng(3)
         rows = rng.uniform(size=(20, 4))

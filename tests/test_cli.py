@@ -221,6 +221,34 @@ class TestTrainScoreEvaluate:
         assert "invalid model bundle" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda obj: {k: v for k, v in obj.items() if k != "leaky_alpha"}, "'leaky_alpha'"),
+            (lambda obj: {k: v for k, v in obj.items() if k != "weights"}, "'weights'"),
+            (lambda obj: [obj], "JSON object"),
+            (lambda obj: obj | {"scaler": {"maxs": obj["scaler"]["maxs"]}}, "'mins'"),
+            (lambda obj: json.dumps(obj)[:60], "line 1 column"),  # truncated file
+        ],
+        ids=["no-leaky-alpha", "no-weights", "json-list", "scaler-without-mins", "truncated"],
+    )
+    def test_score_rejects_malformed_bundle(self, workspace, capsys, corrupt, named):
+        tmp_path, _, perturbed, model_dir = workspace
+        obj = json.loads((model_dir / "model.json").read_text(encoding="utf-8"))
+        bad = tmp_path / "malformed.json"
+        text = corrupt(obj)
+        bad.write_text(text if isinstance(text, str) else json.dumps(text), encoding="utf-8")
+        out_dir = tmp_path / "score_malformed"
+        rc = cli.main([
+            "score", "--model", str(bad), "--dataset", str(perturbed),
+            "--out-dir", str(out_dir),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}: invalid model bundle" in err
+        assert named in err
+        assert not out_dir.exists()
+
     def test_evaluate_reports_kl(self, workspace, capsys):
         tmp_path, _, _, model_dir = workspace
         # sample a patch near the preset-B obstacle so the ground-truth

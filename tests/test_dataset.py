@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 from conftest import msets_equal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epsnode import dataset as ds
 from epsnode.dataset import (
@@ -17,6 +20,13 @@ from epsnode.dataset import (
 )
 
 CIR = ds.CIR_LENGTH
+# any finite float, with the edges of the format drawn often: signed zero,
+# subnormals and the largest magnitudes
+FINITE = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def cell_index(grid: GridMap, p: tuple[float, float]) -> tuple[int, int]:
@@ -37,6 +47,23 @@ def reading(anchor_id, range_m=3.0):
 
 def measurement(cell, pass_id=0, n_anchors=4):
     return Measurement(cell, pass_id, tuple(reading(a) for a in range(n_anchors)))
+
+
+@st.composite
+def measurement_sets(draw):
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    grid = GridMap((draw(FINITE), draw(FINITE)), nx, ny, draw(st.floats(1e-300, 1e300)))
+    ids = sorted(draw(st.sets(st.integers(0, 50), min_size=1, max_size=4)))
+    measurements = [
+        Measurement(
+            (draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))),
+            draw(st.integers(0, 10**6)),
+            tuple(AnchorReading(a, draw(FINITE), draw(arrays(np.float64, CIR, elements=FINITE)))
+                  for a in ids),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return MeasurementSet(draw(st.text(max_size=8)), grid, measurements, draw(st.integers(0, 2**63)))
 
 
 def small_set(n_per_cell=3, nx=2, ny=2):
@@ -106,6 +133,25 @@ class TestPersistence:
         path = tmp_path / "data.jsonl"
         ds.save(mset, path)
         assert msets_equal(ds.load(path), mset)
+
+    @given(measurement_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, mset):
+        first = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+        ds.save(mset, first)
+        loaded = ds.load(first)
+        second = first.with_name("again.jsonl")
+        ds.save(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+        def bits(s, field):  # float bit patterns, so -0.0 and 0.0 differ
+            return np.array([[getattr(r, field) for r in m.per_anchor]
+                             for m in s.measurements]).view(np.uint64)
+
+        assert np.array_equal(bits(loaded, "range_m"), bits(mset, "range_m"))
+        assert np.array_equal(bits(loaded, "cir"), bits(mset, "cir"))
+        assert [m.cell for m in loaded.measurements] == [m.cell for m in mset.measurements]
+        assert [m.pass_id for m in loaded.measurements] == [m.pass_id for m in mset.measurements]
 
     def test_truncated_file_errors(self, tmp_path):
         mset = small_set()

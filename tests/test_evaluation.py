@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epsnode import evaluation as ev
 from epsnode import simulator as sim
@@ -127,6 +130,20 @@ class TestKde:
         a = ev.kde(emap_from(values))
         b = ev.kde(emap_from(values * 37.5))
         assert np.allclose(a.p, b.p, atol=1e-12)
+
+    @given(
+        arrays(np.float64, st.tuples(st.integers(2, 5), st.integers(2, 5)),
+               elements=st.one_of(st.just(0.0), st.just(np.nan), st.floats(1e-100, 1e100))),
+        st.floats(1e-6, 1e6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scale_invariance_property(self, values, c):
+        # positive cells stay far from subnormals after scaling, so every
+        # product keeps full precision
+        assume(np.nansum(values) > 0)
+        a = ev.kde(emap_from(values))
+        b = ev.kde(emap_from(c * values))
+        assert np.allclose(b.p, a.p, rtol=1e-12, atol=0.0)
 
     def test_nan_cells_contribute_nothing(self):
         values = np.array([[1.0, np.nan], [np.nan, np.nan]])
