@@ -181,13 +181,6 @@ def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     return _reconstruct(model, x[None, :])[0]
 
 
-def forward_batch(model: AutoencoderModel, rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != model.n:
-        raise ValueError(f"expected (m, {model.n}) matrix, got {rows.shape}")
-    return _reconstruct(model, rows)
-
-
 def _stack_mse(stack: AutoencoderModel, rows: np.ndarray) -> np.ndarray:
     """(C,) MSE of each stacked model on the same (r, n) rows."""
     return np.mean((_reconstruct(stack, rows) - rows) ** 2, axis=(-2, -1))

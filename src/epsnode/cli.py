@@ -40,14 +40,13 @@ def _base_seed(value: int) -> int:
 
 
 def _load_environment(scenario_name: str | None, env_file: str | None) -> tuple[sim.Environment, str]:
-    if env_file:
-        path = Path(env_file)
-        if not path.exists():
-            raise UsageError(f"environment file not found: {env_file}")
-        return sim.load_environment(path), path.stem
-    if scenario_name is None:
+    if env_file and not Path(env_file).exists():
+        raise UsageError(f"environment file not found: {env_file}")
+    if not env_file and scenario_name is None:
         raise UsageError("either --scenario or --env-file is required")
     try:
+        if env_file:
+            return sim.load_environment(env_file), Path(env_file).stem
         return sim.scenario(scenario_name), scenario_name
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -81,6 +81,8 @@ class AnchorReading:
         object.__setattr__(self, "cir", cir)
         if cir.shape != (CIR_LENGTH,):
             raise ValueError(f"CIR must have {CIR_LENGTH} samples, got {cir.shape}")
+        if not math.isfinite(self.range_m):
+            raise ValueError(f"range of anchor {self.anchor_id} is not finite: {self.range_m}")
         if not np.all(np.isfinite(cir)):
             raise ValueError("CIR contains non-finite samples")
 
@@ -164,10 +166,12 @@ def save(mset: MeasurementSet, path: str | Path) -> None:
 
 def load(path: str | Path) -> MeasurementSet:
     """Parse a dataset file; any malformed or schema-violating record aborts
-    the load (no partial set is returned)."""
+    the load (no partial set is returned). Every record must lie in the
+    header's grid and carry the first record's anchor ids."""
     path = Path(path)
     measurements: list[Measurement] = []
     header = None
+    first_ids = None
     with path.open("r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -177,7 +181,7 @@ def load(path: str | Path) -> MeasurementSet:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if lineno == 1:
+            if header is None:
                 try:
                     header = (str(obj["scenario"]), _grid_from_json(obj["grid"]), int(obj["seed"]))
                 except (KeyError, TypeError, ValueError) as exc:
@@ -187,13 +191,16 @@ def load(path: str | Path) -> MeasurementSet:
                 anchors = tuple(
                     AnchorReading(int(a["id"]), float(a["range"]), a["cir"]) for a in obj["anchors"]
                 )
-                measurements.append(
-                    Measurement(
-                        cell=(int(obj["cell"][0]), int(obj["cell"][1])),
-                        pass_id=int(obj["pass"]),
-                        per_anchor=anchors,
-                    )
-                )
+                cell = (int(obj["cell"][0]), int(obj["cell"][1]))
+                grid = header[1]
+                if not grid.contains_cell(*cell):
+                    raise ValueError(f"cell {cell} outside the {grid.nx}x{grid.ny} grid")
+                ids = [r.anchor_id for r in anchors]
+                if first_ids is None:
+                    first_ids = ids
+                if ids != first_ids:
+                    raise ValueError(f"anchor ids {ids} differ from the first record's {first_ids}")
+                measurements.append(Measurement(cell, int(obj["pass"]), anchors))
             except (KeyError, TypeError, ValueError, IndexError) as exc:
                 raise DatasetFormatError(f"invalid record: {exc}", line=lineno) from exc
     if header is None:

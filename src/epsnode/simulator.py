@@ -15,12 +15,11 @@ All randomness is driven by explicit integer seeds; every function is pure.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-
-import json
 
 import numpy as np
 
@@ -58,14 +57,6 @@ class Rect:
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("rectangle must have positive area")
-
-    @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
 
     def contains(self, p: Point) -> bool:
         return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
@@ -122,10 +113,6 @@ class Environment:
             if not self.room.contains(a.position):
                 raise ValueError(f"anchor {a.id} lies outside the room")
 
-    @property
-    def n_anchors(self) -> int:
-        return len(self.anchors)
-
     def anchors_by_id(self) -> tuple[Anchor, ...]:
         return tuple(sorted(self.anchors, key=lambda a: a.id))
 
@@ -155,7 +142,6 @@ class ChannelParams:
 class PropagationPath:
     delay_ns: float
     amplitude: float
-    kind: str  # "direct" | "reflection"
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +150,9 @@ class PropagationPath:
 
 def _segment_crosses_interior(a: Point, b: Point, rect: Rect) -> bool:
     """True iff the open segment (a, b) intersects the OPEN rectangle
-    interior. Touching an edge or corner tangentially does not count."""
+    interior. Touching an edge or corner tangentially does not count. The
+    endpoints are taken in sorted order, so (a, b) and (b, a) round alike."""
+    a, b = sorted((a, b))
     t0, t1 = 0.0, 1.0
     for p, d, lo, hi in (
         (a[0], b[0] - a[0], rect.xmin, rect.xmax),
@@ -174,12 +162,8 @@ def _segment_crosses_interior(a: Point, b: Point, rect: Rect) -> bool:
             if not (lo < p < hi):
                 return False
         else:
-            ta = (lo - p) / d
-            tb = (hi - p) / d
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
+            ta, tb = sorted(((lo - p) / d, (hi - p) / d))
+            t0, t1 = max(t0, ta), min(t1, tb)
             if t0 >= t1:
                 return False
     return t0 < t1
@@ -203,68 +187,56 @@ def _blocking_obstacles(env: Environment, a: Point, b: Point) -> list[Obstacle]:
 
 @dataclass(frozen=True)
 class _Face:
-    """Axis-aligned reflecting segment: axis 'x' means the vertical line
-    x == coord spanning lo..hi in y (and vice versa for 'y')."""
+    """Axis-aligned reflecting segment: the line where coordinate ``axis``
+    (0 for x, 1 for y) equals ``coord``, spanning lo..hi along the other."""
 
-    axis: str
+    axis: int
     coord: float
     lo: float
     hi: float
     reflectivity: float
 
 
-def _faces(env: Environment) -> list[_Face]:
-    room = env.room
-    wr = env.wall_reflectivity
-    faces = [
-        _Face("x", room.xmin, room.ymin, room.ymax, wr),
-        _Face("x", room.xmax, room.ymin, room.ymax, wr),
-        _Face("y", room.ymin, room.xmin, room.xmax, wr),
-        _Face("y", room.ymax, room.xmin, room.xmax, wr),
+def _rect_faces(rect: Rect, reflectivity: float) -> list[_Face]:
+    """The faces x == xmin, x == xmax, y == ymin, y == ymax, in that order
+    (the order paths, and so CIR sums, are built in)."""
+    lo, hi = (rect.xmin, rect.ymin), (rect.xmax, rect.ymax)
+    return [
+        _Face(axis, corner[axis], lo[1 - axis], hi[1 - axis], reflectivity)
+        for axis in (0, 1)
+        for corner in (lo, hi)
     ]
+
+
+def _faces(env: Environment) -> list[_Face]:
+    faces = _rect_faces(env.room, env.wall_reflectivity)
     for o in env.obstacles:
-        fp = o.footprint
-        r = o.reflectivity
-        faces.extend(
-            [
-                _Face("x", fp.xmin, fp.ymin, fp.ymax, r),
-                _Face("x", fp.xmax, fp.ymin, fp.ymax, r),
-                _Face("y", fp.ymin, fp.xmin, fp.xmax, r),
-                _Face("y", fp.ymax, fp.xmin, fp.xmax, r),
-            ]
-        )
+        faces += _rect_faces(o.footprint, o.reflectivity)
     return faces
 
 
+def _point(axis: int, coord: float, other: float) -> Point:
+    """The point with ``coord`` on coordinate ``axis`` and ``other`` on the other."""
+    return (coord, other) if axis == 0 else (other, coord)
+
+
 def _mirror(p: Point, face: _Face) -> Point:
-    if face.axis == "x":
-        return (2.0 * face.coord - p[0], p[1])
-    return (p[0], 2.0 * face.coord - p[1])
+    return _point(face.axis, 2.0 * face.coord - p[face.axis], p[1 - face.axis])
 
 
 def _reflection_point(tag: Point, image: Point, face: _Face) -> Point | None:
     """Intersection of segment tag->image with the face segment, or None."""
-    if face.axis == "x":
-        denom = image[0] - tag[0]
-        if denom == 0.0:
-            return None
-        t = (face.coord - tag[0]) / denom
-        if not (0.0 < t < 1.0):
-            return None
-        y = tag[1] + t * (image[1] - tag[1])
-        if not (face.lo <= y <= face.hi):
-            return None
-        return (face.coord, y)
-    denom = image[1] - tag[1]
+    a, b = face.axis, 1 - face.axis
+    denom = image[a] - tag[a]
     if denom == 0.0:
         return None
-    t = (face.coord - tag[1]) / denom
+    t = (face.coord - tag[a]) / denom
     if not (0.0 < t < 1.0):
         return None
-    x = tag[0] + t * (image[0] - tag[0])
-    if not (face.lo <= x <= face.hi):
+    along = tag[b] + t * (image[b] - tag[b])
+    if not (face.lo <= along <= face.hi):
         return None
-    return (x, face.coord)
+    return _point(a, face.coord, along)
 
 
 # ---------------------------------------------------------------------------
@@ -285,60 +257,53 @@ def propagation_paths(
         amp *= o.transmissivity
     if amp > 0.0:
         delay = d / params.c + params.nlos_excess_delay * len(blockers)
-        paths.append(PropagationPath(delay, amp, "direct"))
+        paths.append(PropagationPath(delay, amp))
 
     for face in _faces(env):
         image = _mirror(apos, face)
         ref = _reflection_point(tag, image, face)
-        if ref is None:
-            continue
-        if not env.room.contains(ref):
+        if ref is None or not env.room.contains(ref):
             continue
         if _blocking_obstacles(env, tag, ref) or _blocking_obstacles(env, ref, apos):
             continue
         d_total = math.dist(tag, image)
         amp = face.reflectivity / max(d_total, 0.1)
-        if amp <= 0.0:
-            continue
-        paths.append(PropagationPath(d_total / params.c, amp, "reflection"))
+        if amp > 0.0:
+            paths.append(PropagationPath(d_total / params.c, amp))
 
     return paths
 
 
-def synthesize_cir(
-    env: Environment,
-    tag: Point,
-    anchor: Anchor,
-    params: ChannelParams,
-    rng_seed: int,
-    diagnostics: dict | None = None,
-) -> np.ndarray:
-    """Render the (152,) CIR seen at ``anchor`` for a transmitter at ``tag``.
-
-    Each propagation path deposits a Gaussian pulse (std ``pulse_sigma``
-    samples) at its delay; white Gaussian noise is added on top. Paths whose
-    delay falls beyond the last bin are dropped (counted in ``diagnostics``
-    under "dropped_paths" when a dict is passed).
-    """
+def noise_free_cir(env: Environment, tag: Point, anchor: Anchor, params: ChannelParams) -> np.ndarray:
+    """The (152,) CIR seen at ``anchor`` for a transmitter at ``tag``, before
+    noise: each propagation path, in order, deposits a Gaussian pulse (std
+    ``pulse_sigma`` samples) at its delay. Paths whose delay rounds past the
+    last bin are dropped."""
     if not env.room.contains(tag):
         raise ValueError(f"tag {tag} outside room")
     samples = np.zeros(CIR_LENGTH)
     bins = np.arange(CIR_LENGTH, dtype=float)
-    dropped = 0
     for path in propagation_paths(env, tag, anchor, params):
         tau = path.delay_ns / params.sample_period
-        if round(tau) > CIR_LENGTH - 1:
-            dropped += 1
-            continue
-        samples += path.amplitude * np.exp(
-            -((bins - tau) ** 2) / (2.0 * params.pulse_sigma**2)
-        )
-    if params.noise_sigma > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        samples += rng.normal(0.0, params.noise_sigma, CIR_LENGTH)
-    if diagnostics is not None:
-        diagnostics["dropped_paths"] = diagnostics.get("dropped_paths", 0) + dropped
+        if round(tau) <= CIR_LENGTH - 1:
+            samples += path.amplitude * np.exp(-((bins - tau) ** 2) / (2.0 * params.pulse_sigma**2))
     return samples
+
+
+def add_noise(clean: np.ndarray, params: ChannelParams, rng_seed: int) -> np.ndarray:
+    """A new array: ``clean`` plus white Gaussian noise of std
+    ``noise_sigma`` drawn from ``rng_seed`` (a plain copy when it is 0)."""
+    samples = clean.copy()
+    if params.noise_sigma > 0.0:
+        samples += np.random.default_rng(rng_seed).normal(0.0, params.noise_sigma, CIR_LENGTH)
+    return samples
+
+
+def synthesize_cir(
+    env: Environment, tag: Point, anchor: Anchor, params: ChannelParams, rng_seed: int
+) -> np.ndarray:
+    """One noisy (152,) CIR: ``noise_free_cir`` plus ``add_noise``."""
+    return add_noise(noise_free_cir(env, tag, anchor, params), params, rng_seed)
 
 
 def estimate_range(samples: np.ndarray, params: ChannelParams, rng_seed: int) -> float:
@@ -427,23 +392,33 @@ def save_environment(env: Environment, path: str | Path) -> None:
 
 
 def load_environment(path: str | Path) -> Environment:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    room = Rect(*[float(v) for v in obj["room"]])
-    anchors = tuple(
-        Anchor(int(a["id"]), (float(a["position"][0]), float(a["position"][1])))
-        for a in obj["anchors"]
-    )
-    obstacles = tuple(
-        Obstacle(
-            Rect(*[float(v) for v in o["footprint"]]),
-            Material(o["material"]),
-            float(o["reflectivity"]),
-            float(o["transmissivity"]),
+    """Read an environment file; raises ValueError naming the file when it is
+    not valid JSON, not a JSON object, misses a key or describes an invalid
+    environment."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        room = Rect(*[float(v) for v in obj["room"]])
+        anchors = tuple(
+            Anchor(int(a["id"]), (float(a["position"][0]), float(a["position"][1])))
+            for a in obj["anchors"]
         )
-        for o in obj.get("obstacles", [])
-    )
-    wall_refl = float(obj.get("wall_reflectivity", MATERIAL_DEFAULTS[Material.WALL][0]))
-    return Environment(room=room, anchors=anchors, obstacles=obstacles, wall_reflectivity=wall_refl)
+        obstacles = tuple(
+            Obstacle(
+                Rect(*[float(v) for v in o["footprint"]]),
+                Material(o["material"]),
+                float(o["reflectivity"]),
+                float(o["transmissivity"]),
+            )
+            for o in obj.get("obstacles", [])
+        )
+        wall_refl = float(obj.get("wall_reflectivity", MATERIAL_DEFAULTS[Material.WALL][0]))
+        return Environment(room=room, anchors=anchors, obstacles=obstacles, wall_reflectivity=wall_refl)
+    except KeyError as exc:
+        raise ValueError(f"{path}: invalid environment file: missing key {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValueError(f"{path}: invalid environment file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +450,9 @@ def generate_dataset(
     scenario_name: str = "custom",
 ) -> MeasurementSet:
     """Simulate ``samples_per_cell`` measurements at every grid-cell center
-    for every pass; deterministic for a fixed seed."""
+    for every pass; deterministic for a fixed seed. The noise-free CIR of
+    each (cell, anchor) pair is traced once; only the noise and the range
+    jitter are drawn per sample."""
     if passes < 1 or samples_per_cell < 1:
         raise ValueError("passes and samples_per_cell must be >= 1")
     check_grid_in_room(env, grid)
@@ -483,15 +460,18 @@ def generate_dataset(
         params = ChannelParams()
 
     anchors = env.anchors_by_id()
+    templates = [
+        ((i, j), [noise_free_cir(env, grid.cell_center(i, j), a, params) for a in anchors])
+        for i, j in grid.cells()
+    ]
     measurements: list[Measurement] = []
     for pass_id in range(passes):
-        for i, j in ((i, j) for j in range(grid.ny) for i in range(grid.nx)):
-            tag = grid.cell_center(i, j)
+        for (i, j), clean in templates:
             for s in range(samples_per_cell):
                 readings = []
-                for anchor in anchors:
+                for anchor, template in zip(anchors, clean):
                     cir_seed, jitter_seed = _sample_seeds(seed, pass_id, i, j, s, anchor.id)
-                    cir = synthesize_cir(env, tag, anchor, params, cir_seed)
+                    cir = add_noise(template, params, cir_seed)
                     r = estimate_range(cir, params, jitter_seed)
                     readings.append(AnchorReading(anchor.id, r, cir))
                 measurements.append(Measurement((i, j), pass_id, tuple(readings)))

@@ -10,6 +10,7 @@ from epsnode import cli
 from epsnode import dataset as ds
 from epsnode import gridsearch as gs
 from epsnode import novelty as nov
+from epsnode import simulator as sim
 from epsnode.features import Pipeline
 
 GRID = "1.0,1.25,2,2,0.5"  # four cells inside the room, fast to simulate
@@ -91,6 +92,105 @@ class TestSimulate:
         ])
         assert rc == 2
         capsys.readouterr()
+
+
+def drop_first_anchor_position(obj):
+    del obj["anchors"][0]["position"]
+    return obj
+
+
+# each corruption of preset B's environment file, and what the error names
+ENV_FILE_CORRUPTIONS = pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (drop_first_anchor_position, "missing key 'position'"),
+        (lambda obj: json.dumps(obj).replace('"room"', "room"), "Expecting property name"),
+        (lambda obj: [obj], "expected a JSON object, got list"),
+    ],
+    ids=["no-position", "malformed", "json-list"],
+)
+
+
+def corrupt_env_file(tmp_path, corrupt):
+    path = tmp_path / "env.json"
+    sim.save_environment(sim.scenario("B"), path)
+    text = corrupt(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(text if isinstance(text, str) else json.dumps(text), encoding="utf-8")
+    return path
+
+
+class TestEnvironmentFile:
+    def test_simulate_from_env_file_matches_preset(self, tmp_path):
+        path = tmp_path / "B.json"
+        sim.save_environment(sim.scenario("B"), path)
+        from_file = simulate(tmp_path, "file.jsonl", scenario="B", extra=("--env-file", str(path)))
+        preset = simulate(tmp_path, "preset.jsonl", scenario="B")
+        assert from_file.read_bytes() == preset.read_bytes()  # scenario name = file stem "B"
+
+    @ENV_FILE_CORRUPTIONS
+    def test_simulate_rejects_malformed_env_file(self, tmp_path, capsys, corrupt, named):
+        path = corrupt_env_file(tmp_path, corrupt)
+        out = tmp_path / "x.jsonl"
+        rc = cli.main(["simulate", "--env-file", str(path), "--grid", GRID, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}: invalid environment file" in err
+        assert named in err
+        assert not out.exists()
+
+    @ENV_FILE_CORRUPTIONS
+    def test_evaluate_rejects_malformed_env_file(self, tmp_path, capsys, corrupt, named):
+        path = corrupt_env_file(tmp_path, corrupt)
+        grid = ds.GridMap(origin=(1.0, 1.25), nx=2, ny=2, cell_size=0.5)
+        emap_path = tmp_path / "flat.csv"
+        nov.write_error_map_csv(nov.ErrorMap(grid, np.ones((2, 2)), np.ones((2, 2), dtype=int)), emap_path)
+        out = tmp_path / "kl.json"
+        rc = cli.main(["evaluate", "--error-map", str(emap_path), "--env-file", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}: invalid environment file" in err
+        assert named in err
+        assert not out.exists()
+
+
+def drop_last_anchor(rec):
+    rec["anchors"].pop()
+
+
+def nan_range(rec):
+    rec["anchors"][0]["range"] = float("nan")
+
+
+def cell_outside_grid(rec):
+    rec["cell"] = [5, 0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (drop_last_anchor, "anchor ids [0, 1, 2] differ from the first record's [0, 1, 2, 3]"),
+        (nan_range, "range of anchor 0 is not finite: nan"),
+        (cell_outside_grid, "cell (5, 0) outside the 2x2 grid"),
+    ],
+    ids=["three-of-four-anchors", "nan-range", "cell-outside-grid"],
+)
+def test_train_rejects_inconsistent_record(tmp_path, capsys, corrupt, named):
+    lines = simulate(tmp_path).read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[3])
+    corrupt(rec)
+    lines[3] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "model"
+    rc = cli.main([
+        "train", "--dataset", str(bad), "--pipeline", "RNG",
+        "--architecture", "8", "12", "8", "--out-dir", str(out_dir),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "line 4: invalid record" in err
+    assert named in err
+    assert not out_dir.exists()
 
 
 @pytest.fixture(scope="module")

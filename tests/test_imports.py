@@ -1,0 +1,37 @@
+"""The package imports nothing at runtime beyond the standard library and numpy."""
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "epsnode").glob("*.py"))
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "epsnode"}
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Top-level names of every absolute import; relative imports are the package's own."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_sources_found():
+    assert "simulator.py" in {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_stdlib_and_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert imported_modules(tree) <= ALLOWED
+
+
+def test_third_party_import_detected():
+    tree = ast.parse("import json\nfrom scipy import linalg\nimport numpy.linalg\nfrom . import dataset\n")
+    assert imported_modules(tree) - ALLOWED == {"scipy"}

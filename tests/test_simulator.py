@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsnode import simulator as sim
 from epsnode.simulator import (
@@ -30,6 +32,37 @@ def make_env(room=Rect(0.0, 0.0, 12.0, 12.0), anchors=None, obstacles=()):
     return Environment(room=room, anchors=anchors, obstacles=tuple(obstacles))
 
 
+def in_window(path, params):
+    return round(path.delay_ns / params.sample_period) <= sim.CIR_LENGTH - 1
+
+
+def pulse_sum(paths, params):
+    """Oracle for the noise-free CIR: one Gaussian pulse per path, added in
+    path order."""
+    samples = np.zeros(sim.CIR_LENGTH)
+    bins = np.arange(sim.CIR_LENGTH, dtype=float)
+    for path in paths:
+        tau = path.delay_ns / params.sample_period
+        samples += path.amplitude * np.exp(-((bins - tau) ** 2) / (2.0 * params.pulse_sigma**2))
+    return samples
+
+
+def in_window_sum(paths, params):
+    return pulse_sum([p for p in paths if in_window(p, params)], params)
+
+
+# coordinates on a quarter-metre lattice hit shared edges and corners often
+coords = st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.floats(-3.0, 3.0))
+points = st.tuples(coords, coords)
+
+
+@st.composite
+def rects(draw):
+    xmin, xmax = sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True)))
+    ymin, ymax = sorted(draw(st.lists(coords, min_size=2, max_size=2, unique=True)))
+    return Rect(xmin, ymin, xmax, ymax)
+
+
 class TestGeometry:
     def test_no_obstacles_is_los(self):
         env = make_env()
@@ -50,6 +83,41 @@ class TestGeometry:
         square = Obstacle.of(Rect(2.0, 2.0, 3.0, 3.0), Material.METAL)
         env = make_env(obstacles=[square])
         assert sim.line_of_sight(env, (0.0, 2.0), (5.0, 2.0))
+
+    @given(points, points, rects())
+    @settings(max_examples=300, deadline=None)
+    def test_crossing_is_symmetric(self, a, b, rect):
+        assert sim._segment_crosses_interior(a, b, rect) == sim._segment_crosses_interior(b, a, rect)
+
+    def test_crossing_symmetric_for_sliver_obstacle(self):
+        # from (0.25, 0) the crossing interval [1 - 5.5e-193, 1] rounds to
+        # [1, 1]; without the endpoint ordering only one direction crossed
+        sliver = Rect(0.0, -0.25, 1.3744338376567314e-193, 0.25)
+        a, b = (0.0, 0.0), (0.25, 0.0)
+        assert sim._segment_crosses_interior(a, b, sliver)
+        assert sim._segment_crosses_interior(b, a, sliver)
+
+    @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_empty_room_has_direct_path_and_four_wall_reflections(self, tx, ty, ax, ay):
+        room = Rect(-1.0, 0.5, 5.0, 4.5)
+        width, height = room.xmax - room.xmin, room.ymax - room.ymin
+        tag = (room.xmin + tx * width, room.ymin + ty * height)
+        apos = (room.xmin + ax * width, room.ymin + ay * height)
+        corners = ((room.xmin, room.ymin), (room.xmax, room.ymin), (room.xmax, room.ymax))
+        env = Environment(room=room, anchors=(Anchor(0, apos),) + tuple(
+            Anchor(k + 1, p) for k, p in enumerate(corners)))
+        params = ChannelParams()
+        paths = sim.propagation_paths(env, tag, env.anchors[0], params)
+        # the anchor mirrored in x == xmin, x == xmax, y == ymin, y == ymax
+        images = [
+            (2.0 * room.xmin - apos[0], apos[1]),
+            (2.0 * room.xmax - apos[0], apos[1]),
+            (apos[0], 2.0 * room.ymin - apos[1]),
+            (apos[0], 2.0 * room.ymax - apos[1]),
+        ]
+        expected = [math.dist(tag, apos)] + [math.dist(tag, image) for image in images]
+        assert [p.delay_ns for p in paths] == [d / params.c for d in expected]
 
 
 class TestEnvironmentInvariants:
@@ -116,14 +184,20 @@ class TestSynthesizeCir:
         b = sim.synthesize_cir(env, (3.0, 4.0), env.anchors[1], params, rng_seed=7)
         assert np.array_equal(a, b)
 
-    def test_late_paths_reported_dropped(self):
+    def test_late_paths_dropped(self):
         env = make_env(room=Rect(0.0, 0.0, 60.0, 60.0),
-                       anchors=(Anchor(0, (0.0, 0.0)), Anchor(1, (60.0, 0.0)),
+                       anchors=(Anchor(0, (0.0, 10.0)), Anchor(1, (60.0, 0.0)),
                                 Anchor(2, (30.0, 60.0))))
         params = ChannelParams(noise_sigma=0.0)
-        diag = {}
-        sim.synthesize_cir(env, (55.0, 1.0), env.anchors[0], params, 0, diagnostics=diag)
-        assert diag["dropped_paths"] >= 1
+        tag = (42.0, 10.0)
+        paths = sim.propagation_paths(env, tag, env.anchors[0], params)
+        # the direct path lands at 140 ns; the floor reflection at 155 ns is
+        # past the last bin, yet its pulse tail would still reach bin 151
+        assert [in_window(p, params) for p in paths] == [True, False, False, False]
+        assert round(paths[2].delay_ns) == 155
+        cir = sim.synthesize_cir(env, tag, env.anchors[0], params, 0)
+        assert np.array_equal(cir, in_window_sum(paths, params))
+        assert not np.array_equal(cir, pulse_sum(paths, params))
 
 
 class TestEstimateRange:
@@ -209,6 +283,44 @@ class TestGenerateDataset:
         a = sim.generate_dataset(sim.scenario("A"), grid, passes=1, samples_per_cell=2, seed=9)
         b = sim.generate_dataset(sim.scenario("A"), grid, passes=1, samples_per_cell=2, seed=9)
         assert msets_equal(a, b)
+
+    @pytest.mark.parametrize("preset", ["nominal", "B"])
+    def test_matches_per_sample_oracle(self, grid, preset):
+        env, params = sim.scenario(preset), ChannelParams()
+        mset = sim.generate_dataset(env, grid, passes=1, samples_per_cell=2, seed=5)
+        rows = iter(mset.measurements)
+        for i, j in grid.cells():
+            tag = grid.cell_center(i, j)
+            for s in range(2):
+                m = next(rows)
+                assert (m.cell, m.pass_id) == ((i, j), 0)
+                for anchor, reading in zip(env.anchors_by_id(), m.per_anchor):
+                    cir_seed, jitter_seed = sim._sample_seeds(5, 0, i, j, s, anchor.id)
+                    cir = in_window_sum(sim.propagation_paths(env, tag, anchor, params), params)
+                    cir += np.random.default_rng(cir_seed).normal(0.0, params.noise_sigma, sim.CIR_LENGTH)
+                    assert np.array_equal(reading.cir, cir)
+                    assert reading.range_m == sim.estimate_range(cir, params, jitter_seed)
+        assert next(rows, None) is None
+
+    def test_traces_each_cell_anchor_pair_once(self, grid, monkeypatch):
+        calls = []
+        trace = sim.propagation_paths
+
+        def counted(*args):
+            calls.append(args)
+            return trace(*args)
+
+        monkeypatch.setattr(sim, "propagation_paths", counted)
+        sim.generate_dataset(sim.scenario("C"), grid, passes=2, samples_per_cell=3, seed=1)
+        assert len(calls) == grid.n_cells * 4
+
+    def test_noise_free_readings_own_their_cirs(self, grid):
+        params = ChannelParams(noise_sigma=0.0)
+        mset = sim.generate_dataset(sim.scenario("nominal"), grid, passes=1,
+                                    samples_per_cell=2, seed=0, params=params)
+        cirs = [r.cir for m in mset.measurements for r in m.per_anchor]
+        assert len({id(c) for c in cirs}) == len(cirs)
+        assert not any(c.base is not None for c in cirs)
 
     def test_rejects_bad_counts(self, grid):
         with pytest.raises(ValueError):
