@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features as feat
+from .dataset import read_json_object, reading
 
 N_LAYERS = 5
 # Adam (Kingma & Ba 2015), the least validation-MSE drop that early stopping
@@ -416,20 +417,18 @@ def save_bundle(
     if pipeline is not None:
         obj["pipeline"] = feat.Pipeline(pipeline).value
     if scaler is not None:
-        obj["scaler"] = feat.scaler_to_json(scaler)
+        obj["scaler"] = feat.arrays_to_json(scaler)
     if pca is not None:
-        obj["pca"] = feat.pca_to_json(pca)
+        obj["pca"] = feat.arrays_to_json(pca)
     Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
 def load_bundle(path: str | Path) -> dict:
-    """Read a bundle; raises ValueError naming the file when it is not a JSON
-    object, a key is missing, or its weight and bias shapes do not fit its
-    dims."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    """Read a bundle; raises ``dataset.InputFileError`` naming the file when
+    it is missing, not a JSON object, misses a key, holds a value of the
+    wrong type or has weight and bias shapes that do not fit its dims."""
+    with reading(path, "model bundle"):
+        obj = read_json_object(path)
         params, weights, biases = _layer_views(tuple(obj["dims"]))
         saved = [np.asarray(a, dtype=float) for a in obj["weights"] + obj["biases"]]
         shapes, fits = [a.shape for a in saved], [v.shape for v in weights + biases]
@@ -440,10 +439,6 @@ def load_bundle(path: str | Path) -> dict:
         return {
             "model": AutoencoderModel(tuple(obj["dims"]), params, float(obj["leaky_alpha"])),
             "pipeline": feat.Pipeline(obj["pipeline"]) if "pipeline" in obj else None,
-            "scaler": feat.scaler_from_json(obj["scaler"]) if "scaler" in obj else None,
-            "pca": feat.pca_from_json(obj["pca"]) if "pca" in obj else None,
+            "scaler": feat.arrays_from_json(feat.Scaler, obj["scaler"]) if "scaler" in obj else None,
+            "pca": feat.arrays_from_json(feat.PcaModel, obj["pca"]) if "pca" in obj else None,
         }
-    except KeyError as exc:
-        raise ValueError(f"{path}: invalid model bundle: missing key {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: invalid model bundle: {exc}") from exc

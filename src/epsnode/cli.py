@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import autoencoder as ae
@@ -40,13 +39,11 @@ def _base_seed(value: int) -> int:
 
 
 def _load_environment(scenario_name: str | None, env_file: str | None) -> tuple[sim.Environment, str]:
-    if env_file and not Path(env_file).exists():
-        raise UsageError(f"environment file not found: {env_file}")
-    if not env_file and scenario_name is None:
-        raise UsageError("either --scenario or --env-file is required")
+    if (scenario_name is None) == (env_file is None):
+        raise UsageError("give exactly one of --scenario and --env-file")
+    if env_file is not None:
+        return sim.load_environment(env_file), Path(env_file).stem
     try:
-        if env_file:
-            return sim.load_environment(env_file), Path(env_file).stem
         return sim.scenario(scenario_name), scenario_name
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -56,10 +53,9 @@ def _parse_grid(spec: str | None) -> ds.GridMap:
     if spec is None:
         return sim.default_grid()
     try:
-        ox, oy, nx, ny, cs = spec.split(",")
-        return ds.GridMap(origin=(float(ox), float(oy)), nx=int(nx), ny=int(ny), cell_size=float(cs))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"invalid grid spec {spec!r}; expected ox,oy,nx,ny,cell_size") from exc
+        return ds.GridMap.from_spec(spec)
+    except ValueError as exc:
+        raise UsageError(f"invalid grid spec {spec!r}; expected ox,oy,nx,ny,cell_size: {exc}") from exc
 
 
 def _write_meta(out_dir: Path, command: str, config: dict) -> None:
@@ -110,51 +106,47 @@ def _prepare_features(mset, pipeline, val_fraction, seed, variance_target):
     return feat.scale(scaler, train_raw), feat.scale(scaler, val_raw), scaler, pca
 
 
+def _architecture(value) -> list[int] | str:
+    """``"search"``, or the hidden widths ``[e1, e2, d1]``."""
+    if value == "search":
+        return value
+    e1, e2, d1 = (int(v) for v in value)
+    return [e1, e2, d1]
+
+
+# each train/gridsearch setting: its type, and its default (None: required)
+_SETTINGS = {
+    "dataset": (str, None),
+    "pipeline": (feat.Pipeline, None),
+    "out_dir": (str, None),
+    "architecture": (_architecture, "search"),
+    "batch_size": (int, 32),
+    "learning_rate": (float, 1e-3),
+    "max_epochs": (int, 200),
+    "patience": (int, 20),
+    "val_fraction": (float, 0.2),
+    "seed": (int, 0),
+    "jobs": (int, 1),
+    "variance_target": (float, 0.90),
+}
+
+
 def _load_train_config(args) -> dict:
+    """The settings of ``train`` and ``gridsearch``: each flag given
+    overrides the ``--config`` file, which overrides the defaults. Each value
+    is converted to its type here, once."""
     cfg: dict = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {args.config}")
-        try:
-            cfg = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
-    overrides = {
-        "dataset": args.dataset,
-        "pipeline": args.pipeline,
-        # the sweep flags exist on train only
-        "architecture": getattr(args, "architecture", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "learning_rate": getattr(args, "learning_rate", None),
-        "max_epochs": args.max_epochs,
-        "patience": args.patience,
-        "val_fraction": args.val_fraction,
-        "seed": args.seed,
-        "out_dir": args.out_dir,
-        "jobs": getattr(args, "jobs", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    for key in ("dataset", "pipeline", "out_dir"):
-        if key not in cfg:
+        with ds.reading(args.config, "config file"):
+            cfg = ds.read_json_object(args.config)
+    for key, (kind, default) in _SETTINGS.items():
+        flag = getattr(args, key, None)  # the sweep flags exist on train only
+        if flag is not None:
+            cfg[key] = flag
+        if cfg.get(key) is None and default is None:
             raise UsageError(f"missing required config key {key!r}")
-    cfg.setdefault("architecture", "search")
-    cfg.setdefault("batch_size", 32)
-    cfg.setdefault("learning_rate", 1e-3)
-    cfg.setdefault("max_epochs", 200)
-    cfg.setdefault("patience", 20)
-    cfg.setdefault("val_fraction", 0.2)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("jobs", 1)
-    cfg.setdefault("variance_target", 0.90)
-    try:
-        cfg["pipeline"] = feat.Pipeline(cfg["pipeline"])
-    except ValueError as exc:
-        raise UsageError(f"pipeline must be one of RNG, MA, PCA: {exc}") from exc
+        with ds.reading(args.config, f"config key {key!r}"):  # only a file's value can fail
+            cfg[key] = kind(cfg.get(key, default))
     return cfg
 
 
@@ -163,13 +155,13 @@ def _train_config(cfg: dict, seed: int) -> ae.TrainConfig:
     learning rate per candidate."""
     try:
         return ae.TrainConfig(
-            batch_size=int(cfg["batch_size"]),
-            learning_rate=float(cfg["learning_rate"]),
-            max_epochs=int(cfg["max_epochs"]),
-            patience=int(cfg["patience"]),
+            batch_size=cfg["batch_size"],
+            learning_rate=cfg["learning_rate"],
+            max_epochs=cfg["max_epochs"],
+            patience=cfg["patience"],
             seed=seed,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -177,22 +169,21 @@ def _load_training(args):
     """The config dict, the validated TrainConfig, and the prepared
     features of ``train`` and ``gridsearch``."""
     cfg = _load_train_config(args)
-    config = _train_config(cfg, _base_seed(int(cfg["seed"])))
-    if not Path(cfg["dataset"]).exists():
-        raise UsageError(f"dataset not found: {cfg['dataset']}")
+    config = _train_config(cfg, _base_seed(cfg["seed"]))
     return cfg, config, _prepare_features(
-        ds.load(cfg["dataset"]), cfg["pipeline"], float(cfg["val_fraction"]),
-        config.seed, float(cfg["variance_target"]),
+        ds.load(cfg["dataset"]), cfg["pipeline"], cfg["val_fraction"], config.seed,
+        cfg["variance_target"],
     )
 
 
-def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.Candidate:
-    """Run the pipeline's table sweep and write its ranked report."""
+def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.TrialResult:
+    """Run the pipeline's table sweep, write its ranked report and return
+    the winning trial."""
     results, best = gs.run(
         gs.TABLE_SPACES[cfg["pipeline"]],
         train_rows,
         val_rows,
-        parallelism=int(cfg["jobs"]),
+        parallelism=cfg["jobs"],
         base_seed=config.seed,
         max_epochs=config.max_epochs,
         patience=config.patience,
@@ -204,31 +195,26 @@ def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.Candid
         f"{len(results)} trials; best: e1={best.e1} e2={best.e2} "
         f"batch={best.batch_size} lr={best.learning_rate}"
     )
-    return best
+    return results[0]
 
 
 def _cmd_train(args) -> int:
     cfg, config, (train_rows, val_rows, scaler, pca) = _load_training(args)
     pipeline = cfg["pipeline"]
-    arch = cfg["architecture"]
-    if arch == "search":
-        best = _sweep(cfg, config, train_rows, val_rows)
-        e1, e2, d1 = best.e1, best.e2, best.d1
-        config = replace(config, batch_size=best.batch_size, learning_rate=best.learning_rate)
-    else:
-        try:
-            e1, e2, d1 = (int(v) for v in arch)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(
-                f"architecture must be [e1, e2, d1] or \"search\", got {arch!r}"
-            ) from exc
-
     n = train_rows.shape[1]
-    try:
-        model = ae.build(n, e1, e2, d1, seed=config.seed)
-    except ae.ConstraintError as exc:
-        raise UsageError(str(exc)) from exc
-    trained, report = ae.train(model, train_rows, val_rows, config)
+    if cfg["architecture"] == "search":
+        winner = _sweep(cfg, config, train_rows, val_rows)
+        c = winner.candidate
+        e1, e2, d1, batch_size, learning_rate = c.e1, c.e2, c.d1, c.batch_size, c.learning_rate
+        trained, report = winner.trained
+    else:
+        e1, e2, d1 = cfg["architecture"]
+        batch_size, learning_rate = config.batch_size, config.learning_rate
+        try:
+            model = ae.build(n, e1, e2, d1, seed=config.seed)
+        except ae.ConstraintError as exc:
+            raise UsageError(str(exc)) from exc
+        trained, report = ae.train(model, train_rows, val_rows, config)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,8 +224,8 @@ def _cmd_train(args) -> int:
             {
                 "pipeline": pipeline.value,
                 "architecture": [e1, e2, d1],
-                "batch_size": config.batch_size,
-                "learning_rate": config.learning_rate,
+                "batch_size": batch_size,
+                "learning_rate": learning_rate,
                 "train_mse": report.train_mse,
                 "val_mse": report.val_mse,
                 "stopped_epoch": report.stopped_epoch,
@@ -259,15 +245,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    for path, what in ((args.model, "model"), (args.dataset, "dataset")):
-        if not Path(path).exists():
-            raise UsageError(f"{what} file not found: {path}")
-    try:
-        bundle = ae.load_bundle(args.model)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    bundle = ae.load_bundle(args.model)
     if bundle["pipeline"] is None or bundle["scaler"] is None:
-        raise UsageError("model bundle is missing pipeline/scaler metadata")
+        raise UsageError(f"{args.model}: model bundle is missing pipeline/scaler metadata")
     mset = ds.load(args.dataset)
     try:
         emap, anchor_maps, _ = nov.score(
@@ -292,13 +272,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if not Path(args.error_map).exists():
-        raise UsageError(f"error map not found: {args.error_map}")
     env, name = _load_environment(args.scenario, args.env_file)
-    try:
-        emap = nov.read_error_map_csv(args.error_map)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    emap = nov.read_error_map_csv(args.error_map)
     try:
         sim.check_grid_in_room(env, emap.grid)
     except ValueError as exc:
@@ -403,10 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ds.DatasetFormatError as exc:
+    except (UsageError, ds.InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

@@ -1,4 +1,5 @@
-"""Fingerprint measurement sets: grid-map arithmetic, JSONL persistence, splitting.
+"""Fingerprint measurement sets: grid-map arithmetic, JSONL persistence, splitting,
+and the one error rule that every reader of an input file follows.
 
 File format (JSON Lines):
     line 1: {"scenario": str, "grid": {"origin": [x, y], "nx": int, "ny": int,
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +23,39 @@ import numpy as np
 CIR_LENGTH = 152
 
 
-class DatasetFormatError(ValueError):
-    """A dataset file could not be parsed or violates the record schema."""
+class InputFileError(ValueError):
+    """An input file is missing, unreadable or malformed; the message names
+    the file, and the line where the format has lines."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+
+@contextmanager
+def reading(path: str | Path, what: str):
+    """Re-raise any error met while reading ``path`` as an InputFileError
+    ``<path>: invalid <what>: <reason>``. An InputFileError raised inside is
+    already located and passes unchanged, so a reader can locate a part of
+    its file by nesting ``reading(f"{path}: line {n}", "record")``."""
+    try:
+        yield
+    except InputFileError:
+        raise
+    except KeyError as exc:
+        raise InputFileError(f"{path}: invalid {what}: missing key {exc}") from exc
+    except OSError as exc:  # its str() repeats the path
+        raise InputFileError(f"{path}: invalid {what}: {exc.strerror or exc}") from exc
+    except (TypeError, IndexError, ValueError) as exc:
+        raise InputFileError(f"{path}: invalid {what}: {exc}") from exc
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object held in ``path``; call it inside :func:`reading`."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -45,6 +72,23 @@ class GridMap:
             raise ValueError("grid needs at least 2x2 cells")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
+
+    @property
+    def spec(self) -> str:
+        """The text form ``ox,oy,nx,ny,cell_size`` that ``--grid`` and the
+        error map's ``# grid=`` line hold."""
+        return f"{self.origin[0]},{self.origin[1]},{self.nx},{self.ny},{self.cell_size}"
+
+    @classmethod
+    def from_spec(cls, spec: str) -> "GridMap":
+        ox, oy, nx, ny, cell_size = spec.split(",")
+        return cls((float(ox), float(oy)), int(nx), int(ny), float(cell_size))
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "GridMap":
+        """Inverse of ``dataclasses.asdict``, as the dataset header holds it."""
+        ox, oy = obj["origin"]
+        return cls((float(ox), float(oy)), int(obj["nx"]), int(obj["ny"]), float(obj["cell_size"]))
 
     @property
     def extent(self) -> tuple[float, float, float, float]:
@@ -124,30 +168,12 @@ class MeasurementSet:
         return len(self.measurements)
 
 
-def _grid_to_json(grid: GridMap) -> dict:
-    return {
-        "origin": [grid.origin[0], grid.origin[1]],
-        "nx": grid.nx,
-        "ny": grid.ny,
-        "cell_size": grid.cell_size,
-    }
-
-
-def _grid_from_json(obj: dict) -> GridMap:
-    return GridMap(
-        origin=(float(obj["origin"][0]), float(obj["origin"][1])),
-        nx=int(obj["nx"]),
-        ny=int(obj["ny"]),
-        cell_size=float(obj["cell_size"]),
-    )
-
-
 def save(mset: MeasurementSet, path: str | Path) -> None:
     """Write a measurement set as JSON Lines (header + one record per line)."""
     path = Path(path)
     header = {
         "scenario": mset.scenario_name,
-        "grid": _grid_to_json(mset.grid),
+        "grid": asdict(mset.grid),
         "seed": mset.seed,
     }
     with path.open("w", encoding="utf-8") as f:
@@ -166,28 +192,24 @@ def save(mset: MeasurementSet, path: str | Path) -> None:
 
 def load(path: str | Path) -> MeasurementSet:
     """Parse a dataset file; any malformed or schema-violating record aborts
-    the load (no partial set is returned). Every record must lie in the
-    header's grid and carry the first record's anchor ids."""
+    the load (no partial set is returned) with an InputFileError naming the
+    file and line. Every record must lie in the header's grid and carry the
+    first record's anchor ids."""
     path = Path(path)
     measurements: list[Measurement] = []
     header = None
     first_ids = None
-    with path.open("r", encoding="utf-8") as f:
+    with reading(path, "dataset"), path.open("r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if header is None:
-                try:
-                    header = (str(obj["scenario"]), _grid_from_json(obj["grid"]), int(obj["seed"]))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DatasetFormatError(f"invalid header: {exc}", line=lineno) from exc
+                with reading(f"{path}: line {lineno}", "header"):
+                    obj = json.loads(line)
+                    header = (str(obj["scenario"]), GridMap.from_json(obj["grid"]), int(obj["seed"]))
                 continue
-            try:
+            with reading(f"{path}: line {lineno}", "record"):
+                obj = json.loads(line)
                 anchors = tuple(
                     AnchorReading(int(a["id"]), float(a["range"]), a["cir"]) for a in obj["anchors"]
                 )
@@ -201,12 +223,10 @@ def load(path: str | Path) -> MeasurementSet:
                 if ids != first_ids:
                     raise ValueError(f"anchor ids {ids} differ from the first record's {first_ids}")
                 measurements.append(Measurement(cell, int(obj["pass"]), anchors))
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                raise DatasetFormatError(f"invalid record: {exc}", line=lineno) from exc
-    if header is None:
-        raise DatasetFormatError("empty file: missing header", line=1)
-    if not measurements:
-        raise DatasetFormatError("dataset contains no measurements")
+        if header is None:
+            raise ValueError("empty file: missing header")
+        if not measurements:
+            raise ValueError("dataset contains no measurements")
     scenario_name, grid, seed = header
     return MeasurementSet(scenario_name, grid, measurements, seed)
 

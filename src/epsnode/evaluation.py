@@ -8,7 +8,7 @@ proximity-based ground-truth density via KL divergence (natural log).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,18 +45,8 @@ class KlReport:
     kl_pred_vs_truth: float
     kl_uniform_vs_truth: float
 
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "pipeline": self.pipeline,
-            "bandwidth": self.bandwidth,
-            "eps": self.eps,
-            "kl_pred_vs_truth": self.kl_pred_vs_truth,
-            "kl_uniform_vs_truth": self.kl_uniform_vs_truth,
-        }
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
 
 
 def _cell_centers(grid: GridMap) -> np.ndarray:

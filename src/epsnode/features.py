@@ -14,7 +14,7 @@ only and frozen for inference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -117,22 +117,6 @@ def apply_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
     return model.components.T @ (x - model.mean)
 
 
-def pca_to_json(model: PcaModel) -> dict:
-    return {
-        "mean": model.mean.tolist(),
-        "components": model.components.tolist(),
-        "explained_ratio": model.explained_ratio.tolist(),
-    }
-
-
-def pca_from_json(obj: dict) -> PcaModel:
-    return PcaModel(
-        mean=np.asarray(obj["mean"], dtype=float),
-        components=np.asarray(obj["components"], dtype=float),
-        explained_ratio=np.asarray(obj["explained_ratio"], dtype=float),
-    )
-
-
 # ---------------------------------------------------------------------------
 # scaling
 # ---------------------------------------------------------------------------
@@ -153,15 +137,15 @@ def scale(scaler: Scaler, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def scaler_to_json(scaler: Scaler) -> dict:
-    return {"mins": scaler.mins.tolist(), "maxs": scaler.maxs.tolist()}
+def arrays_to_json(obj) -> dict:
+    """A dataclass of arrays (``Scaler``, ``PcaModel``) as a JSON object:
+    one list per field, in field order."""
+    return {f.name: getattr(obj, f.name).tolist() for f in fields(obj)}
 
 
-def scaler_from_json(obj: dict) -> Scaler:
-    return Scaler(
-        mins=np.asarray(obj["mins"], dtype=float),
-        maxs=np.asarray(obj["maxs"], dtype=float),
-    )
+def arrays_from_json(cls, obj: dict):
+    """Inverse of :func:`arrays_to_json` for the dataclass ``cls``."""
+    return cls(**{f.name: np.asarray(obj[f.name], dtype=float) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ class TrialResult:
     stopped_epoch: int | None
     seed: int
     message: str = ""
+    trained: tuple[ae.AutoencoderModel, ae.TrainReport] | None = None  # None when failed
 
 
 def enumerate_candidates(
@@ -123,7 +124,8 @@ def _run_group(args) -> list[TrialResult]:
             results.append(TrialResult(cand, "failed", None, None, seed, str(outcome)))
         else:
             report = outcome[1]
-            results.append(TrialResult(cand, "ok", report.final_val_mse, report.stopped_epoch, seed))
+            results.append(TrialResult(cand, "ok", report.final_val_mse, report.stopped_epoch, seed,
+                                       trained=outcome))
     return results
 
 
@@ -142,7 +144,8 @@ def run(
     max_epochs: int = 200,
     patience: int = 20,
 ) -> tuple[list[TrialResult], Candidate]:
-    """Train every candidate and return results ranked by validation MSE.
+    """Train every candidate and return results ranked by validation MSE,
+    each successful one with its trained model and report, and the winner.
 
     The result list is identical for any parallelism level.
     """
@@ -167,6 +170,9 @@ def run(
     return ok + failed, ok[0].candidate
 
 
+_CSV_COLUMNS = ["rank", "status", "e1", "e2", "d1", "batch_size", "learning_rate", "val_mse", "stopped_epoch"]
+
+
 def write_report(results: list[TrialResult], json_path: str | Path, csv_path: str | Path) -> None:
     records = [
         {
@@ -187,18 +193,5 @@ def write_report(results: list[TrialResult], json_path: str | Path, csv_path: st
     Path(json_path).write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
     with Path(csv_path).open("w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["rank", "status", "e1", "e2", "d1", "batch_size", "learning_rate", "val_mse", "stopped_epoch"])
-        for rec in records:
-            w.writerow(
-                [
-                    rec["rank"],
-                    rec["status"],
-                    rec["e1"],
-                    rec["e2"],
-                    rec["d1"],
-                    rec["batch_size"],
-                    rec["learning_rate"],
-                    "" if rec["val_mse"] is None else repr(rec["val_mse"]),
-                    rec["stopped_epoch"],
-                ]
-            )
+        w.writerow(_CSV_COLUMNS)
+        w.writerows([rec[key] for key in _CSV_COLUMNS] for rec in records)  # None as ""

@@ -8,7 +8,6 @@ over that cell's samples.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import features as feat
-from .dataset import GridMap, MeasurementSet
+from .dataset import GridMap, InputFileError, MeasurementSet, reading
 
 
 def anchor_error(y_hat, y):
@@ -118,40 +117,36 @@ def score(
 # CSV persistence
 # ---------------------------------------------------------------------------
 
+_COLUMNS = ["i", "j", "value", "count"]
+
+
 def write_error_map_csv(emap: ErrorMap, path: str | Path) -> None:
     """One row per cell: i, j, value, count. A leading comment line records
     the grid so the map is self-describing."""
     grid = emap.grid
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as f:
-        f.write(
-            f"# grid={grid.origin[0]},{grid.origin[1]},{grid.nx},{grid.ny},{grid.cell_size}\n"
-        )
+    # as Python numbers: csv writes a float as its repr, and numpy's is "np.float64(...)"
+    values, counts = emap.values.tolist(), emap.counts.tolist()
+    with Path(path).open("w", encoding="utf-8", newline="") as f:
+        f.write(f"# grid={grid.spec}\n")
         w = csv.writer(f)
-        w.writerow(["i", "j", "value", "count"])
-        for i, j in grid.cells():
-            v = emap.values[j, i]
-            w.writerow([i, j, "nan" if math.isnan(v) else repr(float(v)), int(emap.counts[j, i])])
+        w.writerow(_COLUMNS)
+        w.writerows([i, j, values[j][i], counts[j][i]] for i, j in grid.cells())
 
 
 def read_error_map_csv(path: str | Path) -> ErrorMap:
     """Inverse of :func:`write_error_map_csv`. Every grid cell must appear
-    exactly once; a malformed, out-of-range, duplicate or missing row raises
-    ``ValueError`` naming the file and line."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as f:
+    exactly once; a missing file, or a malformed, out-of-range, duplicate or
+    missing row, raises ``dataset.InputFileError`` naming the file and line."""
+    with reading(path, "error map"), Path(path).open("r", encoding="utf-8") as f:
         first = f.readline().strip()
         if not first.startswith("# grid="):
-            raise ValueError(f"{path}:1: missing grid comment line")
-        try:
-            ox, oy, nx, ny, cs = first[len("# grid=") :].split(",")
-            grid = GridMap(origin=(float(ox), float(oy)), nx=int(nx), ny=int(ny), cell_size=float(cs))
-        except ValueError as exc:
-            raise ValueError(f"{path}:1: invalid grid comment: {exc}") from exc
+            raise InputFileError(f"{path}:1: missing grid comment line")
+        with reading(f"{path}:1", "grid comment"):
+            grid = GridMap.from_spec(first.removeprefix("# grid="))
         reader = csv.reader(f)
         header = next(reader, None)
-        if header != ["i", "j", "value", "count"]:
-            raise ValueError(f"{path}:2: unexpected header {header}")
+        if header != _COLUMNS:
+            raise InputFileError(f"{path}:2: unexpected header {header}")
         values = np.full((grid.ny, grid.nx), np.nan)
         counts = np.zeros((grid.ny, grid.nx), dtype=int)
         seen = np.zeros((grid.ny, grid.nx), dtype=bool)
@@ -161,15 +156,15 @@ def read_error_map_csv(path: str | Path) -> ErrorMap:
                 i_s, j_s, value_s, count_s = row
                 i, j, value, count = int(i_s), int(j_s), float(value_s), int(count_s)
             except ValueError as exc:
-                raise ValueError(f"{where}: malformed row {row}: {exc}") from exc
+                raise InputFileError(f"{where}: malformed row {row}: {exc}") from exc
             if not grid.contains_cell(i, j):
-                raise ValueError(f"{where}: cell ({i}, {j}) outside the {grid.nx}x{grid.ny} grid")
+                raise InputFileError(f"{where}: cell ({i}, {j}) outside the {grid.nx}x{grid.ny} grid")
             if seen[j, i]:
-                raise ValueError(f"{where}: duplicate cell ({i}, {j})")
+                raise InputFileError(f"{where}: duplicate cell ({i}, {j})")
             seen[j, i] = True
             values[j, i] = value
             counts[j, i] = count
     if not seen.all():
         j, i = np.argwhere(~seen)[0]
-        raise ValueError(f"{path}: {int((~seen).sum())} cells missing, first ({i}, {j})")
+        raise InputFileError(f"{path}: {int((~seen).sum())} cells missing, first ({i}, {j})")
     return ErrorMap(grid=grid, values=values, counts=counts)

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CIR_LENGTH, AnchorReading, GridMap, Measurement, MeasurementSet
+from .dataset import (CIR_LENGTH, AnchorReading, GridMap, Measurement, MeasurementSet,
+                      read_json_object, reading)
 
 # Propagation speed in m/ns (speed of light).
 SPEED_OF_LIGHT = 0.2998
@@ -392,13 +393,11 @@ def save_environment(env: Environment, path: str | Path) -> None:
 
 
 def load_environment(path: str | Path) -> Environment:
-    """Read an environment file; raises ValueError naming the file when it is
-    not valid JSON, not a JSON object, misses a key or describes an invalid
-    environment."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    """Read an environment file; raises ``dataset.InputFileError`` naming the
+    file when it is missing, not a JSON object, misses a key or describes an
+    invalid environment."""
+    with reading(path, "environment file"):
+        obj = read_json_object(path)
         room = Rect(*[float(v) for v in obj["room"]])
         anchors = tuple(
             Anchor(int(a["id"]), (float(a["position"][0]), float(a["position"][1])))
@@ -415,10 +414,6 @@ def load_environment(path: str | Path) -> Environment:
         )
         wall_refl = float(obj.get("wall_reflectivity", MATERIAL_DEFAULTS[Material.WALL][0]))
         return Environment(room=room, anchors=anchors, obstacles=obstacles, wall_reflectivity=wall_refl)
-    except KeyError as exc:
-        raise ValueError(f"{path}: invalid environment file: missing key {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: invalid environment file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

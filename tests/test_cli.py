@@ -18,8 +18,9 @@ GRID = "1.0,1.25,2,2,0.5"  # four cells inside the room, fast to simulate
 
 def simulate(tmp_path, name="sim.jsonl", scenario="nominal", seed=3, extra=()):
     out = tmp_path / name
+    source = ("--scenario", scenario) if scenario else ()  # None: extra names the source
     rc = cli.main([
-        "simulate", "--scenario", scenario, "--grid", GRID,
+        "simulate", *source, "--grid", GRID,
         "--passes", "1", "--samples-per-cell", "5", "--seed", str(seed),
         "--out", str(out), *extra,
     ])
@@ -123,9 +124,23 @@ class TestEnvironmentFile:
     def test_simulate_from_env_file_matches_preset(self, tmp_path):
         path = tmp_path / "B.json"
         sim.save_environment(sim.scenario("B"), path)
-        from_file = simulate(tmp_path, "file.jsonl", scenario="B", extra=("--env-file", str(path)))
+        from_file = simulate(tmp_path, "file.jsonl", scenario=None, extra=("--env-file", str(path)))
         preset = simulate(tmp_path, "preset.jsonl", scenario="B")
         assert from_file.read_bytes() == preset.read_bytes()  # scenario name = file stem "B"
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_scenario_with_env_file_is_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "B.json"
+        sim.save_environment(sim.scenario("B"), path)
+        emap_path = tmp_path / "flat.csv"
+        grid = ds.GridMap(origin=(1.0, 1.25), nx=2, ny=2, cell_size=0.5)
+        nov.write_error_map_csv(nov.ErrorMap(grid, np.ones((2, 2)), np.ones((2, 2), dtype=int)), emap_path)
+        out = tmp_path / "out"
+        inputs = ["--grid", GRID] if command == "simulate" else ["--error-map", str(emap_path)]
+        rc = cli.main([command, *inputs, "--scenario", "A", "--env-file", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "exactly one of --scenario and --env-file" in capsys.readouterr().err
+        assert not out.exists()
 
     @ENV_FILE_CORRUPTIONS
     def test_simulate_rejects_malformed_env_file(self, tmp_path, capsys, corrupt, named):
@@ -189,6 +204,7 @@ def test_train_rejects_inconsistent_record(tmp_path, capsys, corrupt, named):
     err = capsys.readouterr().err
     assert rc == 2
     assert "line 4: invalid record" in err
+    assert f"{bad}: line 4" in err
     assert named in err
     assert not out_dir.exists()
 
@@ -228,6 +244,20 @@ class TestTrainScoreEvaluate:
         rc = cli.main(["train", "--config", str(config)])
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["val_fraction", "jobs", "variance_target"])
+    def test_config_value_of_wrong_type_is_usage_error(self, workspace, capsys, key):
+        tmp_path, nominal, _, _ = workspace
+        config = tmp_path / f"{key}.json"
+        out_dir = tmp_path / "typed"
+        config.write_text(json.dumps({
+            "dataset": str(nominal), "pipeline": "RNG", "architecture": [8, 12, 8],
+            "max_epochs": 2, "patience": 2, "out_dir": str(out_dir), key: "x",
+        }), encoding="utf-8")
+        rc = cli.main(["train", "--config", str(config)])
+        assert rc == 2
+        assert f"{config}: invalid config key {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_training_parameter_is_usage_error(self, workspace, capsys):
         tmp_path, nominal, _, _ = workspace
@@ -329,8 +359,11 @@ class TestTrainScoreEvaluate:
             (lambda obj: [obj], "JSON object"),
             (lambda obj: obj | {"scaler": {"maxs": obj["scaler"]["maxs"]}}, "'mins'"),
             (lambda obj: json.dumps(obj)[:60], "line 1 column"),  # truncated file
+            (lambda obj: obj | {"dims": 5}, "'int' object is not iterable"),
+            (lambda obj: obj | {"weights": 3}, "unsupported operand"),
         ],
-        ids=["no-leaky-alpha", "no-weights", "json-list", "scaler-without-mins", "truncated"],
+        ids=["no-leaky-alpha", "no-weights", "json-list", "scaler-without-mins", "truncated",
+             "int-dims", "int-weights"],
     )
     def test_score_rejects_malformed_bundle(self, workspace, capsys, corrupt, named):
         tmp_path, _, perturbed, model_dir = workspace
@@ -477,4 +510,5 @@ class TestGridsearchCommand:
         best = records[0]
         assert report["architecture"] == [best["e1"], best["e2"], best["d1"]]
         assert report["batch_size"] == best["batch_size"]
+        assert report["final_val_mse"] == best["val_mse"]  # the saved model is the ranked one
         assert "2 trials; best:" in capsys.readouterr().out

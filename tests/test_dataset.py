@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 from epsnode import dataset as ds
 from epsnode.dataset import (
     AnchorReading,
-    DatasetFormatError,
     GridMap,
+    InputFileError,
     Measurement,
     MeasurementSet,
 )
@@ -91,6 +91,12 @@ class TestGridMap:
         with pytest.raises(ValueError):
             GridMap(origin=(0.0, 0.0), nx=2, ny=2, cell_size=0.0)
 
+    @given(FINITE, FINITE, st.integers(2, 10**6), st.integers(2, 10**6), st.floats(5e-324, 1e308))
+    @settings(max_examples=60, deadline=None)
+    def test_text_form_round_trips(self, ox, oy, nx, ny, cell_size):
+        grid = GridMap((ox, oy), nx, ny, cell_size)
+        assert GridMap.from_spec(grid.spec) == grid
+
     def test_cell_index_floor(self):
         grid = GridMap(origin=(0.0, 0.0), nx=4, ny=4, cell_size=0.5)
         assert cell_index(grid, (0.26, 0.01)) == (0, 0)
@@ -159,7 +165,7 @@ class TestPersistence:
         ds.save(mset, path)
         text = path.read_text(encoding="utf-8")
         path.write_text(text[: int(len(text) * 0.7)], encoding="utf-8")
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(InputFileError):
             ds.load(path)
 
     def test_wrong_cir_length_errors(self, tmp_path):
@@ -169,7 +175,7 @@ class TestPersistence:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].replace("0.0, 0.0]", "0.0]", 1)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match=f"line 2: .*CIR must have {CIR} samples"):
+        with pytest.raises(InputFileError, match=f"line 2: .*CIR must have {CIR} samples"):
             ds.load(path)
 
     def test_format_error_carries_line_number(self, tmp_path):
@@ -178,7 +184,7 @@ class TestPersistence:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = "{not json"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetFormatError, match="3"):
+        with pytest.raises(InputFileError, match="3"):
             ds.load(path)
 
 

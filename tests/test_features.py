@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from epsnode import dataset as ds
 from epsnode import features as feat
@@ -113,7 +115,7 @@ class TestPca:
     def test_json_roundtrip(self):
         rng = np.random.default_rng(3)
         model = feat.fit_pca(rng.normal(size=(30, 5)))
-        loaded = feat.pca_from_json(json.loads(json.dumps(feat.pca_to_json(model))))
+        loaded = feat.arrays_from_json(feat.PcaModel, json.loads(json.dumps(feat.arrays_to_json(model))))
         assert np.array_equal(loaded.mean, model.mean)
         assert np.array_equal(loaded.components, model.components)
         assert np.array_equal(loaded.explained_ratio, model.explained_ratio)
@@ -142,7 +144,7 @@ class TestScaler:
 
     def test_json_roundtrip(self, tmp_path):
         scaler = feat.fit_scaler(np.array([[0.0, -1.0], [2.0, 5.0]]))
-        obj = feat.scaler_from_json(feat.scaler_to_json(scaler))
+        obj = feat.arrays_from_json(feat.Scaler, feat.arrays_to_json(scaler))
         assert np.allclose(obj.mins, scaler.mins) and np.allclose(obj.maxs, scaler.maxs)
 
     @given(st.integers(0, 2**32 - 1))
@@ -153,6 +155,17 @@ class TestScaler:
         scaler = feat.fit_scaler(rows)
         scaled = feat.scale(scaler, rows)
         assert np.all(scaled >= -1e-12) and np.all(scaled <= 1 + 1e-12)
+
+
+@pytest.mark.parametrize("cls", [feat.Scaler, feat.PcaModel])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_json_round_trip_is_exact(cls, data):
+    shapes = array_shapes(max_dims=2, max_side=6)
+    obj = cls(*(data.draw(arrays(np.float64, shapes, elements=st.floats(allow_nan=False)))
+                for _ in fields(cls)))
+    loaded = feat.arrays_from_json(cls, json.loads(json.dumps(feat.arrays_to_json(obj))))
+    assert all(np.array_equal(getattr(loaded, f.name), getattr(obj, f.name)) for f in fields(cls))
 
 
 class TestExtraction:

@@ -1,0 +1,86 @@
+"""One rule for every reader: a bad input file raises dataset.InputFileError,
+whose message starts with the file's path."""
+from __future__ import annotations
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from epsnode import autoencoder as ae
+from epsnode import cli
+from epsnode import dataset as ds
+from epsnode import novelty as nov
+from epsnode import simulator as sim
+
+GRID = ds.GridMap(origin=(1.0, 1.25), nx=2, ny=2, cell_size=0.5)
+
+
+def write_dataset(path):
+    ds.save(sim.generate_dataset(sim.scenario("nominal"), GRID, 1, 2, seed=5), path)
+
+
+def write_bundle(path):
+    ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9))
+
+
+def write_error_map(path):
+    nov.write_error_map_csv(nov.ErrorMap(GRID, np.ones((2, 2)), np.ones((2, 2), dtype=int)), path)
+
+
+def write_config(path):
+    path.write_text(json.dumps({"dataset": "n.jsonl", "pipeline": "RNG", "out_dir": "out"}), encoding="utf-8")
+
+
+def read_config(path):
+    return cli._load_train_config(cli._build_parser().parse_args(["train", "--config", str(path)]))
+
+
+def as_list(text):
+    return json.dumps([json.loads(text)])
+
+
+def set_key(key, value):
+    return lambda text: json.dumps(json.loads(text) | {key: value})
+
+
+def dataset_with_int_cell(text):
+    header, first, *rest = text.splitlines()
+    return "\n".join([header, json.dumps(json.loads(first) | {"cell": 5}), *rest])
+
+
+# reader: (write a valid file, read it, wrong top-level type, wrong value type)
+READERS = {
+    "dataset": (write_dataset, ds.load,
+                lambda text: "\n".join(as_list(line) for line in text.splitlines()),
+                dataset_with_int_cell),
+    "model-bundle": (write_bundle, ae.load_bundle, as_list, set_key("dims", 5)),
+    "environment": (lambda path: sim.save_environment(sim.scenario("B"), path),
+                    sim.load_environment, as_list, set_key("room", 5)),
+    "error-map": (write_error_map, nov.read_error_map_csv, lambda text: '["i", "j"]\n',
+                  lambda text: text.replace("0,0,1.0,1", "0,0,one,1")),
+    "train-config": (write_config, read_config, as_list, set_key("val_fraction", "x")),
+}
+
+
+@pytest.mark.parametrize(
+    "corruption", ["missing", "truncated", "wrong-top-level-type", "wrong-value-type"]
+)
+@pytest.mark.parametrize("reader", READERS)
+def test_bad_input_file_is_one_located_error(tmp_path, reader, corruption):
+    write, read, wrong_top_level, wrong_value = READERS[reader]
+    path = tmp_path / "input"
+    write(path)
+    read(path)  # the valid file reads
+    if corruption == "missing":
+        path.unlink()
+    else:
+        change = {
+            "truncated": lambda text: text[: len(text) // 2],
+            "wrong-top-level-type": wrong_top_level,
+            "wrong-value-type": wrong_value,
+        }[corruption]
+        path.write_text(change(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(ds.InputFileError, match=f"^{re.escape(str(path))}"):
+        read(path)
