@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import autoencoder as ae
@@ -106,6 +107,12 @@ def _prepare_features(mset, pipeline, val_fraction, seed, variance_target):
     return feat.scale(scaler, train_raw), feat.scale(scaler, val_raw), scaler, pca
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def _architecture(value) -> list[int] | str:
     """``"search"``, or the hidden widths ``[e1, e2, d1]``."""
     if value == "search":
@@ -116,9 +123,9 @@ def _architecture(value) -> list[int] | str:
 
 # each train/gridsearch setting: its type, and its default (None: required)
 _SETTINGS = {
-    "dataset": (str, None),
+    "dataset": (_text, None),
     "pipeline": (feat.Pipeline, None),
-    "out_dir": (str, None),
+    "out_dir": (_text, None),
     "architecture": (_architecture, "search"),
     "batch_size": (int, 32),
     "learning_rate": (float, 1e-3),
@@ -176,9 +183,9 @@ def _load_training(args):
     )
 
 
-def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.TrialResult:
+def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.Candidate:
     """Run the pipeline's table sweep, write its ranked report and return
-    the winning trial."""
+    the winning candidate."""
     results, best = gs.run(
         gs.TABLE_SPACES[cfg["pipeline"]],
         train_rows,
@@ -195,7 +202,7 @@ def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.TrialR
         f"{len(results)} trials; best: e1={best.e1} e2={best.e2} "
         f"batch={best.batch_size} lr={best.learning_rate}"
     )
-    return results[0]
+    return best
 
 
 def _cmd_train(args) -> int:
@@ -203,18 +210,20 @@ def _cmd_train(args) -> int:
     pipeline = cfg["pipeline"]
     n = train_rows.shape[1]
     if cfg["architecture"] == "search":
-        winner = _sweep(cfg, config, train_rows, val_rows)
-        c = winner.candidate
-        e1, e2, d1, batch_size, learning_rate = c.e1, c.e2, c.d1, c.batch_size, c.learning_rate
-        trained, report = winner.trained
+        # train the winner again with its sweep seed: solo training is
+        # bit-identical to the sweep's stacked run, so this is the model it
+        # ranked first, without holding every trial's model
+        best = _sweep(cfg, config, train_rows, val_rows)
+        e1, e2, d1 = best.e1, best.e2, best.d1
+        config = replace(config, batch_size=best.batch_size, learning_rate=best.learning_rate,
+                         seed=gs.trial_seed(config.seed, best.index))
     else:
         e1, e2, d1 = cfg["architecture"]
-        batch_size, learning_rate = config.batch_size, config.learning_rate
-        try:
-            model = ae.build(n, e1, e2, d1, seed=config.seed)
-        except ae.ConstraintError as exc:
-            raise UsageError(str(exc)) from exc
-        trained, report = ae.train(model, train_rows, val_rows, config)
+    try:
+        model = ae.build(n, e1, e2, d1, seed=config.seed)
+    except ae.ConstraintError as exc:
+        raise UsageError(str(exc)) from exc
+    trained, report = ae.train(model, train_rows, val_rows, config)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,8 +233,8 @@ def _cmd_train(args) -> int:
             {
                 "pipeline": pipeline.value,
                 "architecture": [e1, e2, d1],
-                "batch_size": batch_size,
-                "learning_rate": learning_rate,
+                "batch_size": config.batch_size,
+                "learning_rate": config.learning_rate,
                 "train_mse": report.train_mse,
                 "val_mse": report.val_mse,
                 "stopped_epoch": report.stopped_epoch,

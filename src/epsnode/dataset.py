@@ -203,13 +203,14 @@ def load(path: str | Path) -> MeasurementSet:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            if header is None:
-                with reading(f"{path}: line {lineno}", "header"):
+            with reading(f"{path}: line {lineno}", "record" if header else "header"):
+                try:
                     obj = json.loads(line)
+                except json.JSONDecodeError as exc:  # its position repeats "line 1"
+                    raise ValueError(f"not valid JSON: {exc.msg}") from exc
+                if header is None:
                     header = (str(obj["scenario"]), GridMap.from_json(obj["grid"]), int(obj["seed"]))
-                continue
-            with reading(f"{path}: line {lineno}", "record"):
-                obj = json.loads(line)
+                    continue
                 anchors = tuple(
                     AnchorReading(int(a["id"]), float(a["range"]), a["cir"]) for a in obj["anchors"]
                 )

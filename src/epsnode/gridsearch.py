@@ -67,7 +67,6 @@ class TrialResult:
     stopped_epoch: int | None
     seed: int
     message: str = ""
-    trained: tuple[ae.AutoencoderModel, ae.TrainReport] | None = None  # None when failed
 
 
 def enumerate_candidates(
@@ -124,8 +123,7 @@ def _run_group(args) -> list[TrialResult]:
             results.append(TrialResult(cand, "failed", None, None, seed, str(outcome)))
         else:
             report = outcome[1]
-            results.append(TrialResult(cand, "ok", report.final_val_mse, report.stopped_epoch, seed,
-                                       trained=outcome))
+            results.append(TrialResult(cand, "ok", report.final_val_mse, report.stopped_epoch, seed))
     return results
 
 
@@ -144,8 +142,7 @@ def run(
     max_epochs: int = 200,
     patience: int = 20,
 ) -> tuple[list[TrialResult], Candidate]:
-    """Train every candidate and return results ranked by validation MSE,
-    each successful one with its trained model and report, and the winner.
+    """Train every candidate and return results ranked by validation MSE.
 
     The result list is identical for any parallelism level.
     """

@@ -245,19 +245,23 @@ class TestTrainScoreEvaluate:
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["val_fraction", "jobs", "variance_target"])
-    def test_config_value_of_wrong_type_is_usage_error(self, workspace, capsys, key):
+    @pytest.mark.parametrize("key, value", [
+        ("val_fraction", "x"), ("jobs", "x"), ("variance_target", "x"),
+        ("out_dir", ["typed"]), ("dataset", 5),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(self, workspace, capsys, monkeypatch, key, value):
         tmp_path, nominal, _, _ = workspace
+        monkeypatch.chdir(tmp_path)  # a path made from a wrong value would land here
         config = tmp_path / f"{key}.json"
         out_dir = tmp_path / "typed"
         config.write_text(json.dumps({
             "dataset": str(nominal), "pipeline": "RNG", "architecture": [8, 12, 8],
-            "max_epochs": 2, "patience": 2, "out_dir": str(out_dir), key: "x",
+            "max_epochs": 2, "patience": 2, "out_dir": str(out_dir), key: value,
         }), encoding="utf-8")
         rc = cli.main(["train", "--config", str(config)])
         assert rc == 2
         assert f"{config}: invalid config key {key!r}" in capsys.readouterr().err
-        assert not out_dir.exists()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(("typed", "["))) == []
 
     def test_invalid_training_parameter_is_usage_error(self, workspace, capsys):
         tmp_path, nominal, _, _ = workspace

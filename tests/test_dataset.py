@@ -184,7 +184,7 @@ class TestPersistence:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = "{not json"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(InputFileError, match="3"):
+        with pytest.raises(InputFileError, match=r"data\.jsonl: line 3: invalid record: not valid JSON"):
             ds.load(path)
 
 
