@@ -406,8 +406,10 @@ def save_bundle(
     pipeline: feat.Pipeline | None = None,
     scaler: feat.Scaler | None = None,
     pca: feat.PcaModel | None = None,
+    anchor_ids: list[int] | None = None,
 ) -> None:
-    """Persist the model plus the preprocessing artifacts it was trained with."""
+    """Persist the model plus the preprocessing artifacts and the anchor ids
+    it was trained with."""
     obj: dict = {
         "dims": list(model.dims),
         "leaky_alpha": model.leaky_alpha,
@@ -420,6 +422,8 @@ def save_bundle(
         obj["scaler"] = feat.arrays_to_json(scaler)
     if pca is not None:
         obj["pca"] = feat.arrays_to_json(pca)
+    if anchor_ids is not None:
+        obj["anchor_ids"] = list(anchor_ids)
     Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
@@ -441,4 +445,5 @@ def load_bundle(path: str | Path) -> dict:
             "pipeline": feat.Pipeline(obj["pipeline"]) if "pipeline" in obj else None,
             "scaler": feat.arrays_from_json(feat.Scaler, obj["scaler"]) if "scaler" in obj else None,
             "pca": feat.arrays_from_json(feat.PcaModel, obj["pca"]) if "pca" in obj else None,
+            "anchor_ids": [int(a) for a in obj["anchor_ids"]] if "anchor_ids" in obj else None,
         }

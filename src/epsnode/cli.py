@@ -1,6 +1,7 @@
 """Command-line toolchain: simulate | train | score | evaluate | gridsearch.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration/usage error.
+Exit codes: 0 success, 1 runtime failure, 2 rejected input (any ValueError:
+a bad flag, config value or input file).
 All outputs are deterministic given identical inputs and seeds; wall-clock
 timestamps are confined to the ``run.meta.json`` sidecar. The EPSNODE_SEED
 environment variable overrides the base seed of any command.
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import autoencoder as ae
@@ -25,38 +26,22 @@ from . import render
 from . import simulator as sim
 
 
-class UsageError(Exception):
-    """Configuration or usage problem; maps to exit code 2."""
-
-
 def _base_seed(value: int) -> int:
     env = os.environ.get("EPSNODE_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError as exc:
-            raise UsageError(f"EPSNODE_SEED must be an integer, got {env!r}") from exc
+            raise ValueError(f"EPSNODE_SEED must be an integer, got {env!r}") from exc
     return value
 
 
 def _load_environment(scenario_name: str | None, env_file: str | None) -> tuple[sim.Environment, str]:
     if (scenario_name is None) == (env_file is None):
-        raise UsageError("give exactly one of --scenario and --env-file")
+        raise ValueError("give exactly one of --scenario and --env-file")
     if env_file is not None:
         return sim.load_environment(env_file), Path(env_file).stem
-    try:
-        return sim.scenario(scenario_name), scenario_name
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_grid(spec: str | None) -> ds.GridMap:
-    if spec is None:
-        return sim.default_grid()
-    try:
-        return ds.GridMap.from_spec(spec)
-    except ValueError as exc:
-        raise UsageError(f"invalid grid spec {spec!r}; expected ox,oy,nx,ny,cell_size: {exc}") from exc
+    return sim.scenario(scenario_name), scenario_name
 
 
 def _write_meta(out_dir: Path, command: str, config: dict) -> None:
@@ -70,17 +55,9 @@ def _write_meta(out_dir: Path, command: str, config: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     env, name = _load_environment(args.scenario, args.env_file)
-    grid = _parse_grid(args.grid)
+    grid = sim.default_grid() if args.grid is None else ds.GridMap.from_spec(args.grid)
     seed = _base_seed(args.seed)
-    if args.passes < 1 or args.samples_per_cell < 1:
-        raise UsageError("--passes and --samples-per-cell must be >= 1")
-    try:
-        params = sim.ChannelParams(
-            noise_sigma=args.noise_sigma, range_jitter_sigma=args.jitter_sigma
-        )
-        sim.check_grid_in_room(env, grid)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = sim.ChannelParams(noise_sigma=args.noise_sigma, range_jitter_sigma=args.jitter_sigma)
     mset = sim.generate_dataset(
         env, grid, args.passes, args.samples_per_cell, seed, params, scenario_name=name
     )
@@ -94,10 +71,7 @@ def _cmd_simulate(args) -> int:
 
 def _prepare_features(mset, pipeline, val_fraction, seed, variance_target):
     """Split, fit preprocessing on the training half, return scaled rows."""
-    try:
-        train_set, val_set = ds.split(mset, val_fraction, seed)
-    except ValueError as exc:
-        raise UsageError(f"cannot split the dataset with val_fraction {val_fraction}: {exc}") from exc
+    train_set, val_set = ds.split(mset, val_fraction, seed)
     pca = None
     if pipeline is feat.Pipeline.PCA:
         pca = feat.fit_pca(feat.cir_matrix(train_set.measurements), variance_target)
@@ -151,35 +125,28 @@ def _load_train_config(args) -> dict:
         if flag is not None:
             cfg[key] = flag
         if cfg.get(key) is None and default is None:
-            raise UsageError(f"missing required config key {key!r}")
+            raise ValueError(f"missing required config key {key!r}")
         with ds.reading(args.config, f"config key {key!r}"):  # only a file's value can fail
             cfg[key] = kind(cfg.get(key, default))
     return cfg
 
 
-def _train_config(cfg: dict, seed: int) -> ae.TrainConfig:
-    """The validated training settings; a sweep overrides batch size and
-    learning rate per candidate."""
-    try:
-        return ae.TrainConfig(
-            batch_size=cfg["batch_size"],
-            learning_rate=cfg["learning_rate"],
-            max_epochs=cfg["max_epochs"],
-            patience=cfg["patience"],
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _load_training(args):
-    """The config dict, the validated TrainConfig, and the prepared
-    features of ``train`` and ``gridsearch``."""
+    """The config dict, the validated TrainConfig (a sweep overrides batch
+    size and learning rate per candidate), the dataset's anchor ids and the
+    prepared features of ``train`` and ``gridsearch``."""
     cfg = _load_train_config(args)
-    config = _train_config(cfg, _base_seed(cfg["seed"]))
-    return cfg, config, _prepare_features(
-        ds.load(cfg["dataset"]), cfg["pipeline"], cfg["val_fraction"], config.seed,
-        cfg["variance_target"],
+    config = ae.TrainConfig(
+        batch_size=cfg["batch_size"],
+        learning_rate=cfg["learning_rate"],
+        max_epochs=cfg["max_epochs"],
+        patience=cfg["patience"],
+        seed=_base_seed(cfg["seed"]),
+    )
+    mset = ds.load(cfg["dataset"])
+    anchor_ids = [r.anchor_id for r in mset.measurements[0].per_anchor]
+    return cfg, config, anchor_ids, _prepare_features(
+        mset, cfg["pipeline"], cfg["val_fraction"], config.seed, cfg["variance_target"]
     )
 
 
@@ -206,7 +173,7 @@ def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.Candid
 
 
 def _cmd_train(args) -> int:
-    cfg, config, (train_rows, val_rows, scaler, pca) = _load_training(args)
+    cfg, config, anchor_ids, (train_rows, val_rows, scaler, pca) = _load_training(args)
     pipeline = cfg["pipeline"]
     n = train_rows.shape[1]
     if cfg["architecture"] == "search":
@@ -219,33 +186,22 @@ def _cmd_train(args) -> int:
                          seed=gs.trial_seed(config.seed, best.index))
     else:
         e1, e2, d1 = cfg["architecture"]
-    try:
-        model = ae.build(n, e1, e2, d1, seed=config.seed)
-    except ae.ConstraintError as exc:
-        raise UsageError(str(exc)) from exc
+    model = ae.build(n, e1, e2, d1, seed=config.seed)
     trained, report = ae.train(model, train_rows, val_rows, config)
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    ae.save_bundle(out_dir / "model.json", trained, pipeline, scaler, pca)
-    (out_dir / "train_report.json").write_text(
-        json.dumps(
-            {
-                "pipeline": pipeline.value,
-                "architecture": [e1, e2, d1],
-                "batch_size": config.batch_size,
-                "learning_rate": config.learning_rate,
-                "train_mse": report.train_mse,
-                "val_mse": report.val_mse,
-                "stopped_epoch": report.stopped_epoch,
-                "final_val_mse": report.final_val_mse,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    _write_meta(out_dir, "train", {k: str(v) for k, v in cfg.items()})
+    ae.save_bundle(out_dir / "model.json", trained, pipeline, scaler, pca, anchor_ids)
+    summary = {
+        "pipeline": pipeline.value,
+        "architecture": [e1, e2, d1],
+        "batch_size": config.batch_size,
+        "learning_rate": config.learning_rate,
+        **asdict(report),
+    }
+    report_text = json.dumps(summary, indent=2) + "\n"
+    (out_dir / "train_report.json").write_text(report_text, encoding="utf-8")
+    _write_meta(out_dir, "train", cfg)
     print(
         f"trained {pipeline.value} ({n},{e1},{e2},{d1}) for {report.stopped_epoch} epochs, "
         f"best validation MSE {report.final_val_mse:.6g}"
@@ -256,15 +212,18 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     bundle = ae.load_bundle(args.model)
     if bundle["pipeline"] is None or bundle["scaler"] is None:
-        raise UsageError(f"{args.model}: model bundle is missing pipeline/scaler metadata")
+        raise ValueError(f"{args.model}: model bundle is missing pipeline/scaler metadata")
     mset = ds.load(args.dataset)
-    try:
-        emap, anchor_maps, _ = nov.score(
-            bundle["model"], bundle["scaler"], bundle["pipeline"], bundle["pca"], mset,
-            aggregate=args.aggregate,
+    anchor_ids = [r.anchor_id for r in mset.measurements[0].per_anchor]
+    if bundle["anchor_ids"] is not None and anchor_ids != bundle["anchor_ids"]:
+        raise ValueError(
+            f"{args.dataset}: anchor ids {anchor_ids} differ from the ids "
+            f"{bundle['anchor_ids']} the model {args.model} was trained on"
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    emap, anchor_maps, _ = nov.score(
+        bundle["model"], bundle["scaler"], bundle["pipeline"], bundle["pca"], mset,
+        aggregate=args.aggregate,
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -283,15 +242,10 @@ def _cmd_score(args) -> int:
 def _cmd_evaluate(args) -> int:
     env, name = _load_environment(args.scenario, args.env_file)
     emap = nov.read_error_map_csv(args.error_map)
-    try:
+    with ds.reading(args.error_map, "error map"):
         sim.check_grid_in_room(env, emap.grid)
-    except ValueError as exc:
-        raise UsageError(f"error-map {exc}") from exc
-    try:
-        pred = ev.kde(emap, args.bandwidth)
-        truth = ev.ground_truth_density(env, emap.grid, args.bandwidth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pred = ev.kde(emap, args.bandwidth)
+    truth = ev.ground_truth_density(env, emap.grid, args.bandwidth)
     uniform = ev.uniform_density(emap.grid)
     report = ev.KlReport(
         scenario=name,
@@ -310,9 +264,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
-    cfg, config, (train_rows, val_rows, _, _) = _load_training(args)
+    cfg, config, _, (train_rows, val_rows, _, _) = _load_training(args)
     _sweep(cfg, config, train_rows, val_rows)
-    _write_meta(Path(cfg["out_dir"]), "gridsearch", {k: str(v) for k, v in cfg.items()})
+    _write_meta(Path(cfg["out_dir"]), "gridsearch", cfg)
     return 0
 
 
@@ -387,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ds.InputFileError) as exc:
+    except ValueError as exc:  # rejected input, InputFileError and ConstraintError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

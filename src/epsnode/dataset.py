@@ -81,8 +81,13 @@ class GridMap:
 
     @classmethod
     def from_spec(cls, spec: str) -> "GridMap":
-        ox, oy, nx, ny, cell_size = spec.split(",")
-        return cls((float(ox), float(oy)), int(nx), int(ny), float(cell_size))
+        try:
+            ox, oy, nx, ny, cell_size = spec.split(",")
+            return cls((float(ox), float(oy)), int(nx), int(ny), float(cell_size))
+        except ValueError as exc:
+            raise ValueError(
+                f"invalid grid spec {spec!r}; expected ox,oy,nx,ny,cell_size: {exc}"
+            ) from exc
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridMap":
@@ -144,10 +149,6 @@ class Measurement:
         ids = [r.anchor_id for r in self.per_anchor]
         if ids != sorted(ids) or len(set(ids)) != len(ids):
             raise ValueError("per-anchor readings must be unique and ordered by anchor_id")
-
-    @property
-    def ranges(self) -> np.ndarray:
-        return np.array([r.range_m for r in self.per_anchor], dtype=float)
 
 
 @dataclass

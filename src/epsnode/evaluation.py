@@ -93,19 +93,16 @@ def kl_divergence(p: DensityMap, q: DensityMap, eps: float = DEFAULT_EPS) -> flo
 
 
 def ground_truth_density(
-    scenario_env: Environment,
-    grid: GridMap,
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    radius: float = GROUND_TRUTH_RADIUS,
+    scenario_env: Environment, grid: GridMap, bandwidth: float = DEFAULT_BANDWIDTH
 ) -> DensityMap:
     """Indicator density: weight 1 on cells whose center lies within
-    ``radius`` of any novelty obstacle footprint, smoothed with the same KDE."""
+    GROUND_TRUTH_RADIUS of any novelty obstacle footprint, smoothed with the same KDE."""
     if not scenario_env.obstacles:
         raise ValueError("no novelty to locate: scenario has no obstacles")
     values = np.zeros((grid.ny, grid.nx))
     for i, j in grid.cells():
         center = grid.cell_center(i, j)
-        if any(o.footprint.distance_to(center) <= radius for o in scenario_env.obstacles):
+        if any(o.footprint.distance_to(center) <= GROUND_TRUTH_RADIUS for o in scenario_env.obstacles):
             values[j, i] = 1.0
     emap = ErrorMap(grid=grid, values=values, counts=np.ones((grid.ny, grid.nx), dtype=int))
     return kde(emap, bandwidth)

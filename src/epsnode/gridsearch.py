@@ -24,7 +24,6 @@ from .features import Pipeline
 
 @dataclass(frozen=True)
 class SearchSpace:
-    pipeline: Pipeline
     e1_values: tuple[int, ...]
     e2_values: tuple[int, ...]
     batch_sizes: tuple[int, ...]
@@ -33,18 +32,10 @@ class SearchSpace:
 
 # The examined combinations, per pipeline. D1 is tied to E1.
 TABLE_SPACES: dict[Pipeline, SearchSpace] = {
-    Pipeline.RNG: SearchSpace(
-        Pipeline.RNG, (5, 15, 20), (20, 30, 40), (16, 32, 64), (0.001, 0.01)
-    ),
-    Pipeline.MA: SearchSpace(
-        Pipeline.MA, (50, 55, 60, 65, 70), (70, 75, 80, 85, 90), (16, 32, 64), (0.001, 0.01)
-    ),
+    Pipeline.RNG: SearchSpace((5, 15, 20), (20, 30, 40), (16, 32, 64), (0.001, 0.01)),
+    Pipeline.MA: SearchSpace((50, 55, 60, 65, 70), (70, 75, 80, 85, 90), (16, 32, 64), (0.001, 0.01)),
     Pipeline.PCA: SearchSpace(
-        Pipeline.PCA,
-        (120, 125, 130, 135, 140),
-        (145, 150, 155, 160, 165),
-        (16, 32, 64),
-        (0.001, 0.01),
+        (120, 125, 130, 135, 140), (145, 150, 155, 160, 165), (16, 32, 64), (0.001, 0.01)
     ),
 }
 

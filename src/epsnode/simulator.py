@@ -26,8 +26,14 @@ import numpy as np
 from .dataset import (CIR_LENGTH, AnchorReading, GridMap, Measurement, MeasurementSet,
                       read_json_object, reading)
 
-# Propagation speed in m/ns (speed of light).
+# The fixed channel: propagation speed in m/ns (speed of light), CIR bin
+# width, Gaussian pulse std in bins, first-path detection threshold as a
+# fraction of the CIR peak, and excess delay per blocking obstacle.
 SPEED_OF_LIGHT = 0.2998
+SAMPLE_PERIOD_NS = 1.0
+PULSE_SIGMA = 1.0
+DETECT_FRAC = 0.2
+NLOS_EXCESS_DELAY_NS = 0.5
 
 Point = tuple[float, float]
 
@@ -120,23 +126,14 @@ class Environment:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Radio/physics stand-in parameters; all configurable."""
+    """The per-sample noise of the channel; the rest of it is fixed."""
 
-    c: float = SPEED_OF_LIGHT          # m/ns
-    sample_period: float = 1.0         # ns per CIR bin
-    pulse_sigma: float = 1.0           # Gaussian pulse std, in samples
     noise_sigma: float = 0.005         # additive white noise amplitude
-    detect_frac: float = 0.2           # first-path detection threshold fraction
     range_jitter_sigma: float = 0.03   # m
-    nlos_excess_delay: float = 0.5     # ns per blocking obstacle
 
     def __post_init__(self):
-        if min(self.c, self.sample_period, self.pulse_sigma) <= 0:
-            raise ValueError("c, sample_period, pulse_sigma must be positive")
-        if self.noise_sigma < 0 or self.range_jitter_sigma < 0 or self.nlos_excess_delay < 0:
-            raise ValueError("noise/jitter/delay parameters must be non-negative")
-        if not (0.0 < self.detect_frac < 1.0):
-            raise ValueError("detect_frac must be in (0, 1)")
+        if self.noise_sigma < 0 or self.range_jitter_sigma < 0:
+            raise ValueError("noise_sigma and range_jitter_sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -244,9 +241,7 @@ def _reflection_point(tag: Point, image: Point, face: _Face) -> Point | None:
 # channel model
 # ---------------------------------------------------------------------------
 
-def propagation_paths(
-    env: Environment, tag: Point, anchor: Anchor, params: ChannelParams
-) -> list[PropagationPath]:
+def propagation_paths(env: Environment, tag: Point, anchor: Anchor) -> list[PropagationPath]:
     """Direct path plus first-order specular reflections reaching the anchor."""
     paths: list[PropagationPath] = []
     apos = anchor.position
@@ -257,7 +252,7 @@ def propagation_paths(
     for o in blockers:
         amp *= o.transmissivity
     if amp > 0.0:
-        delay = d / params.c + params.nlos_excess_delay * len(blockers)
+        delay = d / SPEED_OF_LIGHT + NLOS_EXCESS_DELAY_NS * len(blockers)
         paths.append(PropagationPath(delay, amp))
 
     for face in _faces(env):
@@ -270,24 +265,24 @@ def propagation_paths(
         d_total = math.dist(tag, image)
         amp = face.reflectivity / max(d_total, 0.1)
         if amp > 0.0:
-            paths.append(PropagationPath(d_total / params.c, amp))
+            paths.append(PropagationPath(d_total / SPEED_OF_LIGHT, amp))
 
     return paths
 
 
-def noise_free_cir(env: Environment, tag: Point, anchor: Anchor, params: ChannelParams) -> np.ndarray:
+def noise_free_cir(env: Environment, tag: Point, anchor: Anchor) -> np.ndarray:
     """The (152,) CIR seen at ``anchor`` for a transmitter at ``tag``, before
     noise: each propagation path, in order, deposits a Gaussian pulse (std
-    ``pulse_sigma`` samples) at its delay. Paths whose delay rounds past the
+    ``PULSE_SIGMA`` samples) at its delay. Paths whose delay rounds past the
     last bin are dropped."""
     if not env.room.contains(tag):
         raise ValueError(f"tag {tag} outside room")
     samples = np.zeros(CIR_LENGTH)
     bins = np.arange(CIR_LENGTH, dtype=float)
-    for path in propagation_paths(env, tag, anchor, params):
-        tau = path.delay_ns / params.sample_period
+    for path in propagation_paths(env, tag, anchor):
+        tau = path.delay_ns / SAMPLE_PERIOD_NS
         if round(tau) <= CIR_LENGTH - 1:
-            samples += path.amplitude * np.exp(-((bins - tau) ** 2) / (2.0 * params.pulse_sigma**2))
+            samples += path.amplitude * np.exp(-((bins - tau) ** 2) / (2.0 * PULSE_SIGMA**2))
     return samples
 
 
@@ -304,12 +299,12 @@ def synthesize_cir(
     env: Environment, tag: Point, anchor: Anchor, params: ChannelParams, rng_seed: int
 ) -> np.ndarray:
     """One noisy (152,) CIR: ``noise_free_cir`` plus ``add_noise``."""
-    return add_noise(noise_free_cir(env, tag, anchor, params), params, rng_seed)
+    return add_noise(noise_free_cir(env, tag, anchor), params, rng_seed)
 
 
 def estimate_range(samples: np.ndarray, params: ChannelParams, rng_seed: int) -> float:
     """Leading-edge range estimate: first bin whose magnitude reaches
-    ``detect_frac`` of the CIR maximum, plus Gaussian jitter.
+    ``DETECT_FRAC`` of the CIR maximum, plus Gaussian jitter.
 
     When the direct path is attenuated below the threshold the first detected
     path is a reflection, yielding a positive range bias.
@@ -318,8 +313,8 @@ def estimate_range(samples: np.ndarray, params: ChannelParams, rng_seed: int) ->
     peak = mag.max()
     if peak == 0.0:
         raise ValueError("no detectable path: CIR is all zero")
-    idx = int(np.argmax(mag >= params.detect_frac * peak))
-    r = params.c * idx * params.sample_period
+    idx = int(np.argmax(mag >= DETECT_FRAC * peak))
+    r = SPEED_OF_LIGHT * idx * SAMPLE_PERIOD_NS
     if params.range_jitter_sigma > 0.0:
         rng = np.random.default_rng(rng_seed)
         r += rng.normal(0.0, params.range_jitter_sigma)
@@ -456,7 +451,7 @@ def generate_dataset(
 
     anchors = env.anchors_by_id()
     templates = [
-        ((i, j), [noise_free_cir(env, grid.cell_center(i, j), a, params) for a in anchors])
+        ((i, j), [noise_free_cir(env, grid.cell_center(i, j), a) for a in anchors])
         for i, j in grid.cells()
     ]
     measurements: list[Measurement] = []

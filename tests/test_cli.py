@@ -75,7 +75,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "extra",
-        [("--passes", "0"), ("--noise-sigma", "-1"), ("--grid", "5,4,8,5,0.5")],
+        [("--passes", "0"), ("--noise-sigma", "-1"), ("--grid", "5,4,8,5,0.5"), ("--grid", "")],
     )
     def test_invalid_parameter_is_usage_error(self, tmp_path, capsys, extra):
         rc = cli.main([
@@ -92,7 +92,7 @@ class TestSimulate:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert rc == 2
-        capsys.readouterr()
+        assert "ox,oy,nx,ny,cell_size" in capsys.readouterr().err
 
 
 def drop_first_anchor_position(obj):
@@ -227,6 +227,10 @@ class TestTrainScoreEvaluate:
         assert report["stopped_epoch"] == len(report["val_mse"])
         meta = json.loads((model_dir / "run.meta.json").read_text(encoding="utf-8"))
         assert meta["command"] == "train"
+        # the sidecar holds the typed settings, not their str()
+        assert meta["config"]["pipeline"] == "RNG"
+        assert meta["config"]["architecture"] == [8, 12, 8]
+        assert type(meta["config"]["batch_size"]) is int
 
     def test_constraint_violation_is_usage_error(self, workspace, capsys):
         tmp_path, nominal, _, _ = workspace
@@ -330,6 +334,41 @@ class TestTrainScoreEvaluate:
         assert (out_dir / "heatmap.pgm").read_text(encoding="utf-8").startswith("P2")
         assert "scale:" in capsys.readouterr().out
 
+    def test_score_rejects_other_anchor_ids(self, workspace, capsys):
+        tmp_path, _, perturbed, model_dir = workspace
+        mset = ds.load(perturbed)
+        shifted = [
+            ds.Measurement(m.cell, m.pass_id, tuple(
+                ds.AnchorReading(r.anchor_id + 10, r.range_m, r.cir) for r in m.per_anchor
+            ))
+            for m in mset.measurements
+        ]
+        other = tmp_path / "b_ids_10_13.jsonl"
+        ds.save(ds.MeasurementSet(mset.scenario_name, mset.grid, shifted, mset.seed), other)
+        out_dir = tmp_path / "score_other_ids"
+        rc = cli.main([
+            "score", "--model", str(model_dir / "model.json"),
+            "--dataset", str(other), "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert "anchor ids [10, 11, 12, 13] differ from the ids [0, 1, 2, 3]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_score_bundle_without_anchor_ids(self, workspace, capsys):
+        tmp_path, _, perturbed, model_dir = workspace
+        obj = json.loads((model_dir / "model.json").read_text(encoding="utf-8"))
+        assert list(obj)[-1] == "anchor_ids" and obj["anchor_ids"] == [0, 1, 2, 3]
+        del obj["anchor_ids"]
+        older = tmp_path / "no_anchor_ids.json"
+        older.write_text(json.dumps(obj), encoding="utf-8")
+        rc = cli.main([
+            "score", "--model", str(older), "--dataset", str(perturbed),
+            "--out-dir", str(tmp_path / "score_no_ids"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "score_no_ids" / "anchor_3.csv").exists()
+        capsys.readouterr()
+
     def test_score_dataset_pipeline_mismatch(self, workspace, capsys):
         tmp_path, _, _, model_dir = workspace
         rc = cli.main([
@@ -422,8 +461,10 @@ class TestTrainScoreEvaluate:
             "evaluate", "--error-map", str(path), "--scenario", "B",
             "--out", str(tmp_path / "kl.json"),
         ])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "does not fit" in capsys.readouterr().err
+        assert f"{path}: invalid error map" in err
+        assert "does not fit" in err
 
     def test_evaluate_nominal_has_no_truth(self, workspace, tmp_path, capsys):
         _, _, perturbed, model_dir = workspace
@@ -462,7 +503,7 @@ def trimmed_rng_table(monkeypatch):
     monkeypatch.setitem(
         gs.TABLE_SPACES,
         Pipeline.RNG,
-        gs.SearchSpace(Pipeline.RNG, (8,), (12, 20), (8,), (0.01,)),
+        gs.SearchSpace((8,), (12, 20), (8,), (0.01,)),
     )
 
 
@@ -480,6 +521,25 @@ class TestGridsearchCommand:
         assert len(records) == 2
         assert records[0]["val_mse"] <= records[1]["val_mse"]
         assert (out_dir / "sweep.csv").exists()
+
+    def test_no_valid_candidate_is_usage_error(self, tmp_path, capsys):
+        # on the default grid's 160 training rows this variance target keeps
+        # 159 components, so N = 163 exceeds every E1 of the PCA table
+        nominal = tmp_path / "n.jsonl"
+        assert cli.main([
+            "simulate", "--scenario", "nominal", "--passes", "1", "--samples-per-cell", "5",
+            "--seed", "3", "--out", str(nominal),
+        ]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"variance_target": 0.99999}), encoding="utf-8")
+        out_dir = tmp_path / "sweep"
+        rc = cli.main([
+            "gridsearch", "--config", str(config), "--dataset", str(nominal),
+            "--pipeline", "PCA", "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert "search space contains no valid candidates" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_required_key(self, tmp_path, capsys):
         rc = cli.main(["gridsearch", "--pipeline", "RNG", "--out-dir", str(tmp_path)])

@@ -173,7 +173,7 @@ class TestExtraction:
         rng = np.random.default_rng(0)
         meas = make_measurement(rng)
         mat = feat.extract_matrix([meas], Pipeline.RNG)
-        assert np.allclose(mat[0], meas.ranges)
+        assert np.allclose(mat[0], [r.range_m for r in meas.per_anchor])
         # anchor k's range sits in column k
         assert all(mat[0, r.anchor_id] == r.range_m for r in meas.per_anchor)
 

@@ -28,8 +28,8 @@ def tiny_rows(n_rows=30, n=4, seed=0):
     return base[: n_rows - 8], base[n_rows - 8 :]
 
 
-def small_space(pipeline=Pipeline.RNG):
-    return gs.SearchSpace(pipeline, (8, 15), (20, 30), (8,), (0.01,))
+def small_space():
+    return gs.SearchSpace((8, 15), (20, 30), (8,), (0.01,))
 
 
 class TestEnumeration:
@@ -45,7 +45,7 @@ class TestEnumeration:
             assert skipped == []
 
     def test_invalid_combos_excluded_with_reason(self):
-        space = gs.SearchSpace(Pipeline.RNG, (4, 15), (10, 15, 30), (16,), (0.01,))
+        space = gs.SearchSpace((4, 15), (10, 15, 30), (16,), (0.01,))
         candidates, skipped = gs.enumerate_candidates(space, n=4)
         combos = {(c.e1, c.e2) for c in candidates}
         assert combos == {(15, 15), (15, 30)}
@@ -70,7 +70,7 @@ class TestEnumeration:
             assert REFERENCE_BEST[pipeline] in combos
 
     def test_empty_axis_rejected(self):
-        space = gs.SearchSpace(Pipeline.RNG, (15,), (), (16,), (0.01,))
+        space = gs.SearchSpace((15,), (), (16,), (0.01,))
         with pytest.raises(ValueError, match="e2_values"):
             gs.enumerate_candidates(space, n=4)
 
@@ -117,7 +117,7 @@ class TestRun:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_trials_excluded_from_ranking(self):
         train, val = tiny_rows(seed=4)
-        space = gs.SearchSpace(Pipeline.RNG, (8, 15), (20, 30), (2,), (0.01, 1e40))
+        space = gs.SearchSpace((8, 15), (20, 30), (2,), (0.01, 1e40))
         results, best = gs.run(space, train, val, base_seed=0, max_epochs=10, patience=10)
         failed = [r for r in results if r.status == "failed"]
         assert failed, "absurd learning rate should diverge"
@@ -131,7 +131,7 @@ class TestRun:
 
     def test_no_valid_candidates_errors(self):
         train, val = tiny_rows()
-        space = gs.SearchSpace(Pipeline.RNG, (3,), (2,), (8,), (0.01,))
+        space = gs.SearchSpace((3,), (2,), (8,), (0.01,))
         with pytest.raises(ValueError):
             gs.run(space, train, val)
 

@@ -32,23 +32,23 @@ def make_env(room=Rect(0.0, 0.0, 12.0, 12.0), anchors=None, obstacles=()):
     return Environment(room=room, anchors=anchors, obstacles=tuple(obstacles))
 
 
-def in_window(path, params):
-    return round(path.delay_ns / params.sample_period) <= sim.CIR_LENGTH - 1
+def in_window(path):
+    return round(path.delay_ns / sim.SAMPLE_PERIOD_NS) <= sim.CIR_LENGTH - 1
 
 
-def pulse_sum(paths, params):
+def pulse_sum(paths):
     """Oracle for the noise-free CIR: one Gaussian pulse per path, added in
     path order."""
     samples = np.zeros(sim.CIR_LENGTH)
     bins = np.arange(sim.CIR_LENGTH, dtype=float)
     for path in paths:
-        tau = path.delay_ns / params.sample_period
-        samples += path.amplitude * np.exp(-((bins - tau) ** 2) / (2.0 * params.pulse_sigma**2))
+        tau = path.delay_ns / sim.SAMPLE_PERIOD_NS
+        samples += path.amplitude * np.exp(-((bins - tau) ** 2) / (2.0 * sim.PULSE_SIGMA**2))
     return samples
 
 
-def in_window_sum(paths, params):
-    return pulse_sum([p for p in paths if in_window(p, params)], params)
+def in_window_sum(paths):
+    return pulse_sum([p for p in paths if in_window(p)])
 
 
 # coordinates on a quarter-metre lattice hit shared edges and corners often
@@ -107,8 +107,7 @@ class TestGeometry:
         corners = ((room.xmin, room.ymin), (room.xmax, room.ymin), (room.xmax, room.ymax))
         env = Environment(room=room, anchors=(Anchor(0, apos),) + tuple(
             Anchor(k + 1, p) for k, p in enumerate(corners)))
-        params = ChannelParams()
-        paths = sim.propagation_paths(env, tag, env.anchors[0], params)
+        paths = sim.propagation_paths(env, tag, env.anchors[0])
         # the anchor mirrored in x == xmin, x == xmax, y == ymin, y == ymax
         images = [
             (2.0 * room.xmin - apos[0], apos[1]),
@@ -117,7 +116,7 @@ class TestGeometry:
             (apos[0], 2.0 * room.ymax - apos[1]),
         ]
         expected = [math.dist(tag, apos)] + [math.dist(tag, image) for image in images]
-        assert [p.delay_ns for p in paths] == [d / params.c for d in expected]
+        assert [p.delay_ns for p in paths] == [d / C for d in expected]
 
 
 class TestEnvironmentInvariants:
@@ -145,9 +144,9 @@ class TestEnvironmentInvariants:
 
     def test_channel_params_validation(self):
         with pytest.raises(ValueError):
-            ChannelParams(detect_frac=1.5)
+            ChannelParams(noise_sigma=-0.1)
         with pytest.raises(ValueError):
-            ChannelParams(sample_period=0.0)
+            ChannelParams(range_jitter_sigma=-0.1)
 
 
 class TestSynthesizeCir:
@@ -190,14 +189,14 @@ class TestSynthesizeCir:
                                 Anchor(2, (30.0, 60.0))))
         params = ChannelParams(noise_sigma=0.0)
         tag = (42.0, 10.0)
-        paths = sim.propagation_paths(env, tag, env.anchors[0], params)
+        paths = sim.propagation_paths(env, tag, env.anchors[0])
         # the direct path lands at 140 ns; the floor reflection at 155 ns is
         # past the last bin, yet its pulse tail would still reach bin 151
-        assert [in_window(p, params) for p in paths] == [True, False, False, False]
+        assert [in_window(p) for p in paths] == [True, False, False, False]
         assert round(paths[2].delay_ns) == 155
         cir = sim.synthesize_cir(env, tag, env.anchors[0], params, 0)
-        assert np.array_equal(cir, in_window_sum(paths, params))
-        assert not np.array_equal(cir, pulse_sum(paths, params))
+        assert np.array_equal(cir, in_window_sum(paths))
+        assert not np.array_equal(cir, pulse_sum(paths))
 
 
 class TestEstimateRange:
@@ -296,7 +295,7 @@ class TestGenerateDataset:
                 assert (m.cell, m.pass_id) == ((i, j), 0)
                 for anchor, reading in zip(env.anchors_by_id(), m.per_anchor):
                     cir_seed, jitter_seed = sim._sample_seeds(5, 0, i, j, s, anchor.id)
-                    cir = in_window_sum(sim.propagation_paths(env, tag, anchor, params), params)
+                    cir = in_window_sum(sim.propagation_paths(env, tag, anchor))
                     cir += np.random.default_rng(cir_seed).normal(0.0, params.noise_sigma, sim.CIR_LENGTH)
                     assert np.array_equal(reading.cir, cir)
                     assert reading.range_m == sim.estimate_range(cir, params, jitter_seed)
@@ -339,6 +338,6 @@ class TestGenerateDataset:
                 r0 = sim.estimate_range(sim.synthesize_cir(nominal, tag, anchor, params, 0), params, 0)
                 if abs(r - r0) > 1e-9:
                     same_los = sim.line_of_sight(env, tag, anchor.position)
-                    paths = sim.propagation_paths(env, tag, anchor, params)
-                    paths0 = sim.propagation_paths(nominal, tag, anchor, params)
+                    paths = sim.propagation_paths(env, tag, anchor)
+                    paths0 = sim.propagation_paths(nominal, tag, anchor)
                     assert (not same_los) or paths != paths0
