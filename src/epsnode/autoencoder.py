@@ -34,12 +34,13 @@ class ConstraintError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+    """Training blew up: a loss became non-finite (at ``batch``, or at -1 for
+    the validation pass), or the best validation MSE ended above the untrained
+    model's (``batch`` -1)."""
 
-    def __init__(self, epoch: int, batch: int, learning_rate: float):
-        super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}, lr {learning_rate}"
-        )
+    def __init__(self, epoch: int, batch: int, learning_rate: float,
+                 what: str = "non-finite loss"):
+        super().__init__(f"{what} at epoch {epoch}, batch {batch}, lr {learning_rate}")
         self.epoch = epoch
         self.batch = batch
         self.learning_rate = learning_rate
@@ -142,35 +143,35 @@ def build(n: int, e1: int, e2: int, d1: int, seed: int = 0) -> AutoencoderModel:
 
 
 def _activate(z: np.ndarray, layer: int, alpha: float) -> np.ndarray:
+    """The layer's activation of the pre-activations ``z``, which a ReLU
+    overwrites."""
     if layer < N_LAYERS - 1:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     return np.where(z > 0.0, z, alpha * z)
 
 
-def _activate_grad(z: np.ndarray, layer: int, alpha: float) -> np.ndarray:
+def _activate_grad(a: np.ndarray, layer: int, alpha: float) -> np.ndarray:
+    """The activation's slope, read from the layer's outputs ``a``: for ReLU,
+    and for Leaky ReLU with alpha >= 0, an output is positive exactly where its
+    pre-activation is (-0.0, NaN and an alpha * z that underflows included)."""
     if layer < N_LAYERS - 1:
-        return z > 0.0  # a multiply casts it to 1.0 / 0.0
-    return np.where(z > 0.0, 1.0, alpha)
+        return a > 0.0  # a multiply casts it to 1.0 / 0.0
+    return np.where(a > 0.0, 1.0, alpha)
 
 
-def _forward_cached(model: AutoencoderModel, x: np.ndarray):
-    """Batch forward pass keeping pre/post activations for backprop."""
-    a = x
-    zs, acts = [], [x]
-    for layer in range(N_LAYERS):
-        z = a @ model.weights[layer] + model.biases[layer]
-        a = _activate(z, layer, model.leaky_alpha)
-        zs.append(z)
-        acts.append(a)
-    return zs, acts
+def _dense(model: AutoencoderModel, a: np.ndarray, layer: int) -> np.ndarray:
+    """One layer on the rows ``a``: the product, then the bias and the
+    activation in place."""
+    z = a @ model.weights[layer]
+    z += model.biases[layer]
+    return _activate(z, layer, model.leaky_alpha)
 
 
 def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    """The forward pass without the backprop caches; a stack maps shared (r, n)
-    rows to (C, r, n)."""
+    """The forward pass; a stack maps shared (r, n) rows to (C, r, n)."""
     a = x
     for layer in range(N_LAYERS):
-        a = _activate(a @ model.weights[layer] + model.biases[layer], layer, model.leaky_alpha)
+        a = _dense(model, a, layer)
     return a
 
 
@@ -193,13 +194,15 @@ def _backprop(stack: AutoencoderModel, batch: np.ndarray, grads: AutoencoderMode
     ``stack.params``); returns the (C,) losses. A stacked matmul or reduction
     equals the 2-D call on each slice bit for bit, so a model's gradient does
     not depend on the stack it is in."""
-    zs, acts = _forward_cached(stack, batch)
+    acts = [batch]  # each layer's input, then the reconstruction
+    for layer in range(N_LAYERS):
+        acts.append(_dense(stack, acts[-1], layer))
     diff = acts[-1] - batch
     m, n = batch.shape[-2:]
     loss = np.add.reduce(diff**2, axis=(-2, -1)) / (m * n)  # np.mean, minus its wrapper
     delta = 2.0 * diff / (m * n)
     for layer in range(N_LAYERS - 1, -1, -1):
-        delta = delta * _activate_grad(zs[layer], layer, stack.leaky_alpha)
+        delta *= _activate_grad(acts[layer + 1], layer, stack.leaky_alpha)
         np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads.weights[layer])
         np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[layer])
         if layer > 0:
@@ -228,7 +231,10 @@ def train(
     The input model is not mutated; the returned model is the snapshot with
     the best validation MSE seen. Shuffling, batching, and accumulation
     order are all fixed by the config seed, so training is deterministic.
-    Raises TrainingDivergedError when a loss becomes non-finite.
+    An epoch's train MSE is the row-weighted mean of its batch losses, each
+    taken before that batch's update. Raises TrainingDivergedError when a loss
+    becomes non-finite, or when the best validation MSE ends above the
+    untrained model's.
     """
     result = train_group([model], train_rows, val_rows, [config])[0]
     if isinstance(result, TrainingDivergedError):
@@ -248,8 +254,9 @@ def train_group(
     ``batch_size``, ``max_epochs`` and ``patience``; learning rates and seeds
     may differ. They train as one (C, P) stack, each with its own shuffling,
     best snapshot, patience count and curves. A model leaves the stack when it
-    stops early or diverges. Returns, in the models' order, what ``train``
-    returns for each alone, or the TrainingDivergedError it raises.
+    stops early or a loss becomes non-finite. Returns, in the models' order,
+    what ``train`` returns for each alone, or the TrainingDivergedError it
+    raises.
     """
     train_rows = np.asarray(train_rows, dtype=float)
     val_rows = np.asarray(val_rows, dtype=float)
@@ -269,13 +276,19 @@ def train_group(
     waits = [0] * len(models)
     curves = [([], []) for _ in models]
 
-    def report(k: int):
+    def finish(k: int, epoch: int):
+        if best_val[k] > untrained[k]:
+            return TrainingDivergedError(
+                epoch, -1, configs[k].learning_rate,
+                f"best validation MSE {best_val[k]:.6g} exceeds the untrained model's "
+                f"{untrained[k]:.6g}")
         train_curve, val_curve = curves[k]
         return (AutoencoderModel(dims, best[k], alpha),
                 TrainReport(train_curve, val_curve, len(val_curve), best_val[k]))
 
     live = list(range(len(models)))  # stack slot -> model index
     params = np.stack([m.params for m in models])
+    untrained = _stack_mse(AutoencoderModel(dims, params, alpha), val_rows).tolist()
     mom, vel = np.zeros_like(params), np.zeros_like(params)
     lr = np.array([[c.learning_rate] for c in configs])
     step = 0
@@ -287,8 +300,11 @@ def train_group(
         m_hat, denom = np.empty_like(params), np.empty_like(params)
         g = grads.params
         orders = np.stack([rngs[k].permutation(n_rows) for k in live])
+        loss_sum = np.zeros(len(live))  # per slot, each batch's loss times its rows
         for batch_idx, start in enumerate(range(0, n_rows, batch_size)):
-            loss = _backprop(work, train_rows[orders[:, start : start + batch_size]], grads)
+            batch = train_rows[orders[:, start : start + batch_size]]
+            loss = _backprop(work, batch, grads)
+            loss_sum += loss * batch.shape[1]
             if not np.isfinite(loss).all():
                 # a diverged model's result is kept now; its slot runs on,
                 # unread, until the stack is compacted after the epoch
@@ -316,7 +332,7 @@ def train_group(
             m_hat /= denom
             params -= m_hat
 
-        train_mse, val_mse = _stack_mse(work, train_rows), _stack_mse(work, val_rows)
+        train_mse, val_mse = loss_sum / n_rows, _stack_mse(work, val_rows)
         for slot, k in enumerate(live):
             if results[k] is not None:
                 continue
@@ -331,7 +347,7 @@ def train_group(
             else:
                 waits[k] += 1
                 if waits[k] >= patience:
-                    results[k] = report(k)
+                    results[k] = finish(k, epoch)
         keep = [results[k] is None for k in live]
         if not all(keep):
             live = [k for k, kept in zip(live, keep) if kept]
@@ -340,7 +356,7 @@ def train_group(
             params, mom, vel, lr = params[keep], mom[keep], vel[keep], lr[keep]
 
     for k in live:
-        results[k] = report(k)
+        results[k] = finish(k, epoch)
     return results
 
 
@@ -350,10 +366,10 @@ def train_group(
 
 def _loss_from_layer(model: AutoencoderModel, layer: int, z_batch: np.ndarray, x: np.ndarray):
     """Per-row MSE obtained by resuming the forward pass at ``layer`` with
-    the given pre-activation rows."""
+    the given pre-activation rows, which it overwrites."""
     a = _activate(z_batch, layer, model.leaky_alpha)
     for nxt in range(layer + 1, N_LAYERS):
-        a = _activate(a @ model.weights[nxt] + model.biases[nxt], nxt, model.leaky_alpha)
+        a = _dense(model, a, nxt)
     return np.mean((a - x) ** 2, axis=1)
 
 
@@ -364,18 +380,20 @@ def finite_difference_gradients(model: AutoencoderModel, x: np.ndarray, step: fl
     perturbing the parameter but allows batching the downstream forward
     passes; a bias acts as the weight of a constant input 1."""
     x = np.asarray(x, dtype=float)
-    zs, acts = _forward_cached(model, x[None, :])
     grad, grads_w, grads_b = _layer_views(model.dims, np.empty_like(model.params))
+    a = x[None, :]
     for layer in range(N_LAYERS):
-        d_out = zs[layer].shape[1]
+        z = a @ model.weights[layer] + model.biases[layer]
+        d_out = z.shape[1]
         # row i * d_out + j moves unit j by step times input i; the last
         # input is the biases' constant 1
-        bump = np.kron(step * np.append(acts[layer][0], 1.0)[:, None], np.eye(d_out))
-        lp = _loss_from_layer(model, layer, zs[layer] + bump, x)
-        lm = _loss_from_layer(model, layer, zs[layer] - bump, x)
+        bump = np.kron(step * np.append(a[0], 1.0)[:, None], np.eye(d_out))
+        lp = _loss_from_layer(model, layer, z + bump, x)
+        lm = _loss_from_layer(model, layer, z - bump, x)
         g = (lp - lm) / (2.0 * step)
         grads_w[layer][...] = g[:-d_out].reshape(grads_w[layer].shape)
         grads_b[layer][...] = g[-d_out:]
+        a = _activate(z, layer, model.leaky_alpha)
     return grad
 
 

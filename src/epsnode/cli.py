@@ -144,8 +144,7 @@ def _load_training(args):
         seed=_base_seed(cfg["seed"]),
     )
     mset = ds.load(cfg["dataset"])
-    anchor_ids = [r.anchor_id for r in mset.measurements[0].per_anchor]
-    return cfg, config, anchor_ids, _prepare_features(
+    return cfg, config, mset.anchor_ids, _prepare_features(
         mset, cfg["pipeline"], cfg["val_fraction"], config.seed, cfg["variance_target"]
     )
 
@@ -214,10 +213,9 @@ def _cmd_score(args) -> int:
     if bundle["pipeline"] is None or bundle["scaler"] is None:
         raise ValueError(f"{args.model}: model bundle is missing pipeline/scaler metadata")
     mset = ds.load(args.dataset)
-    anchor_ids = [r.anchor_id for r in mset.measurements[0].per_anchor]
-    if bundle["anchor_ids"] is not None and anchor_ids != bundle["anchor_ids"]:
+    if bundle["anchor_ids"] is not None and mset.anchor_ids != bundle["anchor_ids"]:
         raise ValueError(
-            f"{args.dataset}: anchor ids {anchor_ids} differ from the ids "
+            f"{args.dataset}: anchor ids {mset.anchor_ids} differ from the ids "
             f"{bundle['anchor_ids']} the model {args.model} was trained on"
         )
     emap, anchor_maps, _ = nov.score(

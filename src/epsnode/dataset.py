@@ -168,6 +168,12 @@ class MeasurementSet:
     def __len__(self) -> int:
         return len(self.measurements)
 
+    @property
+    def anchor_ids(self) -> list[int]:
+        """The anchor ids of the first measurement, in order; ``load`` checks
+        that every record has the same."""
+        return [r.anchor_id for r in self.measurements[0].per_anchor]
+
 
 def save(mset: MeasurementSet, path: str | Path) -> None:
     """Write a measurement set as JSON Lines (header + one record per line)."""

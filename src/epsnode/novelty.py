@@ -75,7 +75,8 @@ def score(
         raise ValueError(f"unknown aggregate {aggregate!r}")
     agg = _AGGREGATORS[aggregate]
     pipeline = feat.Pipeline(pipeline)
-    n_anchors = len(mset.measurements[0].per_anchor)
+    anchor_ids = mset.anchor_ids
+    n_anchors = len(anchor_ids)
     expected = feat.feature_length(pipeline, n_anchors, pca)
     if model.n != expected:
         raise ValueError(
@@ -104,7 +105,6 @@ def score(
         counts[j, i] = len(rows)
         anchor_values[:, j, i] = agg(errors[rows], axis=0)
 
-    anchor_ids = [r.anchor_id for r in mset.measurements[0].per_anchor]
     error_map = ErrorMap(grid=grid, values=values, counts=counts)
     anchor_maps = [
         AnchorErrorMap(grid=grid, values=anchor_values[k], counts=counts.copy(), anchor_id=aid)

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epsnode import autoencoder as ae
+from epsnode import dataset as ds
 from epsnode import features as feat
+from epsnode import simulator as sim
 from epsnode.autoencoder import ConstraintError, TrainConfig
 
 
@@ -17,6 +20,57 @@ def forward_batch(model, rows):
     """All (m, n) rows through the network as one batched product; scoring
     deliberately reconstructs row by row with ``forward`` instead."""
     return ae._reconstruct(model, np.asarray(rows, dtype=float))
+
+
+def replay_first_epoch(model, rows, config):
+    """Epoch 0 of ``train`` replayed batch by batch: ``mse_gradients`` on the
+    config seed's permutation, then Adam applied layer by layer and tensor by
+    tensor. Returns the updated copy of ``model`` and each batch's (loss,
+    rows)."""
+    ref = model.copy()
+    params = ref.weights + ref.biases
+    mom = [np.zeros_like(p) for p in params]
+    vel = [np.zeros_like(p) for p in params]
+    losses = []
+    order = np.random.default_rng(config.seed).permutation(len(rows))
+    for step, start in enumerate(range(0, len(rows), config.batch_size), start=1):
+        batch = rows[order[start : start + config.batch_size]]
+        loss, flat = ae.mse_gradients(ref, batch)
+        losses.append((loss, len(batch)))
+        grad = ae.AutoencoderModel(ref.dims, flat)
+        for k, g in enumerate(grad.weights + grad.biases):
+            mom[k] = ae.BETA1 * mom[k] + (1 - ae.BETA1) * g
+            vel[k] = ae.BETA2 * vel[k] + (1 - ae.BETA2) * g * g
+            m_hat = mom[k] / (1.0 - ae.BETA1**step)
+            v_hat = vel[k] / (1.0 - ae.BETA2**step)
+            params[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ae.ADAM_EPS)
+    return ref, losses
+
+
+def backprop_keeping_preactivations(stack, batch):
+    """A backprop that keeps every pre-activation z and reads each slope from
+    z: the reference that ``_backprop``, which reads the slope from the
+    layer output, must equal bit for bit. Returns (losses, gradients)."""
+    zs, acts = [], [batch]
+    for layer in range(ae.N_LAYERS):
+        z = acts[-1] @ stack.weights[layer] + stack.biases[layer]
+        zs.append(z)
+        acts.append(np.maximum(z, 0.0) if layer < ae.N_LAYERS - 1
+                    else np.where(z > 0.0, z, stack.leaky_alpha * z))
+    grads = ae.AutoencoderModel(stack.dims, np.empty_like(stack.params))
+    diff = acts[-1] - batch
+    m, n = batch.shape[-2:]
+    loss = np.add.reduce(diff**2, axis=(-2, -1)) / (m * n)
+    delta = 2.0 * diff / (m * n)
+    for layer in range(ae.N_LAYERS - 1, -1, -1):
+        slope = (zs[layer] > 0.0 if layer < ae.N_LAYERS - 1
+                 else np.where(zs[layer] > 0.0, 1.0, stack.leaky_alpha))
+        delta = delta * slope
+        np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads.weights[layer])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[layer])
+        if layer > 0:
+            delta = delta @ stack.weights[layer].swapaxes(-1, -2)
+    return loss, grads.params
 
 
 class TestBuild:
@@ -133,22 +187,23 @@ class TestTrain:
         model = ae.build(4, 8, 12, 8, seed=4)
         config = TrainConfig(batch_size=6, learning_rate=1e-2, max_epochs=1, patience=1, seed=4)
         trained, _ = ae.train(model, rows, rows[:5], config)
-
-        ref = model.copy()
-        params = ref.weights + ref.biases
-        mom = [np.zeros_like(p) for p in params]
-        vel = [np.zeros_like(p) for p in params]
-        order = np.random.default_rng(config.seed).permutation(len(rows))
-        for step, start in enumerate(range(0, len(rows), config.batch_size), start=1):
-            _, flat = ae.mse_gradients(ref, rows[order[start : start + config.batch_size]])
-            grad = ae.AutoencoderModel(ref.dims, flat)
-            for k, g in enumerate(grad.weights + grad.biases):
-                mom[k] = ae.BETA1 * mom[k] + (1 - ae.BETA1) * g
-                vel[k] = ae.BETA2 * vel[k] + (1 - ae.BETA2) * g * g
-                m_hat = mom[k] / (1.0 - ae.BETA1**step)
-                v_hat = vel[k] / (1.0 - ae.BETA2**step)
-                params[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ae.ADAM_EPS)
+        ref, _ = replay_first_epoch(model, rows, config)
         assert np.array_equal(trained.params, ref.params)
+
+    def test_train_curve_is_row_weighted_batch_loss(self):
+        """An epoch's train MSE is the mean of its batch losses, each taken
+        before its update and weighted by its rows (the last batch of 20 rows
+        at batch size 6 has 2), bit for bit."""
+        rows = np.random.default_rng(4).uniform(size=(20, 4))
+        model = ae.build(4, 8, 12, 8, seed=4)
+        config = TrainConfig(batch_size=6, learning_rate=1e-2, max_epochs=1, patience=1, seed=4)
+        _, report = ae.train(model, rows, rows[:5], config)
+        _, losses = replay_first_epoch(model, rows, config)
+        assert [n for _, n in losses] == [6, 6, 6, 2]
+        total = 0.0
+        for loss, n in losses:
+            total += loss * n
+        assert report.train_mse == [total / len(rows)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_group_matches_solo_training(self):
@@ -156,16 +211,21 @@ class TestTrain:
         models ahead of it in the stack stop early or diverge."""
         rows = np.random.default_rng(4).uniform(size=(60, 4))
         train_rows, val_rows = rows[:48], rows[48:]
-        lrs = (0.3, 1e40, 1e-3)  # stops early, diverges mid-epoch, runs every epoch
-        models = [ae.build(4, 8, 12, 8, seed=s) for s in range(3)]
+        # stops early worse than untrained, diverges mid-epoch, runs every
+        # epoch, stops early
+        lrs = (0.3, 1e40, 1e-3, 0.05)
+        models = [ae.build(4, 8, 12, 8, seed=s) for s in range(len(lrs))]
         configs = [TrainConfig(batch_size=8, learning_rate=lr, max_epochs=12, patience=2,
                                seed=10 + s) for s, lr in enumerate(lrs)]
         group = ae.train_group(models, train_rows, val_rows, configs)
 
-        early, diverged, survivor = group
+        worse, diverged, survivor, early = group
         assert early[1].stopped_epoch < survivor[1].stopped_epoch == 12
         assert isinstance(diverged, ae.TrainingDivergedError)
         assert (diverged.epoch, diverged.batch) == (0, 1)
+        assert isinstance(worse, ae.TrainingDivergedError)
+        assert worse.batch == -1
+        assert "exceeds the untrained model's" in str(worse)
         for model, config, result in zip(models, configs, group):
             if isinstance(result, ae.TrainingDivergedError):
                 with pytest.raises(ae.TrainingDivergedError) as solo:
@@ -179,6 +239,28 @@ class TestTrain:
                 # the returned model is the best snapshot, not the last state
                 val_mse = np.mean((forward_batch(result[0], val_rows) - val_rows) ** 2)
                 assert float(val_mse) == result[1].final_val_mse
+
+    def test_worse_than_untrained_is_diverged(self):
+        """A learning rate of 1e6 on a 1-pass, 4-sample nominal set keeps every
+        loss finite, but its best validation MSE ends far above the untrained
+        model's: training raises instead of returning that model."""
+        mset = sim.generate_dataset(sim.scenario("nominal"), sim.default_grid(), passes=1,
+                                    samples_per_cell=4, seed=3, scenario_name="nominal")
+        train_set, val_set = ds.split(mset, 0.2, seed=0)
+        raw = feat.extract_matrix(train_set.measurements, feat.Pipeline.RNG)
+        scaler = feat.fit_scaler(raw)
+        train_rows = feat.scale(scaler, raw)
+        val_rows = feat.scale(scaler, feat.extract_matrix(val_set.measurements, feat.Pipeline.RNG))
+        model = ae.build(4, 8, 12, 8, seed=0)
+        untrained = float(np.mean((forward_batch(model, val_rows) - val_rows) ** 2))
+        with pytest.raises(ae.TrainingDivergedError) as exc:
+            ae.train(model, train_rows, val_rows, TrainConfig(learning_rate=1e6))
+        assert exc.value.batch == -1
+        assert exc.value.learning_rate == 1e6
+        message = str(exc.value)
+        best = float(message.split("best validation MSE ")[1].split()[0])
+        assert best > untrained
+        assert f"exceeds the untrained model's {untrained:.6g}" in message
 
     @pytest.mark.parametrize(
         "dims, batch_size",
@@ -211,6 +293,31 @@ class TestGradients:
             # keep pre-activations away from the ReLU kinks
             x = rng.uniform(0.25, 0.75, size=4)
             assert ae.gradient_check(model, x) < 1e-4
+
+    @given(st.sampled_from([1, 3]), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+           st.integers(1, 3), st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_backprop_matches_reference_keeping_preactivations(
+            self, stack, n, de1, de2, dd1, m, zero_biases, zero_row, data):
+        """Reading each activation's slope from the layer output gives the
+        gradients and losses of reading it from the pre-activation, bit for
+        bit, for stacks of 1 and 3 and with pre-activations at exactly 0."""
+        dims = (n, n + de1, n + de1 + de2, n + dd1, n)
+        size = ae._layer_views(dims)[0].size
+        floats = st.floats(-4.0, 4.0)
+        params = data.draw(hnp.arrays(np.float64, (stack, size), elements=floats))
+        model = ae.AutoencoderModel(dims, params)
+        if zero_biases:
+            for b in model.biases:
+                b[...] = 0.0
+        batch = data.draw(hnp.arrays(np.float64, (stack, m, n), elements=floats))
+        if zero_row:
+            batch[:, 0] = 0.0
+        grads = ae.AutoencoderModel(dims, np.empty_like(params))
+        loss = ae._backprop(model, batch, grads)
+        ref_loss, ref_grads = backprop_keeping_preactivations(model, batch)
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grads.params.tobytes() == ref_grads.tobytes()
 
     def test_zero_input_zero_bias_dead_path(self):
         model = ae.build(4, 8, 12, 8, seed=0)

@@ -241,6 +241,18 @@ class TestTrainScoreEvaluate:
         assert rc == 2
         assert "N < N_E1" in capsys.readouterr().err
 
+    def test_diverged_training_writes_no_bundle(self, workspace, capsys):
+        tmp_path, nominal, _, _ = workspace
+        out_dir = tmp_path / "diverged"
+        rc = cli.main([
+            "train", "--dataset", str(nominal), "--pipeline", "RNG",
+            "--architecture", "8", "12", "8", "--learning-rate", "1e6",
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 1
+        assert "exceeds the untrained model's" in capsys.readouterr().err
+        assert not (out_dir / "model.json").exists()
+
     def test_malformed_config_is_usage_error(self, workspace, capsys):
         tmp_path, _, _, _ = workspace
         config = tmp_path / "bad.json"

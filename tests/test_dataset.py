@@ -132,6 +132,13 @@ class TestContainers:
         with pytest.raises(ValueError):
             MeasurementSet("nominal", grid, [], seed=0)
 
+    def test_anchor_ids_in_reading_order(self):
+        grid = GridMap(origin=(0.0, 0.0), nx=2, ny=2, cell_size=0.5)
+        readings = (reading(3), reading(7), reading(10))
+        mset = MeasurementSet("nominal", grid, [Measurement((i, 0), 0, readings) for i in (0, 1)],
+                              seed=0)
+        assert mset.anchor_ids == [3, 7, 10]
+
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):

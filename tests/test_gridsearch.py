@@ -129,6 +129,18 @@ class TestRun:
         first_failed = results.index(failed[0])
         assert all(r.status == "ok" for r in results[:first_failed])
 
+    def test_trial_worse_than_untrained_fails(self):
+        """A trial whose losses stay finite but whose best validation MSE ends
+        above its untrained model's is failed, like a diverged one."""
+        train, val = tiny_rows(seed=3)
+        space = gs.SearchSpace((8,), (12,), (8,), (0.01, 1.0))
+        results, best = gs.run(space, train, val, base_seed=0, max_epochs=10, patience=3)
+        assert [(r.candidate.learning_rate, r.status) for r in results] == \
+               [(0.01, "ok"), (1.0, "failed")]
+        assert (results[1].val_mse, results[1].stopped_epoch) == (None, None)
+        assert "exceeds the untrained model's" in results[1].message
+        assert best.learning_rate == 0.01
+
     def test_no_valid_candidates_errors(self):
         train, val = tiny_rows()
         space = gs.SearchSpace((3,), (2,), (8,), (0.01,))
