@@ -210,16 +210,6 @@ def _backprop(stack: AutoencoderModel, batch: np.ndarray, grads: AutoencoderMode
     return loss
 
 
-def mse_gradients(model: AutoencoderModel, rows: np.ndarray):
-    """Analytic gradients of the batch-and-feature-mean MSE with respect to
-    every parameter. Returns (loss, grad); grad has the layout of params."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    stack = AutoencoderModel(model.dims, model.params[None], model.leaky_alpha)
-    grads = AutoencoderModel(model.dims, np.empty_like(stack.params))
-    loss = _backprop(stack, rows[None], grads)
-    return float(loss[0]), grads.params[0]
-
-
 def train(
     model: AutoencoderModel,
     train_rows: np.ndarray,
@@ -358,60 +348,6 @@ def train_group(
     for k in live:
         results[k] = finish(k, epoch)
     return results
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def _loss_from_layer(model: AutoencoderModel, layer: int, z_batch: np.ndarray, x: np.ndarray):
-    """Per-row MSE obtained by resuming the forward pass at ``layer`` with
-    the given pre-activation rows, which it overwrites."""
-    a = _activate(z_batch, layer, model.leaky_alpha)
-    for nxt in range(layer + 1, N_LAYERS):
-        a = _dense(model, a, nxt)
-    return np.mean((a - x) ** 2, axis=1)
-
-
-def finite_difference_gradients(model: AutoencoderModel, x: np.ndarray, step: float = 1e-5):
-    """Central-difference gradients of the single-sample MSE for every
-    parameter, in the layout of params. Perturbations are applied at the
-    pre-activation of the owning layer, which is algebraically identical to
-    perturbing the parameter but allows batching the downstream forward
-    passes; a bias acts as the weight of a constant input 1."""
-    x = np.asarray(x, dtype=float)
-    grad, grads_w, grads_b = _layer_views(model.dims, np.empty_like(model.params))
-    a = x[None, :]
-    for layer in range(N_LAYERS):
-        z = a @ model.weights[layer] + model.biases[layer]
-        d_out = z.shape[1]
-        # row i * d_out + j moves unit j by step times input i; the last
-        # input is the biases' constant 1
-        bump = np.kron(step * np.append(a[0], 1.0)[:, None], np.eye(d_out))
-        lp = _loss_from_layer(model, layer, z + bump, x)
-        lm = _loss_from_layer(model, layer, z - bump, x)
-        g = (lp - lm) / (2.0 * step)
-        grads_w[layer][...] = g[:-d_out].reshape(grads_w[layer].shape)
-        grads_b[layer][...] = g[-d_out:]
-        a = _activate(z, layer, model.leaky_alpha)
-    return grad
-
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    # the floor keeps finite-difference roundoff on near-zero gradients
-    # from registering as relative error
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def gradient_check(model: AutoencoderModel, x: np.ndarray, step: float = 1e-5) -> float:
-    """Max relative discrepancy between analytic and central-finite-difference
-    gradients over every weight and bias."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"expected input of length {model.n}, got {x.shape}")
-    _, grad = mse_gradients(model, x)
-    return max_relative_error(grad, finite_difference_gradients(model, x, step))
 
 
 # ---------------------------------------------------------------------------

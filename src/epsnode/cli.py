@@ -27,13 +27,17 @@ from . import simulator as sim
 
 
 def _base_seed(value: int) -> int:
-    env = os.environ.get("EPSNODE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"EPSNODE_SEED must be an integer, got {env!r}") from exc
-    return value
+    """EPSNODE_SEED when it is set, else ``value`` (the seed flag or config key)."""
+    source, raw = "seed", value
+    if "EPSNODE_SEED" in os.environ:
+        source, raw = "EPSNODE_SEED", os.environ["EPSNODE_SEED"]
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _load_environment(scenario_name: str | None, env_file: str | None) -> tuple[sim.Environment, str]:

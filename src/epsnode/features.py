@@ -68,14 +68,10 @@ def find_peaks(signal, k: int = 6) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     x = np.asarray(signal, dtype=float)
+    inner = x[1:-1]
+    peaks = inner[(inner > x[:-2]) & (inner >= x[2:])][:k]
     out = np.zeros(k)
-    found = 0
-    for i in range(1, len(x) - 1):
-        if x[i] > x[i - 1] and x[i] >= x[i + 1]:
-            out[found] = x[i]
-            found += 1
-            if found == k:
-                break
+    out[: len(peaks)] = peaks
     return out
 
 

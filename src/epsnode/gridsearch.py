@@ -135,8 +135,10 @@ def run(
 ) -> tuple[list[TrialResult], Candidate]:
     """Train every candidate and return results ranked by validation MSE.
 
-    The result list is identical for any parallelism level.
+    The result list is identical for any parallelism level (>= 1).
     """
+    if parallelism < 1:
+        raise ValueError(f"jobs (parallelism) must be >= 1, got {parallelism}")
     n = int(np.asarray(train_rows).shape[1])
     candidates, _ = enumerate_candidates(space, n)
     if not candidates:

@@ -132,8 +132,9 @@ class ChannelParams:
     range_jitter_sigma: float = 0.03   # m
 
     def __post_init__(self):
-        if self.noise_sigma < 0 or self.range_jitter_sigma < 0:
-            raise ValueError("noise_sigma and range_jitter_sigma must be non-negative")
+        for name in ("noise_sigma", "range_jitter_sigma"):
+            if not (math.isfinite(value := getattr(self, name)) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -167,19 +168,9 @@ def _segment_crosses_interior(a: Point, b: Point, rect: Rect) -> bool:
     return t0 < t1
 
 
-def line_of_sight(env: Environment, a: Point, b: Point) -> bool:
-    """True iff no obstacle footprint blocks the open segment (a, b).
-
-    Grazing a footprint corner or edge counts as line of sight; an endpoint
-    strictly inside a footprint does not.
-    """
-    for p in (a, b):
-        if not env.room.contains(p):
-            raise ValueError(f"point {p} outside room")
-    return not _blocking_obstacles(env, a, b)
-
-
 def _blocking_obstacles(env: Environment, a: Point, b: Point) -> list[Obstacle]:
+    """The obstacles whose footprint the open segment (a, b) crosses; grazing
+    a corner or sliding along an edge blocks nothing."""
     return [o for o in env.obstacles if _segment_crosses_interior(a, b, o.footprint)]
 
 
@@ -293,13 +284,6 @@ def add_noise(clean: np.ndarray, params: ChannelParams, rng_seed: int) -> np.nda
     if params.noise_sigma > 0.0:
         samples += np.random.default_rng(rng_seed).normal(0.0, params.noise_sigma, CIR_LENGTH)
     return samples
-
-
-def synthesize_cir(
-    env: Environment, tag: Point, anchor: Anchor, params: ChannelParams, rng_seed: int
-) -> np.ndarray:
-    """One noisy (152,) CIR: ``noise_free_cir`` plus ``add_noise``."""
-    return add_noise(noise_free_cir(env, tag, anchor), params, rng_seed)
 
 
 def estimate_range(samples: np.ndarray, params: ChannelParams, rng_seed: int) -> float:

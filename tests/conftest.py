@@ -5,6 +5,8 @@ synthesis, autoencoder training) to one run each.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,85 @@ def preset_c_set(grid):
         sim.scenario("C"), grid, passes=1, samples_per_cell=10,
         seed=SCORE_SEED, scenario_name="C",
     )
+
+
+def backprop_one(model, rows):
+    """``autoencoder._backprop`` on a stack of one: the batch-and-feature-mean
+    MSE on the (m, n) rows and its gradient, laid out like ``model.params``."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    stack = ae.AutoencoderModel(model.dims, model.params[None], model.leaky_alpha)
+    grads = ae.AutoencoderModel(model.dims, np.empty_like(stack.params))
+    loss = ae._backprop(stack, rows[None], grads)
+    return float(loss[0]), grads.params[0]
+
+
+def _loss_from_layer(model, layer, z_batch, x):
+    """Per-row MSE obtained by resuming the forward pass at ``layer`` with
+    the given pre-activation rows, which it overwrites."""
+    a = ae._activate(z_batch, layer, model.leaky_alpha)
+    for nxt in range(layer + 1, ae.N_LAYERS):
+        a = ae._dense(model, a, nxt)
+    return np.mean((a - x) ** 2, axis=1)
+
+
+def finite_difference_gradients(model, x, step=1e-5):
+    """Central-difference gradients of the single-sample MSE for every
+    parameter, in the layout of params. Perturbations are applied at the
+    pre-activation of the owning layer, which is algebraically identical to
+    perturbing the parameter but allows batching the downstream forward
+    passes; a bias acts as the weight of a constant input 1."""
+    x = np.asarray(x, dtype=float)
+    grad, grads_w, grads_b = ae._layer_views(model.dims, np.empty_like(model.params))
+    a = x[None, :]
+    for layer in range(ae.N_LAYERS):
+        z = a @ model.weights[layer] + model.biases[layer]
+        d_out = z.shape[1]
+        # row i * d_out + j moves unit j by step times input i; the last
+        # input is the biases' constant 1
+        bump = np.kron(step * np.append(a[0], 1.0)[:, None], np.eye(d_out))
+        lp = _loss_from_layer(model, layer, z + bump, x)
+        lm = _loss_from_layer(model, layer, z - bump, x)
+        g = (lp - lm) / (2.0 * step)
+        grads_w[layer][...] = g[:-d_out].reshape(grads_w[layer].shape)
+        grads_b[layer][...] = g[-d_out:]
+        a = ae._activate(z, layer, model.leaky_alpha)
+    return grad
+
+
+def max_relative_error(analytic, numeric) -> float:
+    # the floor keeps finite-difference roundoff on near-zero gradients
+    # from registering as relative error
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def gradient_check(model, x) -> float:
+    """Max relative discrepancy between the backprop gradients and central
+    finite differences over every weight and bias, for one input row."""
+    _, grad = backprop_one(model, x)
+    return max_relative_error(grad, finite_difference_gradients(model, x))
+
+
+def crosses_exactly(a, b, rect, margin=Fraction(0)) -> bool:
+    """Does the open segment (a, b) meet the open rectangle ``rect`` grown by
+    ``margin`` on every side (shrunk when negative)? A slab test in exact
+    rational arithmetic: the t in (0, 1) whose point a + t (b - a) lies
+    strictly between both pairs of faces form an open interval, and the
+    segment crosses iff it is nonempty."""
+    t_lo, t_hi = Fraction(0), Fraction(1)
+    for axis, (lo, hi) in enumerate(((rect.xmin, rect.xmax), (rect.ymin, rect.ymax))):
+        lo, hi = Fraction(lo) - margin, Fraction(hi) + margin
+        p = Fraction(a[axis])
+        d = Fraction(b[axis]) - p
+        if lo >= hi:
+            return False
+        if d == 0:
+            if not lo < p < hi:
+                return False
+        else:
+            ta, tb = sorted(((lo - p) / d, (hi - p) / d))
+            t_lo, t_hi = max(t_lo, ta), min(t_hi, tb)
+    return t_lo < t_hi
 
 
 def train_pipeline(pipeline, dims, batch_size, train_set, val_set, seed=ACCEPT_SEED):

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import backprop_one, finite_difference_gradients, gradient_check, max_relative_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -23,7 +24,7 @@ def forward_batch(model, rows):
 
 
 def replay_first_epoch(model, rows, config):
-    """Epoch 0 of ``train`` replayed batch by batch: ``mse_gradients`` on the
+    """Epoch 0 of ``train`` replayed batch by batch: ``backprop_one`` on the
     config seed's permutation, then Adam applied layer by layer and tensor by
     tensor. Returns the updated copy of ``model`` and each batch's (loss,
     rows)."""
@@ -35,7 +36,7 @@ def replay_first_epoch(model, rows, config):
     order = np.random.default_rng(config.seed).permutation(len(rows))
     for step, start in enumerate(range(0, len(rows), config.batch_size), start=1):
         batch = rows[order[start : start + config.batch_size]]
-        loss, flat = ae.mse_gradients(ref, batch)
+        loss, flat = backprop_one(ref, batch)
         losses.append((loss, len(batch)))
         grad = ae.AutoencoderModel(ref.dims, flat)
         for k, g in enumerate(grad.weights + grad.biases):
@@ -292,7 +293,7 @@ class TestGradients:
         for _ in range(5):
             # keep pre-activations away from the ReLU kinks
             x = rng.uniform(0.25, 0.75, size=4)
-            assert ae.gradient_check(model, x) < 1e-4
+            assert gradient_check(model, x) < 1e-4
 
     @given(st.sampled_from([1, 3]), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
            st.integers(1, 3), st.integers(1, 4), st.booleans(), st.booleans(), st.data())
@@ -322,8 +323,8 @@ class TestGradients:
     def test_zero_input_zero_bias_dead_path(self):
         model = ae.build(4, 8, 12, 8, seed=0)
         x = np.zeros(4)
-        _, analytic = ae.mse_gradients(model, x)
-        numeric = ae.finite_difference_gradients(model, x)
+        _, analytic = backprop_one(model, x)
+        numeric = finite_difference_gradients(model, x)
         assert analytic.shape == numeric.shape == model.params.shape
         # per-layer weight views of each flat gradient
         analytic_w = ae.AutoencoderModel(model.dims, analytic).weights
@@ -336,11 +337,11 @@ class TestGradients:
         model = ae.build(4, 8, 12, 8, seed=1)
         rng = np.random.default_rng(1)
         x = rng.uniform(0.25, 0.75, size=4)
-        _, analytic = ae.mse_gradients(model, x)
-        numeric = ae.finite_difference_gradients(model, x)
+        _, analytic = backprop_one(model, x)
+        numeric = finite_difference_gradients(model, x)
         layer_2 = ae.AutoencoderModel(model.dims, analytic).weights[2]
         layer_2[...] = -layer_2  # writes through the view into analytic
-        assert ae.max_relative_error(analytic, numeric) > 1e-2
+        assert max_relative_error(analytic, numeric) > 1e-2
 
 
 class TestPersistence:

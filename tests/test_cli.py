@@ -86,6 +86,19 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flag, field", [("--noise-sigma", "noise_sigma"), ("--jitter-sigma", "range_jitter_sigma")]
+    )
+    def test_non_finite_sigma_is_usage_error(self, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "x.jsonl"
+        rc = cli.main([
+            "simulate", "--scenario", "nominal", "--grid", GRID, "--out", str(out), flag, value,
+        ])
+        assert rc == 2
+        assert f"{field} must be finite and non-negative, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_spec_is_usage_error(self, tmp_path, capsys):
         rc = cli.main([
             "simulate", "--scenario", "nominal", "--grid", "1,2,3",
@@ -216,6 +229,28 @@ def workspace(tmp_path_factory):
     perturbed = simulate(tmp_path, "b.jsonl", scenario="B", seed=1003)
     model_dir = train(tmp_path, nominal)
     return tmp_path, nominal, perturbed, model_dir
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+@pytest.mark.parametrize("source, named", [
+    ("--seed", "seed must be a non-negative integer, got -1"),
+    ("EPSNODE_SEED", "EPSNODE_SEED must be a non-negative integer, got '-1'"),
+], ids=["flag", "env"])
+def test_negative_seed_is_usage_error(workspace, tmp_path, capsys, monkeypatch, command, source, named):
+    _, nominal, _, _ = workspace
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--scenario", "nominal", "--grid", GRID, "--out", str(out)]
+    else:
+        argv = ["train", "--dataset", str(nominal), "--pipeline", "RNG",
+                "--architecture", "8", "12", "8", "--out-dir", str(out)]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("EPSNODE_SEED", "-1")
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTrainScoreEvaluate:
@@ -551,6 +586,18 @@ class TestGridsearchCommand:
         ])
         assert rc == 2
         assert "search space contains no valid candidates" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, trimmed_rng_table, capsys, jobs):
+        nominal = simulate(tmp_path, "n.jsonl")
+        out_dir = tmp_path / "sweep"
+        rc = cli.main([
+            "gridsearch", "--dataset", str(nominal), "--pipeline", "RNG",
+            "--max-epochs", "2", "--patience", "2", "--jobs", jobs, "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert f"jobs (parallelism) must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_required_key(self, tmp_path, capsys):

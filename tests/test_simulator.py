@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import crosses_exactly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,12 @@ def make_env(room=Rect(0.0, 0.0, 12.0, 12.0), anchors=None, obstacles=()):
             Anchor(3, (0.0, 12.0)),
         )
     return Environment(room=room, anchors=anchors, obstacles=tuple(obstacles))
+
+
+def received_cir(env, tag, anchor, params, rng_seed):
+    """One sample's CIR as ``generate_dataset`` builds it: the traced
+    template plus that sample's noise."""
+    return sim.add_noise(sim.noise_free_cir(env, tag, anchor), params, rng_seed)
 
 
 def in_window(path):
@@ -66,28 +74,43 @@ def rects(draw):
 class TestGeometry:
     def test_no_obstacles_is_los(self):
         env = make_env()
-        assert sim.line_of_sight(env, (1.0, 1.0), (11.0, 11.0))
+        assert sim._blocking_obstacles(env, (1.0, 1.0), (11.0, 11.0)) == []
 
     def test_piercing_obstacle_blocks(self):
         square = Obstacle.of(Rect(1.5, -0.5, 2.5, 0.5), Material.METAL)
         env = make_env(obstacles=[square])
-        assert not sim.line_of_sight(env, (0.0, 0.0), (4.0, 0.0))
+        assert sim._blocking_obstacles(env, (0.0, 0.0), (4.0, 0.0)) == [square]
 
     def test_corner_graze_counts_as_los(self):
         square = Obstacle.of(Rect(2.0, 2.0, 3.0, 3.0), Material.METAL)
         env = make_env(obstacles=[square])
         # segment through the corner vertex (2, 2) only
-        assert sim.line_of_sight(env, (1.0, 3.0), (3.0, 1.0))
+        assert sim._blocking_obstacles(env, (1.0, 3.0), (3.0, 1.0)) == []
 
     def test_edge_slide_counts_as_los(self):
         square = Obstacle.of(Rect(2.0, 2.0, 3.0, 3.0), Material.METAL)
         env = make_env(obstacles=[square])
-        assert sim.line_of_sight(env, (0.0, 2.0), (5.0, 2.0))
+        assert sim._blocking_obstacles(env, (0.0, 2.0), (5.0, 2.0)) == []
 
     @given(points, points, rects())
     @settings(max_examples=300, deadline=None)
     def test_crossing_is_symmetric(self, a, b, rect):
         assert sim._segment_crosses_interior(a, b, rect) == sim._segment_crosses_interior(b, a, rect)
+
+    @given(points, points, st.lists(rects(), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_blocking_matches_exact_oracle(self, a, b, footprints):
+        """Wherever growing or shrinking a footprint by 1e-9 m leaves the exact
+        verdict as it is (the segment is not within 1e-9 m of tangent), the
+        floating-point test blocks on that obstacle exactly when the exact
+        slab test says the segment crosses it."""
+        obstacles = [Obstacle.of(r, Material.WOOD) for r in footprints]
+        blocked = sim._blocking_obstacles(make_env(obstacles=obstacles), a, b)
+        near = Fraction(1, 10**9)
+        for o in obstacles:
+            verdicts = {crosses_exactly(a, b, o.footprint, m) for m in (-near, 0, near)}
+            if len(verdicts) == 1:
+                assert any(x is o for x in blocked) == verdicts.pop()
 
     def test_crossing_symmetric_for_sliver_obstacle(self):
         # from (0.25, 0) the crossing interval [1 - 5.5e-193, 1] rounds to
@@ -154,7 +177,7 @@ class TestSynthesizeCir:
         env = make_env()
         params = ChannelParams(noise_sigma=0.0)
         tag = (C, 0.0)  # exactly one sample period of travel
-        cir = sim.synthesize_cir(env, tag, env.anchors[0], params, rng_seed=0)
+        cir = received_cir(env, tag, env.anchors[0], params, rng_seed=0)
         assert len(cir) == sim.CIR_LENGTH
         assert int(np.argmax(cir)) == 1
 
@@ -169,7 +192,7 @@ class TestSynthesizeCir:
         )
         env = Environment(room=room, anchors=anchors, obstacles=())
         params = ChannelParams(noise_sigma=0.0)
-        cir = sim.synthesize_cir(env, (1.499, 0.0), env.anchors[0], params, rng_seed=0)
+        cir = received_cir(env, (1.499, 0.0), env.anchors[0], params, rng_seed=0)
         s = cir
         direct_bin = round(1.499 / C)
         assert int(np.argmax(s)) == direct_bin
@@ -179,8 +202,8 @@ class TestSynthesizeCir:
     def test_seeded_determinism(self):
         env = make_env()
         params = ChannelParams()
-        a = sim.synthesize_cir(env, (3.0, 4.0), env.anchors[1], params, rng_seed=7)
-        b = sim.synthesize_cir(env, (3.0, 4.0), env.anchors[1], params, rng_seed=7)
+        a = received_cir(env, (3.0, 4.0), env.anchors[1], params, rng_seed=7)
+        b = received_cir(env, (3.0, 4.0), env.anchors[1], params, rng_seed=7)
         assert np.array_equal(a, b)
 
     def test_late_paths_dropped(self):
@@ -194,7 +217,7 @@ class TestSynthesizeCir:
         # past the last bin, yet its pulse tail would still reach bin 151
         assert [in_window(p) for p in paths] == [True, False, False, False]
         assert round(paths[2].delay_ns) == 155
-        cir = sim.synthesize_cir(env, tag, env.anchors[0], params, 0)
+        cir = received_cir(env, tag, env.anchors[0], params, 0)
         assert np.array_equal(cir, in_window_sum(paths))
         assert not np.array_equal(cir, pulse_sum(paths))
 
@@ -233,8 +256,8 @@ class TestNlosBias:
         env_blocked = make_env(obstacles=[plate])
         tag = (11.0, 0.0)
         anchor = env_clear.anchors[0]
-        r_clear = sim.estimate_range(sim.synthesize_cir(env_clear, tag, anchor, params, 0), params, 0)
-        r_blocked = sim.estimate_range(sim.synthesize_cir(env_blocked, tag, anchor, params, 0), params, 0)
+        r_clear = sim.estimate_range(received_cir(env_clear, tag, anchor, params, 0), params, 0)
+        r_blocked = sim.estimate_range(received_cir(env_blocked, tag, anchor, params, 0), params, 0)
         assert r_blocked > r_clear + 0.5
 
     def test_wood_excess_delay_never_shortens_range(self):
@@ -245,8 +268,8 @@ class TestNlosBias:
         for i, j in grid.cells():
             tag = grid.cell_center(i, j)
             for anchor in env.anchors_by_id():
-                r = sim.estimate_range(sim.synthesize_cir(env, tag, anchor, params, 0), params, 0)
-                r0 = sim.estimate_range(sim.synthesize_cir(nominal, tag, anchor, params, 0), params, 0)
+                r = sim.estimate_range(received_cir(env, tag, anchor, params, 0), params, 0)
+                r0 = sim.estimate_range(received_cir(nominal, tag, anchor, params, 0), params, 0)
                 assert r >= r0 - 1e-9
 
 
@@ -334,10 +357,10 @@ class TestGenerateDataset:
         for i, j in grid.cells():
             tag = grid.cell_center(i, j)
             for anchor in env.anchors_by_id():
-                r = sim.estimate_range(sim.synthesize_cir(env, tag, anchor, params, 0), params, 0)
-                r0 = sim.estimate_range(sim.synthesize_cir(nominal, tag, anchor, params, 0), params, 0)
+                r = sim.estimate_range(received_cir(env, tag, anchor, params, 0), params, 0)
+                r0 = sim.estimate_range(received_cir(nominal, tag, anchor, params, 0), params, 0)
                 if abs(r - r0) > 1e-9:
-                    same_los = sim.line_of_sight(env, tag, anchor.position)
+                    same_los = not sim._blocking_obstacles(env, tag, anchor.position)
                     paths = sim.propagation_paths(env, tag, anchor)
                     paths0 = sim.propagation_paths(nominal, tag, anchor)
                     assert (not same_los) or paths != paths0
