@@ -119,7 +119,7 @@ class GridMap:
                 yield i, j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnchorReading:
     anchor_id: int
     range_m: float
@@ -136,7 +136,7 @@ class AnchorReading:
             raise ValueError("CIR contains non-finite samples")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     """One grid-cell sample: per-anchor estimated range plus raw CIR."""
 

@@ -8,6 +8,7 @@ proximity-based ground-truth density via KL divergence (natural log).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -60,8 +61,8 @@ def kde(emap: ErrorMap, bandwidth: float = DEFAULT_BANDWIDTH) -> DensityMap:
     Missing cells contribute zero weight. The output is normalized to sum 1,
     so the result is invariant to uniform scaling of the input map.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
     weights = np.nan_to_num(emap.values, nan=0.0).reshape(-1)
     if np.any(weights < 0):
         raise ValueError("error map values must be non-negative")
@@ -83,6 +84,8 @@ def uniform_density(grid: GridMap) -> DensityMap:
 def kl_divergence(p: DensityMap, q: DensityMap, eps: float = DEFAULT_EPS) -> float:
     """KL(P || Q) in nats after flooring both densities at eps and
     renormalizing (Q = 0 would otherwise be undefined)."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if p.grid != q.grid:
         raise ValueError("density maps must share the same grid")
     pf = np.maximum(p.p, eps)

@@ -151,7 +151,10 @@ def arrays_from_json(cls, obj: dict):
 def cir_matrix(measurements) -> np.ndarray:
     """(m, n_anchors * 152) matrix: each measurement's CIRs concatenated in
     anchor-id order."""
-    return np.array([np.concatenate([r.cir for r in m.per_anchor]) for m in measurements])
+    out = np.empty((len(measurements), sum(r.cir.size for r in measurements[0].per_anchor)))
+    for row, m in zip(out, measurements):
+        np.concatenate([r.cir for r in m.per_anchor], out=row)
+    return out
 
 
 def feature_length(pipeline: Pipeline, n_anchors: int, pca: PcaModel | None = None) -> int:
@@ -183,9 +186,12 @@ def extract_matrix(
     if pipeline is Pipeline.RNG:
         return ranges
     if pipeline is Pipeline.MA:
-        peaks = np.array(
-            [[find_peaks(moving_average(r.cir), 6) for r in m.per_anchor] for m in measurements]
-        )
-        return np.hstack([ranges, peaks.reshape(len(ranges), -1)])
+        n_anchors = ranges.shape[1]
+        out = np.empty((len(ranges), n_anchors * 7))
+        out[:, :n_anchors] = ranges
+        for row, m in zip(out, measurements):
+            np.concatenate([find_peaks(moving_average(r.cir), 6) for r in m.per_anchor],
+                           out=row[n_anchors:])
+        return out
     projected = np.array([apply_pca(pca, row) for row in cir_matrix(measurements)])
     return np.hstack([ranges, projected])

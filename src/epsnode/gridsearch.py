@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,6 +149,8 @@ def run(
     if parallelism <= 1:
         per_group = [_run_group(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when used
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             per_group = list(pool.map(_run_group, tasks))
     results = [r for group in per_group for r in group]

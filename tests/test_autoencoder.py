@@ -149,6 +149,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="max_epochs and patience"):
             TrainConfig(max_epochs=max_epochs, patience=patience)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_config_rejects_learning_rate_not_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match=f"learning_rate must be finite and positive, got {lr}"):
+            TrainConfig(learning_rate=lr)
+
     def test_overfits_single_constant_row(self):
         target = np.array([[0.3, 0.7, 0.1, 0.9]])
         model = ae.build(4, 8, 12, 8, seed=0)

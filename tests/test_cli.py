@@ -288,6 +288,19 @@ class TestTrainScoreEvaluate:
         assert "exceeds the untrained model's" in capsys.readouterr().err
         assert not (out_dir / "model.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, workspace, capsys, value):
+        tmp_path, nominal, _, _ = workspace
+        out_dir = tmp_path / "bad_lr"
+        rc = cli.main([
+            "train", "--dataset", str(nominal), "--pipeline", "RNG",
+            "--architecture", "8", "12", "8", "--learning-rate", value,
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert f"learning_rate must be finite and positive, got {value}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_malformed_config_is_usage_error(self, workspace, capsys):
         tmp_path, _, _, _ = workspace
         config = tmp_path / "bad.json"
@@ -498,6 +511,23 @@ class TestTrainScoreEvaluate:
         assert report["kl_pred_vs_truth"] >= 0.0
         assert report["kl_uniform_vs_truth"] >= 0.0
         assert "nats" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--bandwidth", "nan"), ("--bandwidth", "inf"), ("--eps", "nan"), ("--eps", "-1"),
+    ])
+    def test_evaluate_rejects_setting_not_finite_and_positive(self, tmp_path, capsys, flag, value):
+        # the map lies near the preset-B obstacle, so valid settings evaluate it
+        grid = ds.GridMap(origin=(3.5, 2.5), nx=2, ny=2, cell_size=0.5)
+        path = tmp_path / "b.csv"
+        nov.write_error_map_csv(nov.ErrorMap(grid, np.ones((2, 2)), np.ones((2, 2), dtype=int)), path)
+        out = tmp_path / "kl.json"
+        rc = cli.main([
+            "evaluate", "--error-map", str(path), "--scenario", "B", "--out", str(out), flag, value,
+        ])
+        assert rc == 2
+        field = flag.removeprefix("--")
+        assert f"{field} must be finite and positive, got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_grid_outside_room(self, workspace, tmp_path, capsys):
         grid = ds.GridMap(origin=(0.0, 0.0), nx=20, ny=2, cell_size=0.5)

@@ -118,6 +118,12 @@ class TestContainers:
         with pytest.raises(ValueError):
             AnchorReading(0, 1.0, bad)
 
+    def test_records_carry_no_instance_dict(self):
+        # a run builds thousands of readings; slots keep each one small
+        m = measurement((0, 0))
+        assert not hasattr(m, "__dict__")
+        assert not hasattr(m.per_anchor[0], "__dict__")
+
     def test_readings_ordered_by_anchor(self):
         with pytest.raises(ValueError):
             Measurement((0, 0), 0, (reading(1), reading(0)))

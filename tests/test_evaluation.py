@@ -84,6 +84,12 @@ class TestKl:
         with pytest.raises(ValueError):
             ev.kl_divergence(p, q)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_eps_not_finite_and_positive(self, eps):
+        p = ev.uniform_density(grid2x2())
+        with pytest.raises(ValueError, match=f"eps must be finite and positive, got {eps}"):
+            ev.kl_divergence(p, p, eps)
+
     def test_asymmetric_in_general(self):
         grid = grid2x2()
         p = ev.DensityMap(grid, np.array([[0.7, 0.1], [0.1, 0.1]]))
@@ -160,8 +166,9 @@ class TestKde:
             ev.kde(emap_from(values))
 
     def test_rejects_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            ev.kde(emap_from(np.ones((2, 2))), bandwidth=0.0)
+        for bandwidth in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"bandwidth must be finite and positive, got {bandwidth}"):
+                ev.kde(emap_from(np.ones((2, 2))), bandwidth=bandwidth)
 
 
 class TestGroundTruth:

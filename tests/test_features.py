@@ -236,3 +236,41 @@ class TestExtraction:
         mset = [make_measurement(rng) for _ in range(6)]
         mat = feat.extract_matrix(mset, Pipeline.RNG)
         assert mat.shape == (6, 4)
+
+
+def cir_matrix_by_list(measurements):
+    """The list-built form ``cir_matrix`` replaced, kept as its oracle."""
+    return np.array([np.concatenate([r.cir for r in m.per_anchor]) for m in measurements])
+
+
+def ma_matrix_by_list(measurements):
+    """The list-built MA matrix ``extract_matrix`` replaced, kept as its oracle."""
+    ranges = np.array([[r.range_m for r in m.per_anchor] for m in measurements], dtype=float)
+    peaks = np.array(
+        [[feat.find_peaks(feat.moving_average(r.cir), 6) for r in m.per_anchor] for m in measurements]
+    )
+    return np.hstack([ranges, peaks.reshape(len(ranges), -1)])
+
+
+@st.composite
+def measurement_lists(draw):
+    values = st.floats(-1e300, 1e300)
+    n_anchors = draw(st.integers(1, 4))
+    return [
+        ds.Measurement((0, 0), 0, tuple(
+            ds.AnchorReading(a, draw(values), draw(arrays(np.float64, CIR, elements=values)))
+            for a in range(n_anchors)
+        ))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@given(measurement_lists())
+@settings(max_examples=40, deadline=None)
+def test_matrices_filled_in_place_equal_list_built_ones(measurements):
+    for got, want in [
+        (feat.cir_matrix(measurements), cir_matrix_by_list(measurements)),
+        (feat.extract_matrix(measurements, Pipeline.MA), ma_matrix_by_list(measurements)),
+    ]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "epsnode").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "epsnode").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "epsnode"}
 
 
@@ -35,3 +38,15 @@ def test_imports_only_stdlib_and_numpy(path):
 def test_third_party_import_detected():
     tree = ast.parse("import json\nfrom scipy import linalg\nimport numpy.linalg\nfrom . import dataset\n")
     assert imported_modules(tree) - ALLOWED == {"scipy"}
+
+
+def test_import_loads_no_process_pool():
+    """Only a sweep with more than one job needs a process pool, so
+    ``import epsnode`` leaves ``concurrent.futures`` and ``multiprocessing``
+    unloaded."""
+    code = ("import sys, epsnode; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
