@@ -82,9 +82,6 @@ class AutoencoderModel:
     def n(self) -> int:
         return self.dims[0]
 
-    def copy(self) -> "AutoencoderModel":
-        return AutoencoderModel(self.dims, self.params.copy(), self.leaky_alpha)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -358,8 +355,8 @@ def train_group(
 def save_bundle(
     path: str | Path,
     model: AutoencoderModel,
-    pipeline: feat.Pipeline | None = None,
-    scaler: feat.Scaler | None = None,
+    pipeline: feat.Pipeline,
+    scaler: feat.Scaler,
     pca: feat.PcaModel | None = None,
     anchor_ids: list[int] | None = None,
 ) -> None:
@@ -370,11 +367,9 @@ def save_bundle(
         "leaky_alpha": model.leaky_alpha,
         "weights": [w.tolist() for w in model.weights],  # row-major
         "biases": [b.tolist() for b in model.biases],
+        "pipeline": feat.Pipeline(pipeline).value,
+        "scaler": feat.arrays_to_json(scaler),
     }
-    if pipeline is not None:
-        obj["pipeline"] = feat.Pipeline(pipeline).value
-    if scaler is not None:
-        obj["scaler"] = feat.arrays_to_json(scaler)
     if pca is not None:
         obj["pca"] = feat.arrays_to_json(pca)
     if anchor_ids is not None:
@@ -397,8 +392,8 @@ def load_bundle(path: str | Path) -> dict:
             view[...] = values
         return {
             "model": AutoencoderModel(tuple(obj["dims"]), params, float(obj["leaky_alpha"])),
-            "pipeline": feat.Pipeline(obj["pipeline"]) if "pipeline" in obj else None,
-            "scaler": feat.arrays_from_json(feat.Scaler, obj["scaler"]) if "scaler" in obj else None,
+            "pipeline": feat.Pipeline(obj["pipeline"]),
+            "scaler": feat.arrays_from_json(feat.Scaler, obj["scaler"]),
             "pca": feat.arrays_from_json(feat.PcaModel, obj["pca"]) if "pca" in obj else None,
             "anchor_ids": [int(a) for a in obj["anchor_ids"]] if "anchor_ids" in obj else None,
         }

@@ -105,14 +105,14 @@ _SETTINGS = {
     "pipeline": (feat.Pipeline, None),
     "out_dir": (_text, None),
     "architecture": (_architecture, "search"),
-    "batch_size": (int, 32),
-    "learning_rate": (float, 1e-3),
-    "max_epochs": (int, 200),
-    "patience": (int, 20),
+    "batch_size": (int, ae.TrainConfig.batch_size),
+    "learning_rate": (float, ae.TrainConfig.learning_rate),
+    "max_epochs": (int, ae.TrainConfig.max_epochs),
+    "patience": (int, ae.TrainConfig.patience),
     "val_fraction": (float, 0.2),
-    "seed": (int, 0),
+    "seed": (int, ae.TrainConfig.seed),
     "jobs": (int, 1),
-    "variance_target": (float, 0.90),
+    "variance_target": (float, feat.VARIANCE_TARGET),
 }
 
 
@@ -214,8 +214,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     bundle = ae.load_bundle(args.model)
-    if bundle["pipeline"] is None or bundle["scaler"] is None:
-        raise ValueError(f"{args.model}: model bundle is missing pipeline/scaler metadata")
     mset = ds.load(args.dataset)
     if bundle["anchor_ids"] is not None and mset.anchor_ids != bundle["anchor_ids"]:
         raise ValueError(

@@ -70,8 +70,10 @@ class GridMap:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2x2 cells")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not all(math.isfinite(v) for v in self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError(f"cell_size must be finite and positive, got {self.cell_size}")
 
     @property
     def spec(self) -> str:

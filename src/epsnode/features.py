@@ -3,9 +3,9 @@
 Three pipelines are supported:
 
 * RNG  — the per-anchor range estimates only (n_anchors features).
-* MA   — ranges followed by, per anchor, the amplitudes of the first six
-         peaks of the two-period moving average of its CIR
-         (n_anchors * 7 features).
+* MA   — ranges followed by, per anchor, the amplitudes of the first
+         ``MA_PEAKS`` peaks of the two-period moving average of its CIR
+         (n_anchors * (1 + MA_PEAKS) features).
 * PCA  — ranges followed by a principal-component projection of the
          concatenated CIRs (n_anchors + k features).
 
@@ -18,6 +18,11 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
+
+# The MA pipeline's peaks per anchor, and the PCA pipeline's default share
+# of the variance that the kept components explain.
+MA_PEAKS = 6
+VARIANCE_TARGET = 0.90
 
 
 class Pipeline(str, Enum):
@@ -58,19 +63,17 @@ def moving_average(cir) -> np.ndarray:
     return y
 
 
-def find_peaks(signal, k: int = 6) -> np.ndarray:
-    """Amplitudes of the first ``k`` peaks in temporal order, zero-padded.
+def find_peaks(signal) -> np.ndarray:
+    """Amplitudes of the first ``MA_PEAKS`` peaks in temporal order, zero-padded.
 
     An interior index i is a peak iff signal[i] > signal[i-1] and
     signal[i] >= signal[i+1] (the first sample of a plateau wins); endpoints
     are never peaks.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     x = np.asarray(signal, dtype=float)
     inner = x[1:-1]
-    peaks = inner[(inner > x[:-2]) & (inner >= x[2:])][:k]
-    out = np.zeros(k)
+    peaks = inner[(inner > x[:-2]) & (inner >= x[2:])][:MA_PEAKS]
+    out = np.zeros(MA_PEAKS)
     out[: len(peaks)] = peaks
     return out
 
@@ -79,7 +82,7 @@ def find_peaks(signal, k: int = 6) -> np.ndarray:
 # PCA (thin SVD of the centred rows)
 # ---------------------------------------------------------------------------
 
-def fit_pca(rows: np.ndarray, variance_target: float = 0.90) -> PcaModel:
+def fit_pca(rows: np.ndarray, variance_target: float = VARIANCE_TARGET) -> PcaModel:
     """Fit a PCA keeping the smallest number of components whose cumulative
     explained variance reaches ``variance_target``.
 
@@ -88,6 +91,8 @@ def fit_pca(rows: np.ndarray, variance_target: float = 0.90) -> PcaModel:
     between LAPACK builds, so each component is flipped to make its
     largest-magnitude entry positive.
     """
+    if not 0.0 < variance_target <= 1.0:  # NaN fails too
+        raise ValueError(f"variance_target must be in (0, 1], got {variance_target}")
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError("need a 2D matrix with at least 2 rows")
@@ -161,7 +166,7 @@ def feature_length(pipeline: Pipeline, n_anchors: int, pca: PcaModel | None = No
     if pipeline is Pipeline.RNG:
         return n_anchors
     if pipeline is Pipeline.MA:
-        return n_anchors * 7
+        return n_anchors * (1 + MA_PEAKS)
     if pca is None:
         raise ValueError("PCA pipeline requires a fitted PcaModel")
     return n_anchors + pca.k
@@ -180,17 +185,16 @@ def extract_matrix(
     changes the last bits of the features.
     """
     pipeline = Pipeline(pipeline)
-    if pipeline is Pipeline.PCA and pca is None:
-        raise ValueError("PCA pipeline requires a fitted PcaModel")
     ranges = np.array([[r.range_m for r in m.per_anchor] for m in measurements], dtype=float)
+    n_anchors = ranges.shape[1]
+    width = feature_length(pipeline, n_anchors, pca)  # raises for PCA without a model
     if pipeline is Pipeline.RNG:
         return ranges
     if pipeline is Pipeline.MA:
-        n_anchors = ranges.shape[1]
-        out = np.empty((len(ranges), n_anchors * 7))
+        out = np.empty((len(ranges), width))
         out[:, :n_anchors] = ranges
         for row, m in zip(out, measurements):
-            np.concatenate([find_peaks(moving_average(r.cir), 6) for r in m.per_anchor],
+            np.concatenate([find_peaks(moving_average(r.cir)) for r in m.per_anchor],
                            out=row[n_anchors:])
         return out
     projected = np.array([apply_pca(pca, row) for row in cir_matrix(measurements)])

@@ -129,8 +129,8 @@ def run(
     val_rows: np.ndarray,
     parallelism: int = 1,
     base_seed: int = 0,
-    max_epochs: int = 200,
-    patience: int = 20,
+    max_epochs: int = ae.TrainConfig.max_epochs,
+    patience: int = ae.TrainConfig.patience,
 ) -> tuple[list[TrialResult], Candidate]:
     """Train every candidate and return results ranked by validation MSE.
 

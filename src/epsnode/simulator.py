@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -103,25 +103,32 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class Environment:
+    """A room, its anchors in id order (the order of every reading) and its
+    obstacles; ``faces`` holds the room's reflecting faces, then each obstacle's."""
+
     room: Rect
     anchors: tuple[Anchor, ...]
     obstacles: tuple[Obstacle, ...] = ()
     wall_reflectivity: float = MATERIAL_DEFAULTS[Material.WALL][0]
+    faces: tuple[_Face, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "anchors", tuple(self.anchors))
+        object.__setattr__(self, "anchors", tuple(sorted(self.anchors, key=lambda a: a.id)))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if len(self.anchors) < 3:
             raise ValueError("environment needs at least 3 anchors")
-        ids = sorted(a.id for a in self.anchors)
-        if ids != list(range(len(self.anchors))):
+        if [a.id for a in self.anchors] != list(range(len(self.anchors))):
             raise ValueError("anchor ids must be unique and contiguous from 0")
         for a in self.anchors:
             if not self.room.contains(a.position):
                 raise ValueError(f"anchor {a.id} lies outside the room")
-
-    def anchors_by_id(self) -> tuple[Anchor, ...]:
-        return tuple(sorted(self.anchors, key=lambda a: a.id))
+        if not 0.0 <= self.wall_reflectivity <= 1.0:  # NaN fails too
+            raise ValueError(
+                f"wall_reflectivity must be finite and in [0, 1], got {self.wall_reflectivity}")
+        faces = _rect_faces(self.room, self.wall_reflectivity)
+        for o in self.obstacles:
+            faces += _rect_faces(o.footprint, o.reflectivity)
+        object.__setattr__(self, "faces", tuple(faces))
 
 
 @dataclass(frozen=True)
@@ -197,13 +204,6 @@ def _rect_faces(rect: Rect, reflectivity: float) -> list[_Face]:
     ]
 
 
-def _faces(env: Environment) -> list[_Face]:
-    faces = _rect_faces(env.room, env.wall_reflectivity)
-    for o in env.obstacles:
-        faces += _rect_faces(o.footprint, o.reflectivity)
-    return faces
-
-
 def _point(axis: int, coord: float, other: float) -> Point:
     """The point with ``coord`` on coordinate ``axis`` and ``other`` on the other."""
     return (coord, other) if axis == 0 else (other, coord)
@@ -246,7 +246,7 @@ def propagation_paths(env: Environment, tag: Point, anchor: Anchor) -> list[Prop
         delay = d / SPEED_OF_LIGHT + NLOS_EXCESS_DELAY_NS * len(blockers)
         paths.append(PropagationPath(delay, amp))
 
-    for face in _faces(env):
+    for face in env.faces:
         image = _mirror(apos, face)
         ref = _reflection_point(tag, image, face)
         if ref is None or not env.room.contains(ref):
@@ -317,7 +317,25 @@ _CORNER_ANCHORS = (
     Anchor(3, (0.0, 5.0)),
 )
 
-PRESET_NAMES = ("nominal", "A", "B", "C")
+# Each preset's obstacles in the default room, whose corners hold the anchors.
+# A: metal plate just outside the top-right grid edge.
+# B: the plate moved inside the top-right grid corner, plus a wooden bridge
+#    spanning the two cells next to it.
+# C: one metal and one wooden 0.5 x 0.5 m obstacle at distinct interior
+#    grid cells.
+_PRESETS: dict[str, tuple[Obstacle, ...]] = {
+    "nominal": (),
+    "A": (Obstacle.of(Rect(5.05, 3.15, 5.15, 3.75), Material.METAL),),
+    "B": (
+        Obstacle.of(Rect(4.60, 2.90, 4.70, 3.50), Material.METAL),
+        Obstacle.of(Rect(4.00, 2.75, 4.50, 3.75), Material.WOOD),
+    ),
+    "C": (
+        Obstacle.of(Rect(3.50, 2.25, 4.00, 2.75), Material.METAL),
+        Obstacle.of(Rect(4.00, 1.75, 4.50, 2.25), Material.WOOD),
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def default_grid() -> GridMap:
@@ -326,31 +344,10 @@ def default_grid() -> GridMap:
 
 
 def scenario(name: str) -> Environment:
-    """Scenario presets: nominal room plus perturbed variants A/B/C.
-
-    A: metal plate just outside the top-right grid edge.
-    B: the plate moved inside the top-right grid corner, plus a wooden
-       bridge spanning the two cells next to it.
-    C: one metal and one wooden 0.5 x 0.5 m obstacle at distinct interior
-       grid cells.
-    """
-    if name == "nominal":
-        obstacles: tuple[Obstacle, ...] = ()
-    elif name == "A":
-        obstacles = (Obstacle.of(Rect(5.05, 3.15, 5.15, 3.75), Material.METAL),)
-    elif name == "B":
-        obstacles = (
-            Obstacle.of(Rect(4.60, 2.90, 4.70, 3.50), Material.METAL),
-            Obstacle.of(Rect(4.00, 2.75, 4.50, 3.75), Material.WOOD),
-        )
-    elif name == "C":
-        obstacles = (
-            Obstacle.of(Rect(3.50, 2.25, 4.00, 2.75), Material.METAL),
-            Obstacle.of(Rect(4.00, 1.75, 4.50, 2.25), Material.WOOD),
-        )
-    else:
+    """The preset ``name``: the nominal room, or one of its perturbed variants A/B/C."""
+    if name not in _PRESETS:
         raise ValueError(f"unknown scenario {name!r}; presets are {', '.join(PRESET_NAMES)}")
-    return Environment(room=_ROOM, anchors=_CORNER_ANCHORS, obstacles=obstacles)
+    return Environment(room=_ROOM, anchors=_CORNER_ANCHORS, obstacles=_PRESETS[name])
 
 
 def save_environment(env: Environment, path: str | Path) -> None:
@@ -391,7 +388,7 @@ def load_environment(path: str | Path) -> Environment:
             )
             for o in obj.get("obstacles", [])
         )
-        wall_refl = float(obj.get("wall_reflectivity", MATERIAL_DEFAULTS[Material.WALL][0]))
+        wall_refl = float(obj.get("wall_reflectivity", Environment.wall_reflectivity))
         return Environment(room=room, anchors=anchors, obstacles=obstacles, wall_reflectivity=wall_refl)
 
 
@@ -433,9 +430,8 @@ def generate_dataset(
     if params is None:
         params = ChannelParams()
 
-    anchors = env.anchors_by_id()
     templates = [
-        ((i, j), [noise_free_cir(env, grid.cell_center(i, j), a) for a in anchors])
+        ((i, j), [noise_free_cir(env, grid.cell_center(i, j), a) for a in env.anchors])
         for i, j in grid.cells()
     ]
     measurements: list[Measurement] = []
@@ -443,7 +439,7 @@ def generate_dataset(
         for (i, j), clean in templates:
             for s in range(samples_per_cell):
                 readings = []
-                for anchor, template in zip(anchors, clean):
+                for anchor, template in zip(env.anchors, clean):
                     cir_seed, jitter_seed = _sample_seeds(seed, pass_id, i, j, s, anchor.id)
                     cir = add_noise(template, params, cir_seed)
                     r = estimate_range(cir, params, jitter_seed)

@@ -236,7 +236,7 @@ def test_criterion_6_per_anchor_attribution(grid, scored_maps):
     crossings = [
         sum(any(crosses_exactly(grid.cell_center(i, j), anchor.position, plate) for plate in plates)
             for i, j in grid.cells())
-        for anchor in env.anchors_by_id()
+        for anchor in env.anchors
     ]
     oracle_top2 = {int(a) for a in np.argsort(crossings)[-2:]}
 

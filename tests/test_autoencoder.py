@@ -28,7 +28,7 @@ def replay_first_epoch(model, rows, config):
     config seed's permutation, then Adam applied layer by layer and tensor by
     tensor. Returns the updated copy of ``model`` and each batch's (loss,
     rows)."""
-    ref = model.copy()
+    ref = ae.AutoencoderModel(model.dims, model.params.copy(), model.leaky_alpha)
     params = ref.weights + ref.biases
     mom = [np.zeros_like(p) for p in params]
     vel = [np.zeros_like(p) for p in params]
@@ -394,7 +394,8 @@ class TestPersistence:
     )
     def test_shapes_that_do_not_fit_dims_rejected(self, tmp_path, key, layer, corrupt):
         path = tmp_path / "model.json"
-        ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9))
+        scaler = feat.fit_scaler(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]))
+        ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9), feat.Pipeline.RNG, scaler)
         obj = json.loads(path.read_text(encoding="utf-8"))
         obj[key][layer] = corrupt(obj[key][layer])
         if obj[key][layer] is None:

@@ -1,13 +1,16 @@
 """End-to-end command-line toolchain."""
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from epsnode import autoencoder as ae
 from epsnode import cli
 from epsnode import dataset as ds
+from epsnode import features as feat
 from epsnode import gridsearch as gs
 from epsnode import novelty as nov
 from epsnode import simulator as sim
@@ -99,6 +102,14 @@ class TestSimulate:
         assert f"{field} must be finite and non-negative, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_not_finite_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        rc = cli.main(["simulate", "--scenario", "nominal", "--grid", "1.0,1.25,2,2,nan",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "cell_size must be finite and positive, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_spec_is_usage_error(self, tmp_path, capsys):
         rc = cli.main([
             "simulate", "--scenario", "nominal", "--grid", "1,2,3",
@@ -120,8 +131,12 @@ ENV_FILE_CORRUPTIONS = pytest.mark.parametrize(
         (drop_first_anchor_position, "missing key 'position'"),
         (lambda obj: json.dumps(obj).replace('"room"', "room"), "Expecting property name"),
         (lambda obj: [obj], "expected a JSON object, got list"),
+        (lambda obj: obj | {"wall_reflectivity": -1.0},
+         "wall_reflectivity must be finite and in [0, 1], got -1.0"),
+        (lambda obj: obj | {"wall_reflectivity": float("nan")},
+         "wall_reflectivity must be finite and in [0, 1], got nan"),
     ],
-    ids=["no-position", "malformed", "json-list"],
+    ids=["no-position", "malformed", "json-list", "negative-wall", "nan-wall"],
 )
 
 
@@ -429,6 +444,21 @@ class TestTrainScoreEvaluate:
         assert (tmp_path / "score_no_ids" / "anchor_3.csv").exists()
         capsys.readouterr()
 
+    def test_score_rejects_dataset_grid_not_finite(self, workspace, capsys):
+        tmp_path, _, perturbed, model_dir = workspace
+        bad = tmp_path / "nan_cell_size.jsonl"
+        text = perturbed.read_text(encoding="utf-8")
+        bad.write_text(text.replace('"cell_size": 0.5', '"cell_size": NaN', 1), encoding="utf-8")
+        out_dir = tmp_path / "score_nan_grid"
+        rc = cli.main([
+            "score", "--model", str(model_dir / "model.json"),
+            "--dataset", str(bad), "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert (f"{bad}: line 1: invalid header: cell_size must be finite and positive, got nan"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_score_dataset_pipeline_mismatch(self, workspace, capsys):
         tmp_path, _, _, model_dir = workspace
         rc = cli.main([
@@ -459,14 +489,18 @@ class TestTrainScoreEvaluate:
         [
             (lambda obj: {k: v for k, v in obj.items() if k != "leaky_alpha"}, "'leaky_alpha'"),
             (lambda obj: {k: v for k, v in obj.items() if k != "weights"}, "'weights'"),
+            (lambda obj: {k: v for k, v in obj.items() if k != "pipeline"},
+             "missing key 'pipeline'"),
+            (lambda obj: {k: v for k, v in obj.items() if k != "scaler"},
+             "missing key 'scaler'"),
             (lambda obj: [obj], "JSON object"),
             (lambda obj: obj | {"scaler": {"maxs": obj["scaler"]["maxs"]}}, "'mins'"),
             (lambda obj: json.dumps(obj)[:60], "line 1 column"),  # truncated file
             (lambda obj: obj | {"dims": 5}, "'int' object is not iterable"),
             (lambda obj: obj | {"weights": 3}, "unsupported operand"),
         ],
-        ids=["no-leaky-alpha", "no-weights", "json-list", "scaler-without-mins", "truncated",
-             "int-dims", "int-weights"],
+        ids=["no-leaky-alpha", "no-weights", "no-pipeline", "no-scaler", "json-list",
+             "scaler-without-mins", "truncated", "int-dims", "int-weights"],
     )
     def test_score_rejects_malformed_bundle(self, workspace, capsys, corrupt, named):
         tmp_path, _, perturbed, model_dir = workspace
@@ -572,6 +606,29 @@ class TestPcaPipeline:
         assert rc == 0
         assert np.all(np.isfinite(nov.read_error_map_csv(out_dir / "error_map.csv").values))
         capsys.readouterr()
+
+    def test_variance_target_outside_unit_interval_is_usage_error(self, workspace, capsys):
+        tmp_path, nominal, _, _ = workspace
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"variance_target": 5}), encoding="utf-8")
+        out_dir = tmp_path / "pca_bad_target"
+        rc = cli.main([
+            "train", "--config", str(config), "--dataset", str(nominal), "--pipeline", "PCA",
+            "--architecture", "24", "32", "24", "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert "variance_target must be in (0, 1], got 5.0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_setting_defaults_are_the_library_defaults():
+    defaults = ae.TrainConfig()
+    for key in ("batch_size", "learning_rate", "max_epochs", "patience", "seed"):
+        assert cli._SETTINGS[key][1] == getattr(defaults, key)
+    assert cli._SETTINGS["variance_target"][1] == feat.VARIANCE_TARGET
+    sweep = inspect.signature(gs.run).parameters
+    assert (sweep["max_epochs"].default, sweep["patience"].default) == (
+        defaults.max_epochs, defaults.patience)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ class TestGridMap:
             GridMap(origin=(0.0, 0.0), nx=1, ny=2, cell_size=0.5)
         with pytest.raises(ValueError):
             GridMap(origin=(0.0, 0.0), nx=2, ny=2, cell_size=0.0)
+
+    @pytest.mark.parametrize("origin, cell_size, named", [
+        ((math.nan, 1.25), 0.5, "origin must be finite, got (nan, 1.25)"),
+        ((1.0, -math.inf), 0.5, "origin must be finite, got (1.0, -inf)"),
+        ((1.0, 1.25), math.nan, "cell_size must be finite and positive, got nan"),
+        ((1.0, 1.25), math.inf, "cell_size must be finite and positive, got inf"),
+        ((1.0, 1.25), -0.5, "cell_size must be finite and positive, got -0.5"),
+    ])
+    def test_rejects_geometry_not_finite(self, origin, cell_size, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            GridMap(origin, 2, 2, cell_size)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            GridMap.from_spec(f"{origin[0]},{origin[1]},2,2,{cell_size}")
 
     @given(FINITE, FINITE, st.integers(2, 10**6), st.integers(2, 10**6), st.floats(5e-324, 1e308))
     @settings(max_examples=60, deadline=None)
@@ -189,6 +203,15 @@ class TestPersistence:
         lines[1] = lines[1].replace("0.0, 0.0]", "0.0]", 1)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(InputFileError, match=f"line 2: .*CIR must have {CIR} samples"):
+            ds.load(path)
+
+    def test_header_grid_not_finite_errors(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        ds.save(small_set(n_per_cell=1), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"cell_size": 0.5', '"cell_size": NaN', 1), encoding="utf-8")
+        with pytest.raises(InputFileError, match=r"data\.jsonl: line 1: invalid header: "
+                           "cell_size must be finite and positive, got nan"):
             ds.load(path)
 
     def test_format_error_carries_line_number(self, tmp_path):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -65,24 +66,25 @@ def find_peaks_loop(signal, k):
 class TestFindPeaks:
     # small integer levels make plateaus and ties common; NaN compares false
     @given(st.lists(st.one_of(st.integers(0, 3).map(float), st.floats()),
-                    max_size=40),
-           st.integers(1, 8))
+                    max_size=40))
     @settings(max_examples=300, deadline=None)
-    def test_matches_loop(self, xs, k):
-        assert feat.find_peaks(xs, k).tobytes() == find_peaks_loop(xs, k).tobytes()
+    def test_matches_loop(self, xs):
+        assert feat.find_peaks(xs).tobytes() == find_peaks_loop(xs, feat.MA_PEAKS).tobytes()
 
     def test_simple_peaks(self):
-        assert np.allclose(feat.find_peaks([0, 1, 0, 2, 0, 3, 0], k=3), [1, 2, 3])
+        # seven peaks, of which the first six are kept
+        xs = [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0]
+        assert np.array_equal(feat.find_peaks(xs), [1, 2, 3, 4, 5, 6])
 
     def test_monotone_has_no_interior_peaks(self):
-        assert np.allclose(feat.find_peaks(np.arange(10.0), k=6), np.zeros(6))
+        assert np.array_equal(feat.find_peaks(np.arange(10.0)), np.zeros(6))
 
     def test_plateau_first_sample_wins(self):
-        assert np.allclose(feat.find_peaks([0.0, 2.0, 2.0, 0.0], k=2), [2.0, 0.0])
+        assert np.array_equal(feat.find_peaks([0.0, 2.0, 2.0, 0.0]), [2.0, 0, 0, 0, 0, 0])
 
     def test_temporal_order_and_padding(self):
-        out = feat.find_peaks([0, 5, 0, 1, 0], k=4)
-        assert np.allclose(out, [5.0, 1.0, 0.0, 0.0])
+        out = feat.find_peaks([0, 5, 0, 1, 0])
+        assert np.array_equal(out, [5.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestPca:
@@ -97,6 +99,12 @@ class TestPca:
         model = feat.fit_pca(rows, variance_target=0.90)
         assert model.components.shape[1] == 2
         assert np.allclose(model.explained_ratio, [0.5, 0.5])
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 5.0, -1.0, 0.0])
+    def test_rejects_variance_target_outside_unit_interval(self, target):
+        rows = np.random.default_rng(5).normal(size=(50, 20))
+        with pytest.raises(ValueError, match=rf"variance_target must be in \(0, 1\], got {target}"):
+            feat.fit_pca(rows, target)
 
     def test_degenerate_data_errors(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -203,15 +211,15 @@ class TestExtraction:
     def test_ma_length(self):
         rng = np.random.default_rng(1)
         mat = feat.extract_matrix([make_measurement(rng)], Pipeline.MA)
-        assert mat.shape == (1, 28)
-        assert feat.feature_length(Pipeline.MA, 4) == 28
+        # per anchor its range and MA_PEAKS peaks
+        assert feat.feature_length(Pipeline.MA, 4) == mat.shape[1] == 4 * (1 + feat.MA_PEAKS) == 28
 
     def test_ma_peaks_come_from_smoothed_cir(self):
         rng = np.random.default_rng(2)
         meas = make_measurement(rng)
         mat = feat.extract_matrix([meas], Pipeline.MA)
         smoothed = feat.moving_average(meas.per_anchor[0].cir)
-        assert np.allclose(mat[0, 4:10], feat.find_peaks(smoothed, k=6))
+        assert np.allclose(mat[0, 4:10], feat.find_peaks(smoothed))
 
     def test_pca_pipeline_length(self):
         rng = np.random.default_rng(3)
@@ -247,7 +255,7 @@ def ma_matrix_by_list(measurements):
     """The list-built MA matrix ``extract_matrix`` replaced, kept as its oracle."""
     ranges = np.array([[r.range_m for r in m.per_anchor] for m in measurements], dtype=float)
     peaks = np.array(
-        [[feat.find_peaks(feat.moving_average(r.cir), 6) for r in m.per_anchor] for m in measurements]
+        [[feat.find_peaks(feat.moving_average(r.cir)) for r in m.per_anchor] for m in measurements]
     )
     return np.hstack([ranges, peaks.reshape(len(ranges), -1)])
 

@@ -11,6 +11,7 @@ import pytest
 from epsnode import autoencoder as ae
 from epsnode import cli
 from epsnode import dataset as ds
+from epsnode import features as feat
 from epsnode import novelty as nov
 from epsnode import simulator as sim
 
@@ -22,7 +23,8 @@ def write_dataset(path):
 
 
 def write_bundle(path):
-    ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9))
+    scaler = feat.fit_scaler(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]))
+    ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9), feat.Pipeline.RNG, scaler)
 
 
 def write_error_map(path):

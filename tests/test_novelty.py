@@ -57,7 +57,7 @@ def reference_score(model, scaler, pipeline, mset):
         values = [r.range_m for r in meas.per_anchor]
         if pipeline is feat.Pipeline.MA:
             for r in meas.per_anchor:
-                values.extend(feat.find_peaks(feat.moving_average(r.cir), 6))
+                values.extend(feat.find_peaks(feat.moving_average(r.cir)))
         x = feat.scale(scaler, np.array(values))
         recon = ae.forward(model, x)
         errs = np.array([abs(float(recon[k]) - float(x[k])) for k in range(n_anchors)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import crosses_exactly
+from conftest import crosses_exactly, msets_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +38,17 @@ def received_cir(env, tag, anchor, params, rng_seed):
     """One sample's CIR as ``generate_dataset`` builds it: the traced
     template plus that sample's noise."""
     return sim.add_noise(sim.noise_free_cir(env, tag, anchor), params, rng_seed)
+
+
+def faces_of(rect, reflectivity):
+    """The reflecting faces of ``rect``, written out: x == xmin, x == xmax,
+    y == ymin, y == ymax."""
+    return [
+        sim._Face(0, rect.xmin, rect.ymin, rect.ymax, reflectivity),
+        sim._Face(0, rect.xmax, rect.ymin, rect.ymax, reflectivity),
+        sim._Face(1, rect.ymin, rect.xmin, rect.xmax, reflectivity),
+        sim._Face(1, rect.ymax, rect.xmin, rect.xmax, reflectivity),
+    ]
 
 
 def in_window(path):
@@ -165,6 +176,31 @@ class TestEnvironmentInvariants:
         with pytest.raises(ValueError):
             Obstacle.of(Rect(1.0, 1.0, 1.0, 2.0), Material.WOOD)
 
+    @pytest.mark.parametrize("value", [-1.0, 5.0, math.nan, math.inf])
+    def test_rejects_wall_reflectivity_outside_unit_interval(self, value):
+        named = rf"wall_reflectivity must be finite and in \[0, 1\], got {value}"
+        with pytest.raises(ValueError, match=named):
+            Environment(room=Rect(0.0, 0.0, 12.0, 12.0), anchors=make_env().anchors,
+                        wall_reflectivity=value)
+
+    @given(st.permutations(sim.scenario("C").anchors))
+    @settings(max_examples=24, deadline=None)
+    def test_anchors_stored_in_id_order(self, anchors):
+        preset = sim.scenario("C")
+        env = Environment(room=preset.room, anchors=anchors, obstacles=preset.obstacles)
+        assert [a.id for a in env.anchors] == [0, 1, 2, 3]
+        grid = sim.GridMap((1.0, 1.25), 2, 2, 0.5)
+        assert msets_equal(sim.generate_dataset(env, grid, 1, 2, seed=3),
+                           sim.generate_dataset(preset, grid, 1, 2, seed=3))
+
+    @pytest.mark.parametrize("preset", sim.PRESET_NAMES)
+    def test_faces_are_the_walls_then_each_obstacle(self, preset):
+        env = sim.scenario(preset)
+        expected = faces_of(env.room, env.wall_reflectivity)
+        for o in env.obstacles:
+            expected += faces_of(o.footprint, o.reflectivity)
+        assert env.faces == tuple(expected)
+
     def test_channel_params_validation(self):
         with pytest.raises(ValueError):
             ChannelParams(noise_sigma=-0.1)
@@ -267,7 +303,7 @@ class TestNlosBias:
         nominal = sim.scenario("nominal")
         for i, j in grid.cells():
             tag = grid.cell_center(i, j)
-            for anchor in env.anchors_by_id():
+            for anchor in env.anchors:
                 r = sim.estimate_range(received_cir(env, tag, anchor, params, 0), params, 0)
                 r0 = sim.estimate_range(received_cir(nominal, tag, anchor, params, 0), params, 0)
                 assert r >= r0 - 1e-9
@@ -275,6 +311,7 @@ class TestNlosBias:
 
 class TestScenarios:
     def test_preset_names(self):
+        assert sim.PRESET_NAMES == ("nominal", "A", "B", "C")
         for name in ("nominal", "A", "B", "C"):
             env = sim.scenario(name)
             assert len(env.anchors) == 4
@@ -300,8 +337,6 @@ class TestGenerateDataset:
         assert len(mset.measurements) == 2000
 
     def test_determinism(self, grid):
-        from conftest import msets_equal
-
         a = sim.generate_dataset(sim.scenario("A"), grid, passes=1, samples_per_cell=2, seed=9)
         b = sim.generate_dataset(sim.scenario("A"), grid, passes=1, samples_per_cell=2, seed=9)
         assert msets_equal(a, b)
@@ -316,7 +351,7 @@ class TestGenerateDataset:
             for s in range(2):
                 m = next(rows)
                 assert (m.cell, m.pass_id) == ((i, j), 0)
-                for anchor, reading in zip(env.anchors_by_id(), m.per_anchor):
+                for anchor, reading in zip(env.anchors, m.per_anchor):
                     cir_seed, jitter_seed = sim._sample_seeds(5, 0, i, j, s, anchor.id)
                     cir = in_window_sum(sim.propagation_paths(env, tag, anchor))
                     cir += np.random.default_rng(cir_seed).normal(0.0, params.noise_sigma, sim.CIR_LENGTH)
@@ -356,7 +391,7 @@ class TestGenerateDataset:
         env = sim.scenario("C")
         for i, j in grid.cells():
             tag = grid.cell_center(i, j)
-            for anchor in env.anchors_by_id():
+            for anchor in env.anchors:
                 r = sim.estimate_range(received_cir(env, tag, anchor, params, 0), params, 0)
                 r0 = sim.estimate_range(received_cir(nominal, tag, anchor, params, 0), params, 0)
                 if abs(r - r0) > 1e-9:
