@@ -112,7 +112,7 @@ _SETTINGS = {
     "val_fraction": (float, 0.2),
     "seed": (int, ae.TrainConfig.seed),
     "jobs": (int, 1),
-    "variance_target": (float, feat.VARIANCE_TARGET),
+    "variance_target": (feat.check_variance_target, feat.VARIANCE_TARGET),
 }
 
 

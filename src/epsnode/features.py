@@ -82,6 +82,14 @@ def find_peaks(signal) -> np.ndarray:
 # PCA (thin SVD of the centred rows)
 # ---------------------------------------------------------------------------
 
+def check_variance_target(value: float) -> float:
+    """``value`` as a float; raises ``ValueError`` unless it lies in (0, 1]."""
+    value = float(value)
+    if not 0.0 < value <= 1.0:  # NaN fails too
+        raise ValueError(f"variance_target must be in (0, 1], got {value}")
+    return value
+
+
 def fit_pca(rows: np.ndarray, variance_target: float = VARIANCE_TARGET) -> PcaModel:
     """Fit a PCA keeping the smallest number of components whose cumulative
     explained variance reaches ``variance_target``.
@@ -91,8 +99,7 @@ def fit_pca(rows: np.ndarray, variance_target: float = VARIANCE_TARGET) -> PcaMo
     between LAPACK builds, so each component is flipped to make its
     largest-magnitude entry positive.
     """
-    if not 0.0 < variance_target <= 1.0:  # NaN fails too
-        raise ValueError(f"variance_target must be in (0, 1], got {variance_target}")
+    check_variance_target(variance_target)
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError("need a 2D matrix with at least 2 rows")

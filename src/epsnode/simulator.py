@@ -11,10 +11,13 @@ detection:
 * first-order specular reflections off room walls and obstacle faces via the
   image method, giving obstacle-dependent multipath structure.
 
-All randomness is driven by explicit integer seeds; every function is pure.
+All randomness comes from explicit seeds: ``generate_dataset`` derives every
+sample's random streams from its base seed, and the per-sample functions draw
+from the ``Generator`` they are given.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -62,6 +65,9 @@ class Rect:
     ymax: float
 
     def __post_init__(self):
+        for name in ("xmin", "ymin", "xmax", "ymax"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"rectangle {name} must be finite, got {value}")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("rectangle must have positive area")
 
@@ -277,16 +283,16 @@ def noise_free_cir(env: Environment, tag: Point, anchor: Anchor) -> np.ndarray:
     return samples
 
 
-def add_noise(clean: np.ndarray, params: ChannelParams, rng_seed: int) -> np.ndarray:
+def add_noise(clean: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """A new array: ``clean`` plus white Gaussian noise of std
-    ``noise_sigma`` drawn from ``rng_seed`` (a plain copy when it is 0)."""
+    ``noise_sigma`` drawn from ``rng`` (a plain copy when it is 0)."""
     samples = clean.copy()
     if params.noise_sigma > 0.0:
-        samples += np.random.default_rng(rng_seed).normal(0.0, params.noise_sigma, CIR_LENGTH)
+        samples += rng.normal(0.0, params.noise_sigma, CIR_LENGTH)
     return samples
 
 
-def estimate_range(samples: np.ndarray, params: ChannelParams, rng_seed: int) -> float:
+def estimate_range(samples: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> float:
     """Leading-edge range estimate: first bin whose magnitude reaches
     ``DETECT_FRAC`` of the CIR maximum, plus Gaussian jitter.
 
@@ -297,10 +303,9 @@ def estimate_range(samples: np.ndarray, params: ChannelParams, rng_seed: int) ->
     peak = mag.max()
     if peak == 0.0:
         raise ValueError("no detectable path: CIR is all zero")
-    idx = int(np.argmax(mag >= DETECT_FRAC * peak))
+    idx = int((mag >= DETECT_FRAC * peak).argmax())
     r = SPEED_OF_LIGHT * idx * SAMPLE_PERIOD_NS
     if params.range_jitter_sigma > 0.0:
-        rng = np.random.default_rng(rng_seed)
         r += rng.normal(0.0, params.range_jitter_sigma)
     return float(r)
 
@@ -403,12 +408,109 @@ def check_grid_in_room(env: Environment, grid: GridMap) -> None:
         raise ValueError(f"grid extent {grid.extent} does not fit the room {env.room}")
 
 
-def _sample_seeds(base_seed: int, pass_id: int, i: int, j: int, s: int, anchor_id: int):
-    """Two independent integer seeds (CIR noise, range jitter) derived from
-    the base seed and sample coordinates; schedule-independent by design."""
-    ss = np.random.SeedSequence((base_seed, pass_id, i, j, s, anchor_id))
-    state = ss.generate_state(2)
-    return int(state[0]), int(state[1])
+# numpy's SeedSequence (O'Neill's PCG seed_seq): a pool of 4 words and the
+# constants of its hash.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` for every row of the
+    (K, L) uint32 array ``entropy``, as a (K, n_words) uint32 array: numpy's
+    hash run on whole columns, so no per-row ``SeedSequence`` is built."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pad = [np.zeros(len(entropy), np.uint32)] * (_POOL_SIZE - entropy.shape[1])
+    words = list(entropy.T) + pad
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty((len(entropy), n_words), np.uint32)
+    for k in range(n_words):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, k] = value ^ (value >> _XSHIFT)
+    return state
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The 32-bit words ``SeedSequence`` splits ``seed`` into, least
+    significant first; 0 is one word."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
+
+
+def _pass_streams(seed: int, pass_id: int, cells: np.ndarray, samples_per_cell: int,
+                  n_anchors: int) -> np.ndarray:
+    """Sample (i, j, s) of pass ``pass_id`` at anchor ``a`` draws its CIR
+    noise and its range jitter from ``default_rng(k)`` of the two seeds ``k``
+    in ``SeedSequence((seed, pass_id, i, j, s, a)).generate_state(2)``. For
+    every sample of the pass, this is the 4 uint64 words ``default_rng``
+    would seed PCG64 with from each of the two, as a (cells, samples,
+    anchors, 2, 4) array."""
+    c, s, a = np.indices((len(cells), samples_per_cell, n_anchors)).reshape(3, -1)
+    entropy = np.column_stack(
+        [np.full(len(c), word) for word in _seed_words(seed)]
+        + [np.full(len(c), pass_id), cells[c, 0], cells[c, 1], s, a]
+    ).astype(np.uint32)
+    seeds = _seed_states(entropy, 2)
+    # 8 words read as 4 little-endian uint64, as generate_state(4, np.uint64) reads them
+    words = _seed_states(seeds.reshape(-1, 1), 8).astype("<u4").view("<u8").astype(np.uint64)
+    return words.reshape(len(cells), samples_per_cell, n_anchors, 2, 4)
+
+
+@functools.cache
+def _precomputed_seed() -> type:
+    """A ``SeedSequence`` stand-in that hands PCG64 the words
+    ``_pass_streams`` computed. Made on first use: importing
+    ``numpy.random`` would add about 6 MB to ``import epsnode``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrecomputedSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (len(self.words), self.words.dtype):
+                raise ValueError(f"holds {len(self.words)} {self.words.dtype} words only")
+            return self.words
+
+    return PrecomputedSeed
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """The generator ``default_rng`` would return for the seed that
+    ``_pass_streams`` turned into ``words``."""
+    return np.random.Generator(np.random.PCG64(_precomputed_seed()(words)))
 
 
 def generate_dataset(
@@ -423,7 +525,8 @@ def generate_dataset(
     """Simulate ``samples_per_cell`` measurements at every grid-cell center
     for every pass; deterministic for a fixed seed. The noise-free CIR of
     each (cell, anchor) pair is traced once; only the noise and the range
-    jitter are drawn per sample."""
+    jitter are drawn per sample, from streams seeded by the sample's
+    coordinates (see ``_pass_streams``), so no sample depends on another."""
     if passes < 1 or samples_per_cell < 1:
         raise ValueError("passes and samples_per_cell must be >= 1")
     check_grid_in_room(env, grid)
@@ -434,15 +537,16 @@ def generate_dataset(
         ((i, j), [noise_free_cir(env, grid.cell_center(i, j), a) for a in env.anchors])
         for i, j in grid.cells()
     ]
+    cells = np.array([cell for cell, _ in templates])
     measurements: list[Measurement] = []
     for pass_id in range(passes):
-        for (i, j), clean in templates:
-            for s in range(samples_per_cell):
+        streams = _pass_streams(seed, pass_id, cells, samples_per_cell, len(env.anchors))
+        for ((i, j), clean), cell_streams in zip(templates, streams):
+            for sample_streams in cell_streams:
                 readings = []
-                for anchor, template in zip(env.anchors, clean):
-                    cir_seed, jitter_seed = _sample_seeds(seed, pass_id, i, j, s, anchor.id)
-                    cir = add_noise(template, params, cir_seed)
-                    r = estimate_range(cir, params, jitter_seed)
+                for anchor, template, (noise, jitter) in zip(env.anchors, clean, sample_streams):
+                    cir = add_noise(template, params, _stream(noise))
+                    r = estimate_range(cir, params, _stream(jitter))
                     readings.append(AnchorReading(anchor.id, r, cir))
                 measurements.append(Measurement((i, j), pass_id, tuple(readings)))
     return MeasurementSet(scenario_name, grid, measurements, seed)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -124,6 +125,11 @@ def drop_first_anchor_position(obj):
     return obj
 
 
+def infinite_first_footprint(obj):
+    obj["obstacles"][0]["footprint"][1] = -math.inf
+    return obj
+
+
 # each corruption of preset B's environment file, and what the error names
 ENV_FILE_CORRUPTIONS = pytest.mark.parametrize(
     "corrupt, named",
@@ -135,8 +141,12 @@ ENV_FILE_CORRUPTIONS = pytest.mark.parametrize(
          "wall_reflectivity must be finite and in [0, 1], got -1.0"),
         (lambda obj: obj | {"wall_reflectivity": float("nan")},
          "wall_reflectivity must be finite and in [0, 1], got nan"),
+        (lambda obj: obj | {"room": [0.0, 0.0, math.inf, 5.0]},
+         "rectangle xmax must be finite, got inf"),
+        (infinite_first_footprint, "rectangle ymin must be finite, got -inf"),
     ],
-    ids=["no-position", "malformed", "json-list", "negative-wall", "nan-wall"],
+    ids=["no-position", "malformed", "json-list", "negative-wall", "nan-wall", "inf-room",
+         "inf-footprint"],
 )
 
 
@@ -619,6 +629,22 @@ class TestPcaPipeline:
         assert rc == 2
         assert "variance_target must be in (0, 1], got 5.0" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("pipeline", ["RNG", "MA"])
+def test_variance_target_checked_for_every_pipeline(tmp_path, capsys, pipeline):
+    """The range check runs while the settings are read, before the dataset
+    is loaded: a missing dataset is not what the error names."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"variance_target": 5}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = cli.main([
+        "train", "--config", str(config), "--dataset", str(tmp_path / "missing.jsonl"),
+        "--pipeline", pipeline, "--architecture", "8", "12", "8", "--out-dir", str(out_dir),
+    ])
+    assert rc == 2
+    assert "variance_target must be in (0, 1], got 5.0" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_setting_defaults_are_the_library_defaults():

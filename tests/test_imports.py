@@ -40,13 +40,26 @@ def test_third_party_import_detected():
     assert imported_modules(tree) - ALLOWED == {"scipy"}
 
 
+def loaded_after(statement: str, *prefixes: str) -> str:
+    """The sorted names of the loaded modules that start with one of
+    ``prefixes``, printed by a fresh interpreter after it runs ``statement``."""
+    code = (f"import sys; {statement}; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def test_import_loads_no_process_pool():
     """Only a sweep with more than one job needs a process pool, so
     ``import epsnode`` leaves ``concurrent.futures`` and ``multiprocessing``
     unloaded."""
-    code = ("import sys, epsnode; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert loaded_after("import epsnode", "concurrent", "multiprocessing") == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    """Only simulating, splitting or training draws random numbers, so
+    ``import epsnode`` loads no more of ``numpy.random`` than ``import
+    numpy`` does (numpy 2 loads none of it)."""
+    with_numpy = loaded_after("import numpy", "numpy.random")
+    assert loaded_after("import epsnode", "numpy.random") == with_numpy

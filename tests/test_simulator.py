@@ -37,7 +37,7 @@ def make_env(room=Rect(0.0, 0.0, 12.0, 12.0), anchors=None, obstacles=()):
 def received_cir(env, tag, anchor, params, rng_seed):
     """One sample's CIR as ``generate_dataset`` builds it: the traced
     template plus that sample's noise."""
-    return sim.add_noise(sim.noise_free_cir(env, tag, anchor), params, rng_seed)
+    return sim.add_noise(sim.noise_free_cir(env, tag, anchor), params, np.random.default_rng(rng_seed))
 
 
 def faces_of(rect, reflectivity):
@@ -172,6 +172,13 @@ class TestEnvironmentInvariants:
         with pytest.raises(ValueError):
             Obstacle(Rect(0.0, 0.0, 1.0, 1.0), Material.METAL, reflectivity=0.7, transmissivity=0.5)
 
+    @pytest.mark.parametrize("field", ["xmin", "ymin", "xmax", "ymax"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rect_rejects_coordinate_not_finite(self, field, value):
+        coords = {"xmin": 0.0, "ymin": 0.0, "xmax": 1.0, "ymax": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"rectangle {field} must be finite, got {value}"):
+            Rect(**coords)
+
     def test_degenerate_footprint(self):
         with pytest.raises(ValueError):
             Obstacle.of(Rect(1.0, 1.0, 1.0, 2.0), Material.WOOD)
@@ -263,25 +270,25 @@ class TestEstimateRange:
         params = ChannelParams(noise_sigma=0.0, range_jitter_sigma=0.0)
         samples = np.zeros(sim.CIR_LENGTH)
         samples[10] = 1.0
-        assert sim.estimate_range(samples, params, 0) == pytest.approx(2.998)
+        assert sim.estimate_range(samples, params, np.random.default_rng(0)) == pytest.approx(2.998)
 
     def test_surviving_reflection_overestimates(self):
         params = ChannelParams(noise_sigma=0.0, range_jitter_sigma=0.0)
         samples = np.zeros(sim.CIR_LENGTH)
         samples[20] = 0.4
-        assert sim.estimate_range(samples, params, 0) == pytest.approx(5.996)
+        assert sim.estimate_range(samples, params, np.random.default_rng(0)) == pytest.approx(5.996)
 
     def test_all_zero_cir_errors(self):
         params = ChannelParams()
         with pytest.raises(ValueError):
-            sim.estimate_range(np.zeros(sim.CIR_LENGTH), params, 0)
+            sim.estimate_range(np.zeros(sim.CIR_LENGTH), params, np.random.default_rng(0))
 
     def test_leading_edge_beats_stronger_late_peak(self):
         params = ChannelParams(noise_sigma=0.0, range_jitter_sigma=0.0)
         samples = np.zeros(sim.CIR_LENGTH)
         samples[5] = 0.3
         samples[30] = 1.0
-        assert sim.estimate_range(samples, params, 0) == pytest.approx(5 * C)
+        assert sim.estimate_range(samples, params, np.random.default_rng(0)) == pytest.approx(5 * C)
 
 
 class TestNlosBias:
@@ -292,8 +299,10 @@ class TestNlosBias:
         env_blocked = make_env(obstacles=[plate])
         tag = (11.0, 0.0)
         anchor = env_clear.anchors[0]
-        r_clear = sim.estimate_range(received_cir(env_clear, tag, anchor, params, 0), params, 0)
-        r_blocked = sim.estimate_range(received_cir(env_blocked, tag, anchor, params, 0), params, 0)
+        r_clear = sim.estimate_range(received_cir(env_clear, tag, anchor, params, 0), params,
+                                     np.random.default_rng(0))
+        r_blocked = sim.estimate_range(received_cir(env_blocked, tag, anchor, params, 0), params,
+                                       np.random.default_rng(0))
         assert r_blocked > r_clear + 0.5
 
     def test_wood_excess_delay_never_shortens_range(self):
@@ -304,8 +313,10 @@ class TestNlosBias:
         for i, j in grid.cells():
             tag = grid.cell_center(i, j)
             for anchor in env.anchors:
-                r = sim.estimate_range(received_cir(env, tag, anchor, params, 0), params, 0)
-                r0 = sim.estimate_range(received_cir(nominal, tag, anchor, params, 0), params, 0)
+                r = sim.estimate_range(received_cir(env, tag, anchor, params, 0), params,
+                                       np.random.default_rng(0))
+                r0 = sim.estimate_range(received_cir(nominal, tag, anchor, params, 0), params,
+                                        np.random.default_rng(0))
                 assert r >= r0 - 1e-9
 
 
@@ -341,23 +352,45 @@ class TestGenerateDataset:
         b = sim.generate_dataset(sim.scenario("A"), grid, passes=1, samples_per_cell=2, seed=9)
         assert msets_equal(a, b)
 
-    @pytest.mark.parametrize("preset", ["nominal", "B"])
-    def test_matches_per_sample_oracle(self, grid, preset):
-        env, params = sim.scenario(preset), ChannelParams()
-        mset = sim.generate_dataset(env, grid, passes=1, samples_per_cell=2, seed=5)
+    @pytest.mark.parametrize("preset, seed, passes, params", [
+        pytest.param("nominal", 5, 1, ChannelParams(), id="nominal"),
+        pytest.param("B", 5, 1, ChannelParams(), id="B"),
+        pytest.param("C", 2**32 + 5, 2, ChannelParams(), id="seed-over-32-bits-two-passes"),
+        pytest.param("A", 0, 1, ChannelParams(noise_sigma=0.0), id="noise-free"),
+        pytest.param("nominal", 2**64, 1, ChannelParams(range_jitter_sigma=0.0), id="jitter-free"),
+    ])
+    def test_matches_per_sample_oracle(self, grid, preset, seed, passes, params):
+        env = sim.scenario(preset)
+        mset = sim.generate_dataset(env, grid, passes=passes, samples_per_cell=2, seed=seed,
+                                    params=params)
         rows = iter(mset.measurements)
-        for i, j in grid.cells():
-            tag = grid.cell_center(i, j)
-            for s in range(2):
-                m = next(rows)
-                assert (m.cell, m.pass_id) == ((i, j), 0)
-                for anchor, reading in zip(env.anchors, m.per_anchor):
-                    cir_seed, jitter_seed = sim._sample_seeds(5, 0, i, j, s, anchor.id)
-                    cir = in_window_sum(sim.propagation_paths(env, tag, anchor))
-                    cir += np.random.default_rng(cir_seed).normal(0.0, params.noise_sigma, sim.CIR_LENGTH)
-                    assert np.array_equal(reading.cir, cir)
-                    assert reading.range_m == sim.estimate_range(cir, params, jitter_seed)
+        for p in range(passes):
+            for i, j in grid.cells():
+                tag = grid.cell_center(i, j)
+                for s in range(2):
+                    m = next(rows)
+                    assert (m.cell, m.pass_id) == ((i, j), p)
+                    for anchor, reading in zip(env.anchors, m.per_anchor):
+                        ss = np.random.SeedSequence((seed, p, i, j, s, anchor.id))
+                        cir_seed, jitter_seed = ss.generate_state(2)
+                        cir = in_window_sum(sim.propagation_paths(env, tag, anchor))
+                        noise = np.random.default_rng(cir_seed)
+                        cir += noise.normal(0.0, params.noise_sigma, sim.CIR_LENGTH)
+                        assert np.array_equal(reading.cir, cir)
+                        jitter = np.random.default_rng(jitter_seed)
+                        assert reading.range_m == sim.estimate_range(cir, params, jitter)
         assert next(rows, None) is None
+
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=9), st.sampled_from([2, 8]))
+    @settings(max_examples=200, deadline=None)
+    def test_seed_states_match_seed_sequence(self, row, n_words):
+        states = sim._seed_states(np.array([row, row[::-1]], dtype=np.uint32), n_words)
+        assert np.array_equal(states, [np.random.SeedSequence(row).generate_state(n_words),
+                                       np.random.SeedSequence(row[::-1]).generate_state(n_words)])
+
+    def test_negative_seed_rejected(self, grid):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            sim.generate_dataset(sim.scenario("nominal"), grid, passes=1, samples_per_cell=1, seed=-1)
 
     def test_traces_each_cell_anchor_pair_once(self, grid, monkeypatch):
         calls = []
@@ -392,8 +425,10 @@ class TestGenerateDataset:
         for i, j in grid.cells():
             tag = grid.cell_center(i, j)
             for anchor in env.anchors:
-                r = sim.estimate_range(received_cir(env, tag, anchor, params, 0), params, 0)
-                r0 = sim.estimate_range(received_cir(nominal, tag, anchor, params, 0), params, 0)
+                r = sim.estimate_range(received_cir(env, tag, anchor, params, 0), params,
+                                       np.random.default_rng(0))
+                r0 = sim.estimate_range(received_cir(nominal, tag, anchor, params, 0), params,
+                                        np.random.default_rng(0))
                 if abs(r - r0) > 1e-9:
                     same_los = not sim._blocking_obstacles(env, tag, anchor.position)
                     paths = sim.propagation_paths(env, tag, anchor)
