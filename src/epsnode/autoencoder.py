@@ -72,7 +72,6 @@ def _layer_views(dims: tuple[int, ...], flat: np.ndarray | None = None):
 class AutoencoderModel:
     dims: tuple[int, int, int, int, int]  # (N, E1, E2, D1, N)
     params: np.ndarray                    # float64 (P,), or (C, P) for a stack; see _layer_views
-    leaky_alpha: float = LEAKY_ALPHA
 
     def __post_init__(self):
         # weights[l] has shape (dims[l_in], dims[l_out]); both lists are views
@@ -140,21 +139,21 @@ def build(n: int, e1: int, e2: int, d1: int, seed: int = 0) -> AutoencoderModel:
     return AutoencoderModel(dims, params)
 
 
-def _activate(z: np.ndarray, layer: int, alpha: float) -> np.ndarray:
+def _activate(z: np.ndarray, layer: int) -> np.ndarray:
     """The layer's activation of the pre-activations ``z``, which a ReLU
     overwrites."""
     if layer < N_LAYERS - 1:
         return np.maximum(z, 0.0, out=z)
-    return np.where(z > 0.0, z, alpha * z)
+    return np.where(z > 0.0, z, LEAKY_ALPHA * z)
 
 
-def _activate_grad(a: np.ndarray, layer: int, alpha: float) -> np.ndarray:
+def _activate_grad(a: np.ndarray, layer: int) -> np.ndarray:
     """The activation's slope, read from the layer's outputs ``a``: for ReLU,
-    and for Leaky ReLU with alpha >= 0, an output is positive exactly where its
-    pre-activation is (-0.0, NaN and an alpha * z that underflows included)."""
+    and for Leaky ReLU with a slope >= 0, an output is positive exactly where its
+    pre-activation is (-0.0, NaN and a LEAKY_ALPHA * z that underflows included)."""
     if layer < N_LAYERS - 1:
         return a > 0.0  # a multiply casts it to 1.0 / 0.0
-    return np.where(a > 0.0, 1.0, alpha)
+    return np.where(a > 0.0, 1.0, LEAKY_ALPHA)
 
 
 def _dense(model: AutoencoderModel, a: np.ndarray, layer: int) -> np.ndarray:
@@ -162,7 +161,7 @@ def _dense(model: AutoencoderModel, a: np.ndarray, layer: int) -> np.ndarray:
     activation in place."""
     z = a @ model.weights[layer]
     z += model.biases[layer]
-    return _activate(z, layer, model.leaky_alpha)
+    return _activate(z, layer)
 
 
 def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
@@ -200,7 +199,7 @@ def _backprop(stack: AutoencoderModel, batch: np.ndarray, grads: AutoencoderMode
     loss = np.add.reduce(diff**2, axis=(-2, -1)) / (m * n)  # np.mean, minus its wrapper
     delta = 2.0 * diff / (m * n)
     for layer in range(N_LAYERS - 1, -1, -1):
-        delta *= _activate_grad(acts[layer + 1], layer, stack.leaky_alpha)
+        delta *= _activate_grad(acts[layer + 1], layer)
         np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads.weights[layer])
         np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[layer])
         if layer > 0:
@@ -238,7 +237,7 @@ def train_group(
 ) -> list[tuple[AutoencoderModel, TrainReport] | TrainingDivergedError]:
     """``train`` for several models at once, bit for bit.
 
-    The models must share ``dims`` and ``leaky_alpha``, and their configs
+    The models must share ``dims``, and their configs
     ``batch_size``, ``max_epochs`` and ``patience``; learning rates and seeds
     may differ. They train as one (C, P) stack, each with its own shuffling,
     best snapshot, patience count and curves. A model leaves the stack when it
@@ -250,12 +249,11 @@ def train_group(
     val_rows = np.asarray(val_rows, dtype=float)
     if train_rows.size == 0 or val_rows.size == 0:
         raise ValueError("train and validation sets must be nonempty")
-    shared = {(m.dims, m.leaky_alpha, c.batch_size, c.max_epochs, c.patience)
-              for m, c in zip(models, configs)}
+    shared = {(m.dims, c.batch_size, c.max_epochs, c.patience) for m, c in zip(models, configs)}
     if len(models) != len(configs) or len(shared) != 1:
         raise ValueError("a group needs one config per model, and the models must share "
-                         "dims and leaky_alpha, the configs batch_size, max_epochs and patience")
-    dims, alpha, batch_size, max_epochs, patience = shared.pop()
+                         "dims, the configs batch_size, max_epochs and patience")
+    dims, batch_size, max_epochs, patience = shared.pop()
 
     results: list = [None] * len(models)
     rngs = [np.random.default_rng(c.seed) for c in configs]
@@ -271,19 +269,19 @@ def train_group(
                 f"best validation MSE {best_val[k]:.6g} exceeds the untrained model's "
                 f"{untrained[k]:.6g}")
         train_curve, val_curve = curves[k]
-        return (AutoencoderModel(dims, best[k], alpha),
+        return (AutoencoderModel(dims, best[k]),
                 TrainReport(train_curve, val_curve, len(val_curve), best_val[k]))
 
     live = list(range(len(models)))  # stack slot -> model index
     params = np.stack([m.params for m in models])
-    untrained = _stack_mse(AutoencoderModel(dims, params, alpha), val_rows).tolist()
+    untrained = _stack_mse(AutoencoderModel(dims, params), val_rows).tolist()
     mom, vel = np.zeros_like(params), np.zeros_like(params)
     lr = np.array([[c.learning_rate] for c in configs])
     step = 0
     n_rows = train_rows.shape[0]
 
     for epoch in range(max_epochs):
-        work = AutoencoderModel(dims, params, alpha)
+        work = AutoencoderModel(dims, params)
         grads = AutoencoderModel(dims, np.empty_like(params))
         m_hat, denom = np.empty_like(params), np.empty_like(params)
         g = grads.params
@@ -364,7 +362,7 @@ def save_bundle(
     it was trained with."""
     obj: dict = {
         "dims": list(model.dims),
-        "leaky_alpha": model.leaky_alpha,
+        "leaky_alpha": LEAKY_ALPHA,
         "weights": [w.tolist() for w in model.weights],  # row-major
         "biases": [b.tolist() for b in model.biases],
         "pipeline": feat.Pipeline(pipeline).value,
@@ -380,9 +378,12 @@ def save_bundle(
 def load_bundle(path: str | Path) -> dict:
     """Read a bundle; raises ``dataset.InputFileError`` naming the file when
     it is missing, not a JSON object, misses a key, holds a value of the
-    wrong type or has weight and bias shapes that do not fit its dims."""
+    wrong type, a ``leaky_alpha`` other than LEAKY_ALPHA or weight and bias
+    shapes that do not fit its dims."""
     with reading(path, "model bundle"):
         obj = read_json_object(path)
+        if obj["leaky_alpha"] != LEAKY_ALPHA:
+            raise ValueError(f"leaky_alpha must be {LEAKY_ALPHA}, got {obj['leaky_alpha']!r}")
         params, weights, biases = _layer_views(tuple(obj["dims"]))
         saved = [np.asarray(a, dtype=float) for a in obj["weights"] + obj["biases"]]
         shapes, fits = [a.shape for a in saved], [v.shape for v in weights + biases]
@@ -391,7 +392,7 @@ def load_bundle(path: str | Path) -> dict:
         for view, values in zip(weights + biases, saved):
             view[...] = values
         return {
-            "model": AutoencoderModel(tuple(obj["dims"]), params, float(obj["leaky_alpha"])),
+            "model": AutoencoderModel(tuple(obj["dims"]), params),
             "pipeline": feat.Pipeline(obj["pipeline"]),
             "scaler": feat.arrays_from_json(feat.Scaler, obj["scaler"]),
             "pca": feat.arrays_from_json(feat.PcaModel, obj["pca"]) if "pca" in obj else None,

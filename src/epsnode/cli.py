@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import autoencoder as ae
@@ -87,16 +87,28 @@ def _prepare_features(mset, pipeline, val_fraction, seed, variance_target):
 
 def _text(value) -> str:
     if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
+        raise TypeError(f"expected a string, got {value!r}")
     return value
+
+
+def _integer(value) -> int:
+    if type(value) is not int:  # a JSON integer: not 8.7, "3" or true
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _architecture(value) -> list[int] | str:
     """``"search"``, or the hidden widths ``[e1, e2, d1]``."""
-    if value == "search":
+    if value == "search" or (type(value) is list and len(value) == 3
+                             and all(type(v) is int for v in value)):
         return value
-    e1, e2, d1 = (int(v) for v in value)
-    return [e1, e2, d1]
+    raise TypeError(f'expected "search" or three integer widths, got {value!r}')
 
 
 # each train/gridsearch setting: its type, and its default (None: required)
@@ -105,27 +117,32 @@ _SETTINGS = {
     "pipeline": (feat.Pipeline, None),
     "out_dir": (_text, None),
     "architecture": (_architecture, "search"),
-    "batch_size": (int, ae.TrainConfig.batch_size),
-    "learning_rate": (float, ae.TrainConfig.learning_rate),
-    "max_epochs": (int, ae.TrainConfig.max_epochs),
-    "patience": (int, ae.TrainConfig.patience),
-    "val_fraction": (float, 0.2),
-    "seed": (int, ae.TrainConfig.seed),
-    "jobs": (int, 1),
-    "variance_target": (feat.check_variance_target, feat.VARIANCE_TARGET),
+    "batch_size": (_integer, ae.TrainConfig.batch_size),
+    "learning_rate": (_number, ae.TrainConfig.learning_rate),
+    "max_epochs": (_integer, ae.TrainConfig.max_epochs),
+    "patience": (_integer, ae.TrainConfig.patience),
+    "val_fraction": (_number, 0.2),
+    "seed": (_integer, ae.TrainConfig.seed),
+    "jobs": (_integer, 1),
+    "variance_target": (lambda v: feat.check_variance_target(_number(v)), feat.VARIANCE_TARGET),
 }
 
 
 def _load_train_config(args) -> dict:
     """The settings of ``train`` and ``gridsearch``: each flag given
-    overrides the ``--config`` file, which overrides the defaults. Each value
+    overrides the ``--config`` file, which overrides the defaults. A command
+    takes the settings of its own flags and ``variance_target``; each value
     is converted to its type here, once."""
+    keys = [key for key in _SETTINGS if key in vars(args) or key == "variance_target"]
     cfg: dict = {}
     if args.config:
         with ds.reading(args.config, "config file"):
             cfg = ds.read_json_object(args.config)
-    for key, (kind, default) in _SETTINGS.items():
-        flag = getattr(args, key, None)  # the sweep flags exist on train only
+            if unknown := [key for key in cfg if key not in keys]:
+                raise ValueError(f"unknown key {unknown[0]!r}; {args.command} takes {', '.join(keys)}")
+    for key in keys:
+        kind, default = _SETTINGS[key]
+        flag = getattr(args, key, None)  # variance_target has no flag
         if flag is not None:
             cfg[key] = flag
         if cfg.get(key) is None and default is None:
@@ -136,17 +153,13 @@ def _load_train_config(args) -> dict:
 
 
 def _load_training(args):
-    """The config dict, the validated TrainConfig (a sweep overrides batch
-    size and learning rate per candidate), the dataset's anchor ids and the
-    prepared features of ``train`` and ``gridsearch``."""
+    """The config dict, the validated TrainConfig (from the settings the
+    command has; a sweep sets batch size and learning rate per candidate), the
+    dataset's anchor ids and the prepared features of ``train`` and
+    ``gridsearch``."""
     cfg = _load_train_config(args)
-    config = ae.TrainConfig(
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        seed=_base_seed(cfg["seed"]),
-    )
+    present = {f.name: cfg[f.name] for f in fields(ae.TrainConfig) if f.name in cfg}
+    config = ae.TrainConfig(**present | {"seed": _base_seed(cfg["seed"])})
     mset = ds.load(cfg["dataset"])
     return cfg, config, mset.anchor_ids, _prepare_features(
         mset, cfg["pipeline"], cfg["val_fraction"], config.seed, cfg["variance_target"]
@@ -228,8 +241,8 @@ def _cmd_score(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     nov.write_error_map_csv(emap, out_dir / "error_map.csv")
-    for amap in anchor_maps:
-        nov.write_error_map_csv(amap, out_dir / f"anchor_{amap.anchor_id}.csv")
+    for anchor_id, amap in zip(mset.anchor_ids, anchor_maps):
+        nov.write_error_map_csv(amap, out_dir / f"anchor_{anchor_id}.csv")
     art = render.ascii_heatmap(
         emap.values, title=f"total error [{mset.scenario_name}] ({args.aggregate} per cell)"
     )

@@ -134,7 +134,7 @@ class AnchorReading:
             raise ValueError(f"CIR must have {CIR_LENGTH} samples, got {cir.shape}")
         if not math.isfinite(self.range_m):
             raise ValueError(f"range of anchor {self.anchor_id} is not finite: {self.range_m}")
-        if not np.all(np.isfinite(cir)):
+        if not np.isfinite(cir).all():
             raise ValueError("CIR contains non-finite samples")
 
 

@@ -41,12 +41,14 @@ TABLE_SPACES: dict[Pipeline, SearchSpace] = {
 @dataclass(frozen=True)
 class Candidate:
     index: int
-    n: int
     e1: int
     e2: int
-    d1: int
     batch_size: int
     learning_rate: float
+
+    @property
+    def d1(self) -> int:
+        return self.e1  # the table ties D1 to E1
 
 
 @dataclass
@@ -82,7 +84,7 @@ def enumerate_candidates(
                     if reason := ae.constraint_violation(n, e1, e2, e1):
                         skipped.append(((e1, e2, batch, lr), reason))
                         continue
-                    candidates.append(Candidate(index, n, e1, e2, e1, batch, lr))
+                    candidates.append(Candidate(index, e1, e2, batch, lr))
                     index += 1
     return candidates, skipped
 
@@ -96,7 +98,7 @@ def _run_group(args) -> list[TrialResult]:
     ``ae.train_group`` stack; each result equals training it alone."""
     cands, train_rows, val_rows, base_seed, max_epochs, patience = args
     seeds = [trial_seed(base_seed, c.index) for c in cands]
-    models = [ae.build(c.n, c.e1, c.e2, c.d1, seed=s) for c, s in zip(cands, seeds)]
+    models = [ae.build(train_rows.shape[1], c.e1, c.e2, c.d1, seed=s) for c, s in zip(cands, seeds)]
     configs = [
         ae.TrainConfig(
             batch_size=c.batch_size,
@@ -138,13 +140,13 @@ def run(
     """
     if parallelism < 1:
         raise ValueError(f"jobs (parallelism) must be >= 1, got {parallelism}")
-    n = int(np.asarray(train_rows).shape[1])
-    candidates, _ = enumerate_candidates(space, n)
+    train_rows = np.asarray(train_rows, dtype=float)
+    candidates, _ = enumerate_candidates(space, train_rows.shape[1])
     if not candidates:
         raise ValueError("search space contains no valid candidates")
     groups: dict[tuple, list[Candidate]] = {}
     for c in candidates:
-        groups.setdefault((c.e1, c.e2, c.d1, c.batch_size), []).append(c)
+        groups.setdefault((c.e1, c.e2, c.batch_size), []).append(c)
     tasks = [(g, train_rows, val_rows, base_seed, max_epochs, patience) for g in groups.values()]
     if parallelism <= 1:
         per_group = [_run_group(t) for t in tasks]

@@ -45,11 +45,6 @@ class ErrorMap:
             raise ValueError(f"map arrays must have shape {shape}")
 
 
-@dataclass
-class AnchorErrorMap(ErrorMap):
-    anchor_id: int = 0
-
-
 _AGGREGATORS = {
     "mean": np.mean,
     "median": np.median,
@@ -64,19 +59,18 @@ def score(
     pca: feat.PcaModel | None,
     mset: MeasurementSet,
     aggregate: str = "mean",
-) -> tuple[ErrorMap, list[AnchorErrorMap], np.ndarray]:
+) -> tuple[ErrorMap, list[ErrorMap], np.ndarray]:
     """Score every measurement: extract -> scale -> reconstruct -> errors.
 
-    Returns the total-error map, one map per anchor (in anchor-id order) and
-    the (m, n_anchors) per-anchor errors, one row per measurement in
-    ``mset.measurements`` order.
+    Returns the total-error map, one map per anchor (in ``mset.anchor_ids``
+    order) and the (m, n_anchors) per-anchor errors, one row per measurement
+    in ``mset.measurements`` order.
     """
     if aggregate not in _AGGREGATORS:
         raise ValueError(f"unknown aggregate {aggregate!r}")
     agg = _AGGREGATORS[aggregate]
     pipeline = feat.Pipeline(pipeline)
-    anchor_ids = mset.anchor_ids
-    n_anchors = len(anchor_ids)
+    n_anchors = len(mset.anchor_ids)
     expected = feat.feature_length(pipeline, n_anchors, pca)
     if model.n != expected:
         raise ValueError(
@@ -106,10 +100,7 @@ def score(
         anchor_values[:, j, i] = agg(errors[rows], axis=0)
 
     error_map = ErrorMap(grid=grid, values=values, counts=counts)
-    anchor_maps = [
-        AnchorErrorMap(grid=grid, values=anchor_values[k], counts=counts.copy(), anchor_id=aid)
-        for k, aid in enumerate(anchor_ids)
-    ]
+    anchor_maps = [ErrorMap(grid=grid, values=v, counts=counts.copy()) for v in anchor_values]
     return error_map, anchor_maps, errors
 
 

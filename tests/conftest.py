@@ -92,7 +92,7 @@ def backprop_one(model, rows):
     """``autoencoder._backprop`` on a stack of one: the batch-and-feature-mean
     MSE on the (m, n) rows and its gradient, laid out like ``model.params``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    stack = ae.AutoencoderModel(model.dims, model.params[None], model.leaky_alpha)
+    stack = ae.AutoencoderModel(model.dims, model.params[None])
     grads = ae.AutoencoderModel(model.dims, np.empty_like(stack.params))
     loss = ae._backprop(stack, rows[None], grads)
     return float(loss[0]), grads.params[0]
@@ -101,7 +101,7 @@ def backprop_one(model, rows):
 def _loss_from_layer(model, layer, z_batch, x):
     """Per-row MSE obtained by resuming the forward pass at ``layer`` with
     the given pre-activation rows, which it overwrites."""
-    a = ae._activate(z_batch, layer, model.leaky_alpha)
+    a = ae._activate(z_batch, layer)
     for nxt in range(layer + 1, ae.N_LAYERS):
         a = ae._dense(model, a, nxt)
     return np.mean((a - x) ** 2, axis=1)
@@ -127,7 +127,7 @@ def finite_difference_gradients(model, x, step=1e-5):
         g = (lp - lm) / (2.0 * step)
         grads_w[layer][...] = g[:-d_out].reshape(grads_w[layer].shape)
         grads_b[layer][...] = g[-d_out:]
-        a = ae._activate(z, layer, model.leaky_alpha)
+        a = ae._activate(z, layer)
     return grad
 
 

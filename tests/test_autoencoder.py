@@ -28,7 +28,7 @@ def replay_first_epoch(model, rows, config):
     config seed's permutation, then Adam applied layer by layer and tensor by
     tensor. Returns the updated copy of ``model`` and each batch's (loss,
     rows)."""
-    ref = ae.AutoencoderModel(model.dims, model.params.copy(), model.leaky_alpha)
+    ref = ae.AutoencoderModel(model.dims, model.params.copy())
     params = ref.weights + ref.biases
     mom = [np.zeros_like(p) for p in params]
     vel = [np.zeros_like(p) for p in params]
@@ -57,7 +57,7 @@ def backprop_keeping_preactivations(stack, batch):
         z = acts[-1] @ stack.weights[layer] + stack.biases[layer]
         zs.append(z)
         acts.append(np.maximum(z, 0.0) if layer < ae.N_LAYERS - 1
-                    else np.where(z > 0.0, z, stack.leaky_alpha * z))
+                    else np.where(z > 0.0, z, ae.LEAKY_ALPHA * z))
     grads = ae.AutoencoderModel(stack.dims, np.empty_like(stack.params))
     diff = acts[-1] - batch
     m, n = batch.shape[-2:]
@@ -65,7 +65,7 @@ def backprop_keeping_preactivations(stack, batch):
     delta = 2.0 * diff / (m * n)
     for layer in range(ae.N_LAYERS - 1, -1, -1):
         slope = (zs[layer] > 0.0 if layer < ae.N_LAYERS - 1
-                 else np.where(zs[layer] > 0.0, 1.0, stack.leaky_alpha))
+                 else np.where(zs[layer] > 0.0, 1.0, ae.LEAKY_ALPHA))
         delta = delta * slope
         np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads.weights[layer])
         np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[layer])

@@ -247,6 +247,19 @@ def test_train_rejects_inconsistent_record(tmp_path, capsys, corrupt, named):
     assert not out_dir.exists()
 
 
+def anchor_ids_shifted(dataset, out):
+    """``dataset`` saved to ``out`` with every anchor id raised by 10."""
+    mset = ds.load(dataset)
+    shifted = [
+        ds.Measurement(m.cell, m.pass_id, tuple(
+            ds.AnchorReading(r.anchor_id + 10, r.range_m, r.cir) for r in m.per_anchor
+        ))
+        for m in mset.measurements
+    ]
+    ds.save(ds.MeasurementSet(mset.scenario_name, mset.grid, shifted, mset.seed), out)
+    return out
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
@@ -337,6 +350,11 @@ class TestTrainScoreEvaluate:
     @pytest.mark.parametrize("key, value", [
         ("val_fraction", "x"), ("jobs", "x"), ("variance_target", "x"),
         ("out_dir", ["typed"]), ("dataset", 5),
+        # a JSON integer setting takes no fraction, string or boolean, and a
+        # number setting no boolean: each of these once trained as int() or
+        # float() of the value
+        ("batch_size", 8.7), ("seed", 2.9), ("architecture", [8.9, 12.2, 8.5]),
+        ("max_epochs", "3"), ("learning_rate", True),
     ])
     def test_config_value_of_wrong_type_is_usage_error(self, workspace, capsys, monkeypatch, key, value):
         tmp_path, nominal, _, _ = workspace
@@ -349,8 +367,23 @@ class TestTrainScoreEvaluate:
         }), encoding="utf-8")
         rc = cli.main(["train", "--config", str(config)])
         assert rc == 2
-        assert f"{config}: invalid config key {key!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{config}: invalid config key {key!r}" in err
+        assert f"got {value!r}" in err
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(("typed", "["))) == []
+
+    def test_unknown_config_key_is_usage_error(self, workspace, capsys):
+        tmp_path, nominal, _, _ = workspace
+        config = tmp_path / "misspelt.json"
+        out_dir = tmp_path / "misspelt"
+        config.write_text(json.dumps({
+            "dataset": str(nominal), "pipeline": "RNG", "architecture": [8, 12, 8],
+            "max_epochs": 2, "patience": 2, "out_dir": str(out_dir), "learning_rte": 0.5,
+        }), encoding="utf-8")
+        rc = cli.main(["train", "--config", str(config)])
+        assert rc == 2
+        assert f"{config}: invalid config file: unknown key 'learning_rte'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_training_parameter_is_usage_error(self, workspace, capsys):
         tmp_path, nominal, _, _ = workspace
@@ -421,15 +454,7 @@ class TestTrainScoreEvaluate:
 
     def test_score_rejects_other_anchor_ids(self, workspace, capsys):
         tmp_path, _, perturbed, model_dir = workspace
-        mset = ds.load(perturbed)
-        shifted = [
-            ds.Measurement(m.cell, m.pass_id, tuple(
-                ds.AnchorReading(r.anchor_id + 10, r.range_m, r.cir) for r in m.per_anchor
-            ))
-            for m in mset.measurements
-        ]
-        other = tmp_path / "b_ids_10_13.jsonl"
-        ds.save(ds.MeasurementSet(mset.scenario_name, mset.grid, shifted, mset.seed), other)
+        other = anchor_ids_shifted(perturbed, tmp_path / "b_ids_10_13.jsonl")
         out_dir = tmp_path / "score_other_ids"
         rc = cli.main([
             "score", "--model", str(model_dir / "model.json"),
@@ -452,6 +477,15 @@ class TestTrainScoreEvaluate:
         ])
         assert rc == 0
         assert (tmp_path / "score_no_ids" / "anchor_3.csv").exists()
+        # each anchor map is named by the scored dataset's anchor ids
+        out_dir = tmp_path / "score_no_ids_10_13"
+        rc = cli.main([
+            "score", "--model", str(older), "--out-dir", str(out_dir),
+            "--dataset", str(anchor_ids_shifted(perturbed, tmp_path / "b_ids_shifted.jsonl")),
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in out_dir.glob("anchor_*.csv")) == [
+            f"anchor_{aid}.csv" for aid in (10, 11, 12, 13)]
         capsys.readouterr()
 
     def test_score_rejects_dataset_grid_not_finite(self, workspace, capsys):
@@ -508,9 +542,13 @@ class TestTrainScoreEvaluate:
             (lambda obj: json.dumps(obj)[:60], "line 1 column"),  # truncated file
             (lambda obj: obj | {"dims": 5}, "'int' object is not iterable"),
             (lambda obj: obj | {"weights": 3}, "unsupported operand"),
+            (lambda obj: obj | {"leaky_alpha": 0.2}, "leaky_alpha must be 0.01, got 0.2"),
+            (lambda obj: obj | {"leaky_alpha": -5}, "leaky_alpha must be 0.01, got -5"),
+            (lambda obj: obj | {"leaky_alpha": math.nan}, "leaky_alpha must be 0.01, got nan"),
         ],
         ids=["no-leaky-alpha", "no-weights", "no-pipeline", "no-scaler", "json-list",
-             "scaler-without-mins", "truncated", "int-dims", "int-weights"],
+             "scaler-without-mins", "truncated", "int-dims", "int-weights",
+             "leaky-alpha-0.2", "leaky-alpha-negative", "leaky-alpha-nan"],
     )
     def test_score_rejects_malformed_bundle(self, workspace, capsys, corrupt, named):
         tmp_path, _, perturbed, model_dir = workspace
@@ -681,6 +719,13 @@ class TestGridsearchCommand:
         assert len(records) == 2
         assert records[0]["val_mse"] <= records[1]["val_mse"]
         assert (out_dir / "sweep.csv").exists()
+        # the sidecar records the keys of gridsearch's flags and
+        # variance_target, none of the settings its sweep does not read
+        meta = json.loads((out_dir / "run.meta.json").read_text(encoding="utf-8"))
+        assert sorted(meta["config"]) == sorted([
+            "dataset", "pipeline", "out_dir", "max_epochs", "patience", "val_fraction", "seed",
+            "jobs", "variance_target",
+        ])
 
     def test_no_valid_candidate_is_usage_error(self, tmp_path, capsys):
         # on the default grid's 160 training rows this variance target keeps
@@ -729,6 +774,22 @@ class TestGridsearchCommand:
             ])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("architecture", [8, 12, 8]), ("batch_size", 8), ("learning_rate", 0.01)]
+    )
+    def test_train_only_config_keys_rejected(self, tmp_path, trimmed_rng_table, capsys, key, value):
+        nominal = simulate(tmp_path, "n.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        out_dir = tmp_path / "sweep"
+        rc = cli.main([
+            "gridsearch", "--config", str(config), "--dataset", str(nominal), "--pipeline", "RNG",
+            "--max-epochs", "2", "--patience", "2", "--out-dir", str(out_dir),
+        ])
+        assert rc == 2
+        assert f"{config}: invalid config file: unknown key {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_train_without_architecture_writes_sweep_report(self, tmp_path, trimmed_rng_table, capsys):
         nominal = simulate(tmp_path, "n.jsonl")
