@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features as feat
-from .dataset import read_json_object, reading
+from .dataset import CIR_LENGTH, json_integer, read_json_object, reading
 
 N_LAYERS = 5
 # Adam (Kingma & Ba 2015), the least validation-MSE drop that early stopping
@@ -173,11 +173,13 @@ def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
 
 
 def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    """Reconstruction of a single feature vector (length N)."""
+    """Reconstruction of one length-N row, or of each row of an (m, N) matrix
+    sent as an (m, 1, N) stack: matmul runs the one-row kernel on each slice,
+    so a row keeps the bits it gets alone (an (m, N) product rounds otherwise)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"expected input of length {model.n}, got {x.shape}")
-    return _reconstruct(model, x[None, :])[0]
+    if x.ndim not in (1, 2) or x.shape[-1] != model.n:
+        raise ValueError(f"expected rows of length {model.n}, got {x.shape}")
+    return _reconstruct(model, x[..., None, :])[..., 0, :]
 
 
 def _stack_mse(stack: AutoencoderModel, rows: np.ndarray) -> np.ndarray:
@@ -378,23 +380,46 @@ def save_bundle(
 def load_bundle(path: str | Path) -> dict:
     """Read a bundle; raises ``dataset.InputFileError`` naming the file when
     it is missing, not a JSON object, misses a key, holds a value of the
-    wrong type, a ``leaky_alpha`` other than LEAKY_ALPHA or weight and bias
-    shapes that do not fit its dims."""
+    wrong type (``dims`` and ``anchor_ids`` are JSON integers), a
+    ``leaky_alpha`` other than LEAKY_ALPHA or a value that is not finite,
+    when its arrays or its anchor count do not fit its dims, or when it
+    holds a ``pca`` with any pipeline but PCA, or none with PCA."""
     with reading(path, "model bundle"):
         obj = read_json_object(path)
         if obj["leaky_alpha"] != LEAKY_ALPHA:
             raise ValueError(f"leaky_alpha must be {LEAKY_ALPHA}, got {obj['leaky_alpha']!r}")
-        params, weights, biases = _layer_views(tuple(obj["dims"]))
+        dims = tuple(json_integer(d) for d in obj["dims"])
+        params, weights, biases = _layer_views(dims)
         saved = [np.asarray(a, dtype=float) for a in obj["weights"] + obj["biases"]]
         shapes, fits = [a.shape for a in saved], [v.shape for v in weights + biases]
         if shapes != fits:
             raise ValueError(f"weight and bias shapes {shapes} do not fit dims, which need {fits}")
         for view, values in zip(weights + biases, saved):
             view[...] = values
-        return {
-            "model": AutoencoderModel(tuple(obj["dims"]), params),
-            "pipeline": feat.Pipeline(obj["pipeline"]),
-            "scaler": feat.arrays_from_json(feat.Scaler, obj["scaler"]),
-            "pca": feat.arrays_from_json(feat.PcaModel, obj["pca"]) if "pca" in obj else None,
-            "anchor_ids": [int(a) for a in obj["anchor_ids"]] if "anchor_ids" in obj else None,
-        }
+        if not np.isfinite(params).all():
+            raise ValueError("a weight or bias is not finite")
+        pipeline = feat.Pipeline(obj["pipeline"])
+        scaler = feat.arrays_from_json(feat.Scaler, obj["scaler"])
+        arrays = {"scaler.mins": (scaler.mins, (dims[0],)), "scaler.maxs": (scaler.maxs, (dims[0],))}
+        pca = None
+        if pipeline is feat.Pipeline.PCA:
+            pca = feat.arrays_from_json(feat.PcaModel, obj["pca"])
+            k = pca.components.shape[-1] if pca.components.ndim == 2 else 0
+            d = (dims[0] - k) * CIR_LENGTH  # the anchors' concatenated CIRs
+            arrays |= {"pca.mean": (pca.mean, (d,)), "pca.components": (pca.components, (d, k)),
+                       "pca.explained_ratio": (pca.explained_ratio, (k,))}
+        elif "pca" in obj:
+            raise ValueError(f"pipeline {pipeline.value} takes no pca")
+        for name, (values, shape) in arrays.items():
+            if values.shape != shape:
+                raise ValueError(f"{name} has shape {values.shape}, dims {list(dims)} need {shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} holds a value that is not finite")
+        anchor_ids = None
+        if "anchor_ids" in obj:
+            anchor_ids = [json_integer(a) for a in obj["anchor_ids"]]
+            if (width := feat.feature_length(pipeline, len(anchor_ids), pca)) != dims[0]:
+                raise ValueError(f"{len(anchor_ids)} anchor_ids give {pipeline.value} features of "
+                                 f"length {width}, not dims[0] = {dims[0]}")
+        return {"model": AutoencoderModel(dims, params), "pipeline": pipeline,
+                "scaler": scaler, "pca": pca, "anchor_ids": anchor_ids}

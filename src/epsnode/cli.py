@@ -85,24 +85,6 @@ def _prepare_features(mset, pipeline, val_fraction, seed, variance_target):
     return feat.scale(scaler, train_raw), feat.scale(scaler, val_raw), scaler, pca
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    if type(value) is not int:  # a JSON integer: not 8.7, "3" or true
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _architecture(value) -> list[int] | str:
     """``"search"``, or the hidden widths ``[e1, e2, d1]``."""
     if value == "search" or (type(value) is list and len(value) == 3
@@ -113,18 +95,18 @@ def _architecture(value) -> list[int] | str:
 
 # each train/gridsearch setting: its type, and its default (None: required)
 _SETTINGS = {
-    "dataset": (_text, None),
+    "dataset": (ds.json_text, None),
     "pipeline": (feat.Pipeline, None),
-    "out_dir": (_text, None),
+    "out_dir": (ds.json_text, None),
     "architecture": (_architecture, "search"),
-    "batch_size": (_integer, ae.TrainConfig.batch_size),
-    "learning_rate": (_number, ae.TrainConfig.learning_rate),
-    "max_epochs": (_integer, ae.TrainConfig.max_epochs),
-    "patience": (_integer, ae.TrainConfig.patience),
-    "val_fraction": (_number, 0.2),
-    "seed": (_integer, ae.TrainConfig.seed),
-    "jobs": (_integer, 1),
-    "variance_target": (lambda v: feat.check_variance_target(_number(v)), feat.VARIANCE_TARGET),
+    "batch_size": (ds.json_integer, ae.TrainConfig.batch_size),
+    "learning_rate": (ds.json_number, ae.TrainConfig.learning_rate),
+    "max_epochs": (ds.json_integer, ae.TrainConfig.max_epochs),
+    "patience": (ds.json_integer, ae.TrainConfig.patience),
+    "val_fraction": (ds.json_number, 0.2),
+    "seed": (ds.json_integer, ae.TrainConfig.seed),
+    "jobs": (ds.json_integer, 1),
+    "variance_target": (lambda v: feat.check_variance_target(ds.json_number(v)), feat.VARIANCE_TARGET),
 }
 
 
@@ -149,6 +131,8 @@ def _load_train_config(args) -> dict:
             raise ValueError(f"missing required config key {key!r}")
         with ds.reading(args.config, f"config key {key!r}"):  # only a file's value can fail
             cfg[key] = kind(cfg.get(key, default))
+    if cfg["jobs"] < 1:
+        raise ValueError(f"jobs (parallelism) must be >= 1, got {cfg['jobs']}")
     return cfg
 
 

@@ -46,6 +46,27 @@ def reading(path: str | Path, what: str):
         raise InputFileError(f"{path}: invalid {what}: {exc}") from exc
 
 
+# A reader takes a JSON value at its type with these: a string, an
+# integer (not 8.7, "3" or true) or a number (not true or "0.5"); any other
+# value raises a TypeError naming it, which ``reading`` locates.
+def json_text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def json_integer(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def read_json_object(path: str | Path) -> dict:
     """The JSON object held in ``path``; call it inside :func:`reading`."""
     text = Path(path).read_text(encoding="utf-8")

@@ -119,10 +119,13 @@ def fit_pca(rows: np.ndarray, variance_target: float = VARIANCE_TARGET) -> PcaMo
 
 
 def apply_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
+    """Projection of one length-d row, or of each row of an (m, d) matrix
+    sent as an (m, 1, d) stack: matmul runs the one-row kernel on each slice,
+    so a row keeps the bits it gets alone (an (m, d) product rounds otherwise)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != model.mean.shape:
-        raise ValueError(f"expected vector of length {model.mean.shape[0]}, got {x.shape}")
-    return model.components.T @ (x - model.mean)
+    if x.ndim not in (1, 2) or x.shape[-1:] != model.mean.shape:
+        raise ValueError(f"expected rows of length {model.mean.shape[0]}, got {x.shape}")
+    return ((x - model.mean)[..., None, :] @ model.components)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +190,7 @@ def extract_matrix(
     pipeline's CIR features.
 
     MA peaks are found one CIR at a time rather than on an (m, A, 152) CIR
-    cube, which would raise peak memory. PCA projects one row at a time: a
-    batched ``(C - mean) @ components`` is a different BLAS call and
-    changes the last bits of the features.
+    cube, which would raise peak memory.
     """
     pipeline = Pipeline(pipeline)
     ranges = np.array([[r.range_m for r in m.per_anchor] for m in measurements], dtype=float)
@@ -204,5 +205,4 @@ def extract_matrix(
             np.concatenate([find_peaks(moving_average(r.cir)) for r in m.per_anchor],
                            out=row[n_anchors:])
         return out
-    projected = np.array([apply_pca(pca, row) for row in cir_matrix(measurements)])
-    return np.hstack([ranges, projected])
+    return np.hstack([ranges, apply_pca(pca, cir_matrix(measurements))])

@@ -79,11 +79,7 @@ def score(
         )
 
     x = feat.scale(scaler, feat.extract_matrix(mset.measurements, pipeline, pca))
-    # Row by row on purpose: reconstructing all rows in one batched matrix
-    # product rounds differently from per-row forward (with OpenBLAS, 389-398
-    # of preset B's 400 RNG rows differed, by up to 7e-16, and all 400 MA
-    # rows), which would change the bytes of every error map.
-    recon = np.array([ae.forward(model, row) for row in x])
+    recon = ae.forward(model, x)
     errors = anchor_error(recon[:, :n_anchors], x[:, :n_anchors])
     totals = total_error(errors)
 

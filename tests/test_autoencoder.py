@@ -18,8 +18,9 @@ from epsnode.autoencoder import ConstraintError, TrainConfig
 
 
 def forward_batch(model, rows):
-    """All (m, n) rows through the network as one batched product; scoring
-    deliberately reconstructs row by row with ``forward`` instead."""
+    """All (m, n) rows through the network as one batched product, as
+    training and validation take them; it rounds differently from
+    ``forward``, which sends the rows as a stack of one-row products."""
     return ae._reconstruct(model, np.asarray(rows, dtype=float))
 
 
@@ -131,16 +132,32 @@ class TestForward:
 
     def test_wrong_input_length(self):
         model = ae.build(4, 15, 30, 15, seed=0)
-        with pytest.raises(ValueError):
-            ae.forward(model, np.zeros(5))
+        for shape in [(5,), (3, 5), (2, 3, 4)]:
+            with pytest.raises(ValueError, match="expected rows of length 4"):
+                ae.forward(model, np.zeros(shape))
 
     def test_batch_matches_single(self):
         model = ae.build(4, 15, 30, 15, seed=2)
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(6, 4))
         batched = forward_batch(model, rows)
-        for row, out in zip(rows, batched):
+        stacked = ae.forward(model, rows)
+        for row, out, stacked_out in zip(rows, batched, stacked, strict=True):
             assert np.allclose(ae.forward(model, row), out, atol=1e-12)
+            assert np.array_equal(ae.forward(model, row), stacked_out)
+
+    @pytest.mark.parametrize("dims", [(4, 15, 30, 15), (28, 70, 90, 70), (19, 120, 165, 120)],
+                             ids=["RNG", "MA", "PCA"])
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 64), spread=st.floats(1e-3, 1e3))
+    @settings(max_examples=15, deadline=None)
+    def test_rows_keep_their_own_bits(self, dims, seed, m, spread):
+        """At each pipeline's reference dims, every row of a matrix gets the
+        bits that it gets alone."""
+        rng = np.random.default_rng(seed)
+        model = ae.build(*dims, seed=seed)
+        rows = rng.uniform(-0.5, 1.5, size=(m, dims[0])) * spread
+        expected = np.array([ae.forward(model, row) for row in rows])
+        assert np.array_equal(ae.forward(model, rows), expected)
 
 
 class TestTrain:

@@ -269,6 +269,17 @@ def workspace(tmp_path_factory):
     return tmp_path, nominal, perturbed, model_dir
 
 
+@pytest.fixture(scope="module")
+def pca_model_dir(workspace):
+    tmp_path, nominal, _, _ = workspace
+    return train(tmp_path, nominal, "pca_model", pipeline="PCA", arch=("24", "32", "24"))
+
+
+def with_scaler(obj, resize):
+    """The bundle ``obj`` with both scaler vectors passed through ``resize``."""
+    return obj | {"scaler": {key: resize(values) for key, values in obj["scaler"].items()}}
+
+
 @pytest.mark.parametrize("command", ["simulate", "train"])
 @pytest.mark.parametrize("source, named", [
     ("--seed", "seed must be a non-negative integer, got -1"),
@@ -529,29 +540,60 @@ class TestTrainScoreEvaluate:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "corrupt, named",
+        "pipeline, corrupt, named",
         [
-            (lambda obj: {k: v for k, v in obj.items() if k != "leaky_alpha"}, "'leaky_alpha'"),
-            (lambda obj: {k: v for k, v in obj.items() if k != "weights"}, "'weights'"),
-            (lambda obj: {k: v for k, v in obj.items() if k != "pipeline"},
+            ("RNG", lambda obj: {k: v for k, v in obj.items() if k != "leaky_alpha"},
+             "'leaky_alpha'"),
+            ("RNG", lambda obj: {k: v for k, v in obj.items() if k != "weights"}, "'weights'"),
+            ("RNG", lambda obj: {k: v for k, v in obj.items() if k != "pipeline"},
              "missing key 'pipeline'"),
-            (lambda obj: {k: v for k, v in obj.items() if k != "scaler"},
+            ("RNG", lambda obj: {k: v for k, v in obj.items() if k != "scaler"},
              "missing key 'scaler'"),
-            (lambda obj: [obj], "JSON object"),
-            (lambda obj: obj | {"scaler": {"maxs": obj["scaler"]["maxs"]}}, "'mins'"),
-            (lambda obj: json.dumps(obj)[:60], "line 1 column"),  # truncated file
-            (lambda obj: obj | {"dims": 5}, "'int' object is not iterable"),
-            (lambda obj: obj | {"weights": 3}, "unsupported operand"),
-            (lambda obj: obj | {"leaky_alpha": 0.2}, "leaky_alpha must be 0.01, got 0.2"),
-            (lambda obj: obj | {"leaky_alpha": -5}, "leaky_alpha must be 0.01, got -5"),
-            (lambda obj: obj | {"leaky_alpha": math.nan}, "leaky_alpha must be 0.01, got nan"),
+            ("RNG", lambda obj: [obj], "JSON object"),
+            ("RNG", lambda obj: obj | {"scaler": {"maxs": obj["scaler"]["maxs"]}}, "'mins'"),
+            ("RNG", lambda obj: json.dumps(obj)[:60], "line 1 column"),  # truncated file
+            ("RNG", lambda obj: obj | {"dims": 5}, "'int' object is not iterable"),
+            ("RNG", lambda obj: obj | {"weights": 3}, "unsupported operand"),
+            ("RNG", lambda obj: obj | {"leaky_alpha": 0.2}, "leaky_alpha must be 0.01, got 0.2"),
+            ("RNG", lambda obj: obj | {"leaky_alpha": -5}, "leaky_alpha must be 0.01, got -5"),
+            ("RNG", lambda obj: obj | {"leaky_alpha": math.nan},
+             "leaky_alpha must be 0.01, got nan"),
+            ("RNG", lambda obj: with_scaler(obj, lambda v: v[:3]),
+             "scaler.mins has shape (3,), dims [4, 8, 12, 8, 4] need (4,)"),
+            ("RNG", lambda obj: with_scaler(obj, lambda v: v + [1.0]),
+             "scaler.mins has shape (5,), dims [4, 8, 12, 8, 4] need (4,)"),
+            ("RNG", lambda obj: obj | {"scaler": obj["scaler"] | {"maxs": [math.nan] * 4}},
+             "scaler.maxs holds a value that is not finite"),
+            ("RNG", lambda obj: obj | {"weights": [[[math.nan] + row[1:] for row in obj["weights"][0]],
+                                                   *obj["weights"][1:]]},
+             "a weight or bias is not finite"),
+            ("PCA", lambda obj: obj | {"pca": obj["pca"] | {"mean": obj["pca"]["mean"][:10]}},
+             "pca.mean has shape (10,)"),
+            ("PCA", lambda obj: obj | {"pca": obj["pca"] | {"explained_ratio": [0.9]}},
+             "pca.explained_ratio has shape (1,)"),
+            ("PCA", lambda obj: {k: v for k, v in obj.items() if k != "pca"}, "missing key 'pca'"),
+            ("RNG", lambda obj: obj | {"pca": {"mean": [0.0], "components": [[1.0]],
+                                               "explained_ratio": [1.0]}},
+             "pipeline RNG takes no pca"),
+            ("RNG", lambda obj: obj | {"dims": [4.0, 8, 12, 8, 4]}, "expected an integer, got 4.0"),
+            ("RNG", lambda obj: obj | {"anchor_ids": [0, 1.5, 2, 3]}, "expected an integer, got 1.5"),
+            ("RNG", lambda obj: obj | {"anchor_ids": ["0", "1", "2", "3"]},
+             "expected an integer, got '0'"),
+            ("RNG", lambda obj: obj | {"anchor_ids": [0, 1, 2]},
+             "3 anchor_ids give RNG features of length 3, not dims[0] = 4"),
         ],
         ids=["no-leaky-alpha", "no-weights", "no-pipeline", "no-scaler", "json-list",
              "scaler-without-mins", "truncated", "int-dims", "int-weights",
-             "leaky-alpha-0.2", "leaky-alpha-negative", "leaky-alpha-nan"],
+             "leaky-alpha-0.2", "leaky-alpha-negative", "leaky-alpha-nan",
+             "scaler-of-3", "scaler-of-5", "scaler-nan", "weight-nan",
+             "pca-mean-of-10", "pca-explained-ratio-of-1", "pca-missing", "rng-with-pca",
+             "float-dims", "float-anchor-id", "string-anchor-ids", "anchor-ids-short"],
     )
-    def test_score_rejects_malformed_bundle(self, workspace, capsys, corrupt, named):
+    def test_score_rejects_malformed_bundle(self, request, workspace, capsys, pipeline, corrupt,
+                                            named):
         tmp_path, _, perturbed, model_dir = workspace
+        if pipeline == "PCA":
+            model_dir = request.getfixturevalue("pca_model_dir")
         obj = json.loads((model_dir / "model.json").read_text(encoding="utf-8"))
         bad = tmp_path / "malformed.json"
         text = corrupt(obj)
@@ -746,12 +788,18 @@ class TestGridsearchCommand:
         assert "search space contains no valid candidates" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_usage_error(self, tmp_path, trimmed_rng_table, capsys, jobs):
+    @pytest.mark.parametrize(
+        "command, jobs",
+        [(("gridsearch",), "0"), (("gridsearch",), "-3"),
+         (("train", "--architecture", "8", "12", "8"), "0"),
+         (("train", "--architecture", "8", "12", "8"), "-3")],
+        ids=["0", "-3", "train-0", "train--3"],
+    )
+    def test_jobs_below_one_is_usage_error(self, tmp_path, trimmed_rng_table, capsys, command, jobs):
         nominal = simulate(tmp_path, "n.jsonl")
         out_dir = tmp_path / "sweep"
         rc = cli.main([
-            "gridsearch", "--dataset", str(nominal), "--pipeline", "RNG",
+            *command, "--dataset", str(nominal), "--pipeline", "RNG",
             "--max-epochs", "2", "--patience", "2", "--jobs", jobs, "--out-dir", str(out_dir),
         ])
         assert rc == 2

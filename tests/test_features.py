@@ -133,6 +133,28 @@ class TestPca:
             proj = feat.apply_pca(model, model.mean + model.components[:, idx])
             assert np.allclose(proj, np.eye(k)[idx], atol=1e-8)
 
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 64), k=st.integers(1, 20),
+           order=st.sampled_from("CF"))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_keep_their_own_bits(self, seed, m, k, order):
+        """On the PCA pipeline's 608-long rows (four 152-sample CIRs), every
+        row of a matrix projects to the bits of the per-row product
+        ``components.T @ (row - mean)``, with the components laid out as a
+        fit (F) or a loaded bundle (C) holds them."""
+        rng = np.random.default_rng(seed)
+        d = 4 * CIR
+        components = np.asarray(np.linalg.qr(rng.normal(size=(d, k)))[0], order=order)
+        model = feat.PcaModel(rng.normal(size=d), components, np.full(k, 1.0 / k))
+        rows = rng.normal(size=(m, d)) * rng.uniform(1e-3, 1e3)
+        expected = np.array([model.components.T @ (row - model.mean) for row in rows])
+        assert np.array_equal(feat.apply_pca(model, rows), expected)
+
+    def test_wrong_row_length(self):
+        model = feat.fit_pca(np.random.default_rng(0).normal(size=(20, 5)))
+        for shape in [(4,), (3, 6), (2, 3, 5)]:
+            with pytest.raises(ValueError, match="expected rows of length 5"):
+                feat.apply_pca(model, np.zeros(shape))
+
     def test_explained_sorted_and_orthonormal(self):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(100, 8)) * np.linspace(3.0, 0.3, 8)

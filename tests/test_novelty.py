@@ -42,10 +42,11 @@ def small_mset(cells, samples_per_cell=2, seed=0, nx=3, ny=2):
     return ds.MeasurementSet("custom", grid, measurements, seed=seed)
 
 
-def reference_score(model, scaler, pipeline, mset):
+def reference_score(model, scaler, pipeline, mset, pca=None):
     """Per-row oracle for ``nov.score``: extract, scale, reconstruct and take
     the norm of one measurement at a time, then average each cell. Returns
-    the total map values and the (n_anchors, ny, nx) anchor values.
+    the total map values and the (n_anchors, ny, nx) anchor values. A PCA
+    row projects its concatenated CIRs as ``components.T @ (row - mean)``.
 
     The norm is numpy's sum over one 4-vector, as the per-row scorer took
     it; a correctly rounded ``math.fsum`` norm differs from it in the last
@@ -58,6 +59,9 @@ def reference_score(model, scaler, pipeline, mset):
         if pipeline is feat.Pipeline.MA:
             for r in meas.per_anchor:
                 values.extend(feat.find_peaks(feat.moving_average(r.cir)))
+        if pipeline is feat.Pipeline.PCA:
+            row = np.concatenate([r.cir for r in meas.per_anchor])
+            values.extend(pca.components.T @ (row - pca.mean))
         x = feat.scale(scaler, np.array(values))
         recon = ae.forward(model, x)
         errs = np.array([abs(float(recon[k]) - float(x[k])) for k in range(n_anchors)])
@@ -155,12 +159,13 @@ class TestScore:
             assert total == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "pipeline, trained", [(feat.Pipeline.RNG, "trained_rng"), (feat.Pipeline.MA, "trained_ma")]
+        "pipeline, trained", [(feat.Pipeline.RNG, "trained_rng"), (feat.Pipeline.MA, "trained_ma"),
+                              (feat.Pipeline.PCA, "trained_pca")]
     )
     def test_maps_equal_per_row_oracle(self, request, preset_b_set, pipeline, trained):
-        model, scaler, _, _ = request.getfixturevalue(trained)
-        emap, anchor_maps, _ = nov.score(model, scaler, pipeline, None, preset_b_set)
-        total_values, anchor_values = reference_score(model, scaler, pipeline, preset_b_set)
+        model, scaler, _, pca = request.getfixturevalue(trained)
+        emap, anchor_maps, _ = nov.score(model, scaler, pipeline, pca, preset_b_set)
+        total_values, anchor_values = reference_score(model, scaler, pipeline, preset_b_set, pca)
         assert np.array_equal(emap.values, total_values, equal_nan=True)
         for amap, expected in zip(anchor_maps, anchor_values, strict=True):
             assert np.array_equal(amap.values, expected, equal_nan=True)
