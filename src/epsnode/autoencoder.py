@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features as feat
-from .dataset import CIR_LENGTH, json_integer, read_json_object, reading
+from .dataset import CIR_LENGTH, json_integer, json_numbers, read_json_object, reading
 
 N_LAYERS = 5
 # Adam (Kingma & Ba 2015), the least validation-MSE drop that early stopping
@@ -380,9 +380,10 @@ def save_bundle(
 def load_bundle(path: str | Path) -> dict:
     """Read a bundle; raises ``dataset.InputFileError`` naming the file when
     it is missing, not a JSON object, misses a key, holds a value of the
-    wrong type (``dims`` and ``anchor_ids`` are JSON integers), a
-    ``leaky_alpha`` other than LEAKY_ALPHA or a value that is not finite,
-    when its arrays or its anchor count do not fit its dims, or when it
+    wrong type (``dims`` and ``anchor_ids`` are JSON integers, and the
+    arrays JSON numbers), a ``leaky_alpha`` other than LEAKY_ALPHA or a value
+    that is not finite, when ``dims`` does not end in ``dims[0]``, when its
+    arrays or its anchor count do not fit its dims, or when it
     holds a ``pca`` with any pipeline but PCA, or none with PCA."""
     with reading(path, "model bundle"):
         obj = read_json_object(path)
@@ -390,7 +391,9 @@ def load_bundle(path: str | Path) -> dict:
             raise ValueError(f"leaky_alpha must be {LEAKY_ALPHA}, got {obj['leaky_alpha']!r}")
         dims = tuple(json_integer(d) for d in obj["dims"])
         params, weights, biases = _layer_views(dims)
-        saved = [np.asarray(a, dtype=float) for a in obj["weights"] + obj["biases"]]
+        if dims[-1] != dims[0]:
+            raise ValueError(f"dims {list(dims)} must end in dims[0], the input it reconstructs")
+        saved = [json_numbers(a) for a in obj["weights"] + obj["biases"]]
         shapes, fits = [a.shape for a in saved], [v.shape for v in weights + biases]
         if shapes != fits:
             raise ValueError(f"weight and bias shapes {shapes} do not fit dims, which need {fits}")

@@ -1,19 +1,30 @@
 """Fingerprint measurement sets: grid-map arithmetic, JSONL persistence, splitting,
 and the one error rule that every reader of an input file follows.
 
-File format (JSON Lines):
+File format (JSON Lines, each line ended by "\\n"):
     line 1: {"scenario": str, "grid": {"origin": [x, y], "nx": int, "ny": int,
              "cell_size": m}, "seed": int}
     line 2+: {"cell": [i, j], "pass": int,
               "anchors": [{"id": int, "range": m, "cir": [152 floats]}, ...]}
 
 Floats are serialized as shortest round-trip decimals, so save/load is
-bit-exact.
+bit-exact. Reading takes each value at its JSON type: an int above holds no
+1.5, "3" or true, and a number no string or boolean.
+
+Large sets are written and read on every usable core: the records split into
+one contiguous part per core, of at least PART_RECORDS each, and forked
+children format or parse every part but the first while this process does the
+first. One per-record function formats, and one parses, on both paths, so the
+file's bytes, the loaded set and every located error are those of a single
+process.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -67,6 +78,38 @@ def json_number(value) -> float:
     return float(value)
 
 
+def _numbers(values):
+    """``values``, a sequence of JSON numbers (no string or boolean)."""
+    if not set(map(type, values)) <= {float, int}:
+        raise TypeError(f"expected numbers, got {next(v for v in values if type(v) not in (float, int))!r}")
+    return values
+
+
+def json_numbers(value) -> np.ndarray:
+    """A number, or an array of numbers nested to any depth, as a float array
+    (numpy alone would read "0.5" and true as numbers)."""
+    array = np.asarray(value, dtype=float)
+    _numbers(np.asarray(value, dtype=object).ravel())
+    return array
+
+
+def json_field(obj: dict, key: str, kind):
+    """``kind(obj[key])``, where a wrong value raises an error naming the key."""
+    value = obj[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key!r}: {exc}") from exc
+
+
+def _pair(kind):
+    """A converter of a two-item array, such as a cell or an origin, by ``kind``."""
+    def pair(value) -> tuple:
+        a, b = value
+        return kind(a), kind(b)
+    return pair
+
+
 def read_json_object(path: str | Path) -> dict:
     """The JSON object held in ``path``; call it inside :func:`reading`."""
     text = Path(path).read_text(encoding="utf-8")
@@ -115,8 +158,8 @@ class GridMap:
     @classmethod
     def from_json(cls, obj: dict) -> "GridMap":
         """Inverse of ``dataclasses.asdict``, as the dataset header holds it."""
-        ox, oy = obj["origin"]
-        return cls((float(ox), float(oy)), int(obj["nx"]), int(obj["ny"]), float(obj["cell_size"]))
+        return cls(json_field(obj, "origin", _pair(json_number)), json_field(obj, "nx", json_integer),
+                   json_field(obj, "ny", json_integer), json_field(obj, "cell_size", json_number))
 
     @property
     def extent(self) -> tuple[float, float, float, float]:
@@ -198,26 +241,191 @@ class MeasurementSet:
         return [r.anchor_id for r in self.measurements[0].per_anchor]
 
 
+PART_RECORDS = 200  # the fewest records a part takes; smaller sets stay in one process
+
+
+def _part_count(n_records: int) -> int:
+    """The number of parts for ``n_records`` records: one per usable core,
+    each of at least PART_RECORDS, and one where this host cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_records // PART_RECORDS))
+
+
+def _child(work, job, out) -> None:
+    """A forked child's whole run: ``work(job, out)``, then ``os._exit``, so
+    none of the parent's cleanup runs and none of its buffers is flushed
+    here. The exit status says how it went: 0 done; 1 or 2 and ``out`` holds
+    an InputFileError's message or any other error's."""
+    status = 2
+    try:
+        try:
+            work(job, out)
+            code = 0
+        except BaseException as exc:
+            code, message = (1, str(exc)) if isinstance(exc, InputFileError) else (2, repr(exc))
+            out.seek(0)
+            out.truncate()
+            out.write(message.encode())
+        out.flush()
+        status = code
+    finally:
+        os._exit(status)
+
+
+@contextmanager
+def _forked(name, jobs: list, work):
+    """Run ``work(job, out)`` for each job in a forked child, ``out`` a
+    temporary file of its own, while the caller does its own share. Yields
+    one ``join()`` per job, to call in order: it waits for that child and
+    returns ``out`` rewound, or raises the child's InputFileError, or a
+    RuntimeError naming ``name`` when the child failed otherwise. On leaving,
+    by any path, every child not joined yet is killed, and every child is
+    reaped."""
+    running: dict[int, object] = {}  # pid -> out, until reaped
+    outs = []
+
+    def join(pid: int):
+        _, status = os.waitpid(pid, 0)
+        out = running.pop(pid)
+        code = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        if code == 0:
+            return out
+        if code == 1:
+            raise InputFileError(out.read().decode())
+        how = f"was killed by signal {-code}" if code < 0 else f"failed: {out.read().decode()}"
+        raise RuntimeError(f"{name}: worker process {pid} {how}")
+
+    try:
+        for job in jobs:
+            outs.append(out := tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _child(work, job, out)
+            running[pid] = out
+        yield [lambda pid=pid: join(pid) for pid in list(running)]
+    finally:
+        if running:
+            from signal import SIGKILL  # loaded only when a child is left to kill
+        for pid in running:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        for out in outs:
+            out.close()
+
+
+def _record_line(m: Measurement) -> bytes:
+    """One record's line, as both paths of :func:`save` write it."""
+    rec = {
+        "cell": [m.cell[0], m.cell[1]],
+        "pass": m.pass_id,
+        "anchors": [
+            {"id": r.anchor_id, "range": r.range_m, "cir": r.cir.tolist()}
+            for r in m.per_anchor
+        ],
+    }
+    return (json.dumps(rec) + "\n").encode()
+
+
 def save(mset: MeasurementSet, path: str | Path) -> None:
     """Write a measurement set as JSON Lines (header + one record per line)."""
-    path = Path(path)
     header = {
         "scenario": mset.scenario_name,
         "grid": asdict(mset.grid),
         "seed": mset.seed,
     }
-    with path.open("w", encoding="utf-8") as f:
-        f.write(json.dumps(header) + "\n")
-        for m in mset.measurements:
-            rec = {
-                "cell": [m.cell[0], m.cell[1]],
-                "pass": m.pass_id,
-                "anchors": [
-                    {"id": r.anchor_id, "range": r.range_m, "cir": r.cir.tolist()}
-                    for r in m.per_anchor
-                ],
-            }
-            f.write(json.dumps(rec) + "\n")
+    records = mset.measurements
+    n = _part_count(len(records))
+    ends = [len(records) * k // n for k in range(n + 1)]
+    parts = [records[a:b] for a, b in zip(ends, ends[1:])]
+
+    def write(part, out):
+        out.writelines(map(_record_line, part))
+
+    with Path(path).open("wb") as f, _forked(path, parts[1:], write) as joins:
+        f.write((json.dumps(header) + "\n").encode())
+        write(parts[0], f)
+        for join in joins:
+            shutil.copyfileobj(join(), f)
+
+
+def _json_object(line: bytes):
+    try:
+        return json.loads(line.decode("utf-8"))
+    except json.JSONDecodeError as exc:  # its position repeats "line 1"
+        raise ValueError(f"not valid JSON: {exc.msg}") from exc
+
+
+def _header(line: bytes) -> tuple[str, GridMap, int]:
+    obj = _json_object(line)
+    return (json_field(obj, "scenario", json_text), GridMap.from_json(obj["grid"]),
+            json_field(obj, "seed", json_integer))
+
+
+def _record(line: bytes, grid: GridMap, first_ids: list[int] | None) -> Measurement:
+    """Parse one record line; its anchor ids must be ``first_ids``, unless
+    it is the first record (None)."""
+    obj = _json_object(line)
+    anchors = tuple(
+        AnchorReading(json_field(a, "id", json_integer), json_field(a, "range", json_number),
+                      json_field(a, "cir", _numbers))
+        for a in obj["anchors"]
+    )
+    cell = json_field(obj, "cell", _pair(json_integer))
+    if not grid.contains_cell(*cell):
+        raise ValueError(f"cell {cell} outside the {grid.nx}x{grid.ny} grid")
+    ids = [r.anchor_id for r in anchors]
+    if first_ids is not None and ids != first_ids:
+        raise ValueError(f"anchor ids {ids} differ from the first record's {first_ids}")
+    return Measurement(cell, json_field(obj, "pass", json_integer), anchors)
+
+
+def _read_records(f, stop: int, grid: GridMap, first_ids: list[int], where) -> list[Measurement]:
+    """The records from ``f``'s offset up to byte ``stop``. An error names
+    its line by ``where(k)``, k counting this part's lines from 0, so a part
+    that does not start the file counts the lines before it only then."""
+    records, pos, k = [], f.tell(), 0
+    while pos < stop and (line := f.readline()):
+        pos += len(line)
+        if line.strip():
+            try:
+                records.append(_record(line, grid, first_ids))
+            except Exception:
+                with reading(where(k), "record"):  # locates the error and raises it
+                    raise
+        k += 1
+    return records
+
+
+def _part_bounds(f, start: int, size: int, n: int) -> list[int]:
+    """The n + 1 offsets that cut bytes ``start:size`` of ``f`` into n parts
+    of about equal length, each beginning at a line start."""
+    bounds = [start]
+    for k in range(1, n):
+        f.seek(start + (size - start) * k // n - 1)
+        f.readline()
+        bounds.append(f.tell())
+    f.seek(start)
+    return bounds + [size]
+
+
+def _write_columns(records: list[Measurement], out) -> None:
+    """A child's parsed part: the cells and pass ids as one JSON line (which
+    holds integers of any size), then the ranges and the CIR block as .npy
+    arrays. Every record's anchor ids equal the first record's."""
+    out.write(json.dumps([[*m.cell, m.pass_id] for m in records]).encode() + b"\n")
+    for column in ([[r.range_m for r in m.per_anchor] for m in records],
+                   [[r.cir for r in m.per_anchor] for m in records]):
+        np.lib.format.write_array(out, np.array(column, dtype=float), allow_pickle=False)
+
+
+def _read_columns(f, anchor_ids: list[int]) -> list[Measurement]:
+    """Inverse of :func:`_write_columns`; each CIR is a row view of the block."""
+    heads = json.loads(f.readline())
+    ranges, cirs = (np.lib.format.read_array(f, allow_pickle=False) for _ in range(2))
+    return [Measurement((i, j), pass_id, tuple(map(AnchorReading, anchor_ids, row, block)))
+            for (i, j, pass_id), row, block in zip(heads, ranges.tolist(), cirs)]
 
 
 def load(path: str | Path) -> MeasurementSet:
@@ -226,39 +434,46 @@ def load(path: str | Path) -> MeasurementSet:
     file and line. Every record must lie in the header's grid and carry the
     first record's anchor ids."""
     path = Path(path)
-    measurements: list[Measurement] = []
-    header = None
-    first_ids = None
-    with reading(path, "dataset"), path.open("r", encoding="utf-8") as f:
+    with reading(path, "dataset"), path.open("rb") as f:
+        head = []  # (line number, line) of the header and the first record
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            with reading(f"{path}: line {lineno}", "record" if header else "header"):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:  # its position repeats "line 1"
-                    raise ValueError(f"not valid JSON: {exc.msg}") from exc
-                if header is None:
-                    header = (str(obj["scenario"]), GridMap.from_json(obj["grid"]), int(obj["seed"]))
-                    continue
-                anchors = tuple(
-                    AnchorReading(int(a["id"]), float(a["range"]), a["cir"]) for a in obj["anchors"]
-                )
-                cell = (int(obj["cell"][0]), int(obj["cell"][1]))
-                grid = header[1]
-                if not grid.contains_cell(*cell):
-                    raise ValueError(f"cell {cell} outside the {grid.nx}x{grid.ny} grid")
-                ids = [r.anchor_id for r in anchors]
-                if first_ids is None:
-                    first_ids = ids
-                if ids != first_ids:
-                    raise ValueError(f"anchor ids {ids} differ from the first record's {first_ids}")
-                measurements.append(Measurement(cell, int(obj["pass"]), anchors))
-        if header is None:
+            if line.strip():
+                head.append((lineno, line))
+                if len(head) == 2:
+                    break
+        if not head:
             raise ValueError("empty file: missing header")
-        if not measurements:
+        with reading(f"{path}: line {head[0][0]}", "header"):
+            scenario_name, grid, seed = _header(head[0][1])
+        if len(head) == 1:
             raise ValueError("dataset contains no measurements")
-    scenario_name, grid, seed = header
+        lineno, line = head[1]
+        with reading(f"{path}: line {lineno}", "record"):
+            first = _record(line, grid, None)
+        ids = [r.anchor_id for r in first.per_anchor]
+
+        # the rest splits at line starts, its record count estimated from
+        # the first record's length
+        start, size = f.tell(), os.fstat(f.fileno()).st_size
+        bounds = _part_bounds(f, start, size, _part_count(1 + (size - start) // len(line)))
+
+        def parse(part, out):
+            a, b = part
+            with path.open("rb") as g:  # not f: a forked child shares f's offset
+
+                def where(k):  # the lines before the part are counted only here
+                    g.seek(0)
+                    before = g.read(a).count(b"\n")
+                    return f"{path}: line {before + 1 + k}"
+
+                g.seek(a)
+                _write_columns(_read_records(g, b, grid, ids, where), out)
+
+        with _forked(path, list(zip(bounds[1:], bounds[2:])), parse) as joins:
+            measurements = [first, *_read_records(f, bounds[1], grid, ids,
+                                                  lambda k: f"{path}: line {lineno + 1 + k}")]
+            for join in joins:
+                measurements += _read_columns(join(), ids)
     return MeasurementSet(scenario_name, grid, measurements, seed)
 
 

@@ -19,6 +19,8 @@ from enum import Enum
 
 import numpy as np
 
+from .dataset import json_field, json_numbers
+
 # The MA pipeline's peaks per anchor, and the PCA pipeline's default share
 # of the variance that the kept components explain.
 MA_PEAKS = 6
@@ -156,7 +158,7 @@ def arrays_to_json(obj) -> dict:
 
 def arrays_from_json(cls, obj: dict):
     """Inverse of :func:`arrays_to_json` for the dataclass ``cls``."""
-    return cls(**{f.name: np.asarray(obj[f.name], dtype=float) for f in fields(cls)})
+    return cls(**{f.name: json_field(obj, f.name, json_numbers) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,25 @@ def with_scaler(obj, resize):
     return obj | {"scaler": {key: resize(values) for key, values in obj["scaler"].items()}}
 
 
+def with_entry(obj, keys, value):
+    """A copy of the bundle ``obj`` with the entry at the path ``keys`` set to ``value``."""
+    obj = json.loads(json.dumps(obj))
+    *path, last = keys
+    inner = obj
+    for key in path:
+        inner = inner[key]
+    inner[last] = value
+    return obj
+
+
+def output_width(obj, width):
+    """The bundle ``obj`` with its output layer cut to ``width`` units, and
+    ``dims`` to match: a net that does not reconstruct its input."""
+    return obj | {"dims": obj["dims"][:-1] + [width],
+                  "weights": obj["weights"][:-1] + [[row[:width] for row in obj["weights"][-1]]],
+                  "biases": obj["biases"][:-1] + [obj["biases"][-1][:width]]}
+
+
 @pytest.mark.parametrize("command", ["simulate", "train"])
 @pytest.mark.parametrize("source, named", [
     ("--seed", "seed must be a non-negative integer, got -1"),
@@ -581,13 +600,25 @@ class TestTrainScoreEvaluate:
              "expected an integer, got '0'"),
             ("RNG", lambda obj: obj | {"anchor_ids": [0, 1, 2]},
              "3 anchor_ids give RNG features of length 3, not dims[0] = 4"),
+            ("RNG", lambda obj: obj | {"scaler": obj["scaler"] | {"maxs": ["1.0", True, 3, "4"]}},
+             "'maxs': expected numbers, got '1.0'"),
+            ("RNG", lambda obj: with_entry(obj, ["scaler", "mins", 2], False),
+             "'mins': expected numbers, got False"),
+            ("RNG", lambda obj: with_entry(obj, ["weights", 0, 1, 2], True), "expected numbers, got True"),
+            ("RNG", lambda obj: with_entry(obj, ["biases", 3, 0], "0.5"), "expected numbers, got '0.5'"),
+            ("PCA", lambda obj: with_entry(obj, ["pca", "components", 7, 0], "0.1"),
+             "'components': expected numbers, got '0.1'"),
+            ("RNG", lambda obj: output_width(obj, 3),
+             "dims [4, 8, 12, 8, 3] must end in dims[0], the input it reconstructs"),
         ],
         ids=["no-leaky-alpha", "no-weights", "no-pipeline", "no-scaler", "json-list",
              "scaler-without-mins", "truncated", "int-dims", "int-weights",
              "leaky-alpha-0.2", "leaky-alpha-negative", "leaky-alpha-nan",
              "scaler-of-3", "scaler-of-5", "scaler-nan", "weight-nan",
              "pca-mean-of-10", "pca-explained-ratio-of-1", "pca-missing", "rng-with-pca",
-             "float-dims", "float-anchor-id", "string-anchor-ids", "anchor-ids-short"],
+             "float-dims", "float-anchor-id", "string-anchor-ids", "anchor-ids-short",
+             "string-scaler", "bool-scaler", "bool-weight", "string-bias", "string-pca-component",
+             "output-of-3"],
     )
     def test_score_rejects_malformed_bundle(self, request, workspace, capsys, pipeline, corrupt,
                                             named):

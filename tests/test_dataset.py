@@ -1,8 +1,13 @@
 """Grid map, measurement containers, persistence, and splitting."""
 from __future__ import annotations
 
+import itertools
+import json
 import math
+import os
 import re
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from epsnode import dataset as ds
+from epsnode import simulator as sim
 from epsnode.dataset import (
     AnchorReading,
     GridMap,
@@ -223,6 +229,177 @@ class TestPersistence:
         with pytest.raises(InputFileError, match=r"data\.jsonl: line 3: invalid record: not valid JSON"):
             ds.load(path)
 
+
+
+@contextmanager
+def usable_cores(n):
+    """Run as if this process may use ``n`` cores (1: the one-process path)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        yield
+
+
+@contextmanager
+def counting_forks():
+    """The list of this process's ``os.fork`` calls made inside the block."""
+    forks, fork = [], os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        yield forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_children_only(function, action):
+    """``function``, but ``action()`` in place of it in any forked child."""
+    parent = os.getpid()
+    return lambda *args: function(*args) if os.getpid() == parent else action()
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture(scope="module")
+def nominal_5x10():
+    """The protocol's nominal set: 5 passes x 10 samples on the standard grid."""
+    return sim.generate_dataset(sim.scenario("nominal"), sim.default_grid(), 5, 10, seed=42)
+
+
+@pytest.fixture(scope="module")
+def part_lines(tmp_path_factory):
+    """The lines of a saved set large enough for two parts; each record's
+    pass id is its index, and its CIRs are short to write."""
+    records = [measurement((i % 2, i // 2 % 2), pass_id=i) for i in range(2 * ds.PART_RECORDS + 51)]
+    path = tmp_path_factory.mktemp("parts") / "data.jsonl"
+    with usable_cores(1):
+        ds.save(MeasurementSet("nominal", small_set().grid, records, seed=1), path)
+    return path.read_bytes().splitlines(keepends=True)
+
+
+class TestCores:
+    """A large set is written and read on every usable core, with the bytes,
+    the set and the errors of one process."""
+
+    def test_nominal_5x10_writes_the_same_bytes(self, tmp_path, nominal_5x10):
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        with usable_cores(1), counting_forks() as forks:
+            ds.save(nominal_5x10, one)
+            serial = ds.load(one)
+        assert forks == []
+        with usable_cores(2), counting_forks() as forks:
+            ds.save(nominal_5x10, two)
+            parallel = ds.load(two)
+        assert len(forks) == 2  # one child each for save and load
+        assert two.read_bytes() == one.read_bytes()
+        assert msets_equal(parallel, serial) and msets_equal(parallel, nominal_5x10)
+        assert_no_child_left()
+
+    @given(measurement_sets(), st.integers(2, 4), st.integers(0, 40))
+    @settings(max_examples=10, deadline=None)
+    def test_round_trip_above_the_part_size_is_bit_exact(self, tmp_path_factory, base, cores,
+                                                         extra):
+        # parts of 10 records keep the files small. The load estimates its
+        # record count from the first record's length, and a record of
+        # another draw may be up to 5.2 times as long (26 bytes a sample,
+        # not 5), so 25 parts' records make every core's part.
+        records = [Measurement(m.cell, k, m.per_anchor)
+                   for k, m in zip(range(250 + extra), itertools.cycle(base.measurements))]
+        mset = MeasurementSet(base.scenario_name, base.grid, records, base.seed)
+        path = tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+        with pytest.MonkeyPatch.context() as mp, usable_cores(cores), counting_forks() as forks:
+            mp.setattr(ds, "PART_RECORDS", 10)
+            ds.save(mset, path)
+            loaded = ds.load(path)
+        assert len(forks) == 2 * (cores - 1)
+        written = path.read_bytes()
+        with usable_cores(1):
+            ds.save(mset, path)
+        assert path.read_bytes() == written
+
+        def bits(s, field):  # float bit patterns, so -0.0 and 0.0 differ
+            return np.array([[getattr(r, field) for r in m.per_anchor]
+                             for m in s.measurements]).view(np.uint64)
+
+        assert np.array_equal(bits(loaded, "range_m"), bits(mset, "range_m"))
+        assert np.array_equal(bits(loaded, "cir"), bits(mset, "cir"))
+        assert [(m.cell, m.pass_id) for m in loaded.measurements] == [(m.cell, m.pass_id) for m in records]
+        assert (loaded.scenario_name, loaded.grid, loaded.seed) == (mset.scenario_name, mset.grid, mset.seed)
+
+    @pytest.mark.parametrize("bad, blank", [
+        ({-1: ("pass", "7")}, False),
+        ({-1: ("pass", "7")}, True),   # blank lines count as lines
+        ({-5: ("anchors", [])}, False),  # the anchor ids differ from the first record's
+        ({-3: ("cell", [0, 9])}, False),
+        ({-2: ("anchors", "x"), -40: ("cell", [1.9, 0])}, False),  # the earlier one is reported
+        ({150: ("anchors", []), -2: ("pass", "7")}, False),  # the first part's, by its id check
+    ], ids=["last-line", "after-blank-lines", "anchor-ids", "cell-outside", "two-in-last-part",
+            "one-in-each-part"])
+    def test_bad_record_in_a_later_part_reads_as_on_one_core(self, tmp_path, part_lines, bad, blank):
+        lines = list(part_lines)
+        for index, (key, value) in bad.items():
+            lines[index] = (json.dumps(json.loads(lines[index]) | {key: value}) + "\n").encode()
+        first = min(index % len(lines) for index in bad) + 1  # the line reported
+        if blank:
+            lines[300:300] = [b"\n", b"  \n"]
+            first += 2
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"".join(lines))
+        with usable_cores(1), pytest.raises(InputFileError) as serial:
+            ds.load(path)
+        with usable_cores(2), counting_forks() as forks, pytest.raises(InputFileError) as parallel:
+            ds.load(path)
+        assert len(forks) == 1
+        assert str(parallel.value) == str(serial.value)
+        assert str(serial.value).startswith(f"{path}: line {first}: ")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fail, named", [
+        (lambda: 1 / 0, "failed: ZeroDivisionError"),
+        (kill_self, f"was killed by signal {signal.SIGKILL}"),
+    ], ids=["raises", "killed"])
+    def test_child_that_fails_is_an_error_in_the_parent(self, tmp_path, monkeypatch, part_lines,
+                                                          fail, named):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"".join(part_lines))
+        with usable_cores(2):
+            mset = ds.load(path)
+            monkeypatch.setattr(ds, "_write_columns", in_children_only(ds._write_columns, fail))
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(path))}: worker process .* {named}"):
+                ds.load(path)
+            assert_no_child_left()
+            monkeypatch.setattr(ds, "_record_line", in_children_only(ds._record_line, fail))
+            with pytest.raises(RuntimeError, match=f"worker process .* {named}"):
+                ds.save(mset, tmp_path / "again.jsonl")
+        assert_no_child_left()
+
+    def test_interrupted_parent_reaps_its_children(self, tmp_path, monkeypatch, part_lines):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"".join(part_lines))
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        parent = os.getpid()
+        read_records = ds._read_records
+        monkeypatch.setattr(ds, "_read_records", lambda *args: (
+            interrupt() if os.getpid() == parent else read_records(*args)))
+        with usable_cores(2), counting_forks() as forks, pytest.raises(KeyboardInterrupt):
+            ds.load(path)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_host_without_fork_or_affinity_reads_in_one_process(self, tmp_path, monkeypatch,
+                                                                part_lines, missing):
+        path, again = tmp_path / "data.jsonl", tmp_path / "again.jsonl"
+        path.write_bytes(b"".join(part_lines))
+        monkeypatch.delattr(os, missing)
+        ds.save(ds.load(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 class TestSplit:
     def test_per_cell_counts(self):

@@ -86,3 +86,57 @@ def test_bad_input_file_is_one_located_error(tmp_path, reader, corruption):
         path.write_text(change(path.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(ds.InputFileError, match=f"^{re.escape(str(path))}"):
         read(path)
+
+
+def set_in_line(number, change):
+    """A corruption that passes the JSON object on line ``number`` (from 1)
+    through ``change``, which edits it in place."""
+    def corrupt(text):
+        lines = text.splitlines()
+        obj = json.loads(lines[number - 1])
+        change(obj)
+        lines[number - 1] = json.dumps(obj)
+        return "\n".join(lines) + "\n"
+    return corrupt
+
+
+def first_anchor(key, value):
+    return lambda obj: obj["anchors"][0].update({key: value})
+
+
+def first_sample(value):
+    return lambda obj: obj["anchors"][1]["cir"].__setitem__(5, value)
+
+
+# each dataset field at a wrong JSON type: (line, change, the error's reason)
+DATASET_TYPES = {
+    "cell-float": (2, lambda obj: obj.update(cell=[1.9, 0]), "'cell': expected an integer, got 1.9"),
+    "pass-string": (3, lambda obj: obj.update({"pass": "7"}), "'pass': expected an integer, got '7'"),
+    "id-float": (2, first_anchor("id", 1.4), "'id': expected an integer, got 1.4"),
+    "range-string": (3, first_anchor("range", "1.5"), "'range': expected a number, got '1.5'"),
+    "cir-string": (2, first_sample("0.25"), "'cir': expected numbers, got '0.25'"),
+    "cir-bool": (3, first_sample(True), "'cir': expected numbers, got True"),
+    "scenario-int": (1, lambda obj: obj.update(scenario=5), "'scenario': expected a string, got 5"),
+    "nx-float": (1, lambda obj: obj["grid"].update(nx=2.7), "'nx': expected an integer, got 2.7"),
+    "ny-string": (1, lambda obj: obj["grid"].update(ny="2"), "'ny': expected an integer, got '2'"),
+    "origin-string": (1, lambda obj: obj["grid"].update(origin=[1.0, "1.25"]),
+                      "'origin': expected a number, got '1.25'"),
+    "cell-size-bool": (1, lambda obj: obj["grid"].update(cell_size=True),
+                       "'cell_size': expected a number, got True"),
+    "seed-bool": (1, lambda obj: obj.update(seed=True), "'seed': expected an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_TYPES)
+def test_dataset_value_of_wrong_json_type_exits_2(tmp_path, capsys, case):
+    number, change, reason = DATASET_TYPES[case]
+    path = tmp_path / "data.jsonl"
+    write_dataset(path)
+    path.write_text(set_in_line(number, change)(path.read_text(encoding="utf-8")), encoding="utf-8")
+    out_dir = tmp_path / "model"
+    rc = cli.main(["train", "--dataset", str(path), "--pipeline", "RNG", "--architecture", "8", "12",
+                   "8", "--out-dir", str(out_dir)])
+    what = "header" if number == 1 else "record"
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: line {number}: invalid {what}: {reason}\n"
+    assert not out_dir.exists()
