@@ -9,14 +9,16 @@ File format (JSON Lines, each line ended by "\\n"):
 
 Floats are serialized as shortest round-trip decimals, so save/load is
 bit-exact. Reading takes each value at its JSON type: an int above holds no
-1.5, "3" or true, and a number no string or boolean.
+1.5, "3" or true, and a number no string, boolean or integer too large for a
+float. A bad line raises ``<path>: line N: invalid header|record: <reason>``,
+the form that ``reading`` gives every reader's located error.
 
 Large sets are written and read on every usable core: the records split into
 one contiguous part per core, of at least PART_RECORDS each, and forked
 children format or parse every part but the first while this process does the
-first. One per-record function formats, and one parses, on both paths, so the
-file's bytes, the loaded set and every located error are those of a single
-process.
+first. One per-record function formats, and one part reader parses, on both
+paths, so the file's bytes, the loaded set and every located error are those
+of a single process.
 """
 from __future__ import annotations
 
@@ -53,13 +55,14 @@ def reading(path: str | Path, what: str):
         raise InputFileError(f"{path}: invalid {what}: missing key {exc}") from exc
     except OSError as exc:  # its str() repeats the path
         raise InputFileError(f"{path}: invalid {what}: {exc.strerror or exc}") from exc
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InputFileError(f"{path}: invalid {what}: {exc}") from exc
 
 
 # A reader takes a JSON value at its type with these: a string, an
 # integer (not 8.7, "3" or true) or a number (not true or "0.5"); any other
-# value raises a TypeError naming it, which ``reading`` locates.
+# value raises a TypeError naming it, which ``reading`` locates, as it does
+# the OverflowError of an integer too large for a float.
 def json_text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
@@ -78,11 +81,11 @@ def json_number(value) -> float:
     return float(value)
 
 
-def _numbers(values):
-    """``values``, a sequence of JSON numbers (no string or boolean)."""
+def _numbers(values) -> np.ndarray:
+    """``values``, a sequence of JSON numbers (no string or boolean), as a float array."""
     if not set(map(type, values)) <= {float, int}:
         raise TypeError(f"expected numbers, got {next(v for v in values if type(v) not in (float, int))!r}")
-    return values
+    return np.asarray(values, dtype=float)
 
 
 def json_numbers(value) -> np.ndarray:
@@ -98,11 +101,11 @@ def json_field(obj: dict, key: str, kind):
     value = obj[key]
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key!r}: {exc}") from exc
 
 
-def _pair(kind):
+def json_pair(kind):
     """A converter of a two-item array, such as a cell or an origin, by ``kind``."""
     def pair(value) -> tuple:
         a, b = value
@@ -158,7 +161,7 @@ class GridMap:
     @classmethod
     def from_json(cls, obj: dict) -> "GridMap":
         """Inverse of ``dataclasses.asdict``, as the dataset header holds it."""
-        return cls(json_field(obj, "origin", _pair(json_number)), json_field(obj, "nx", json_integer),
+        return cls(json_field(obj, "origin", json_pair(json_number)), json_field(obj, "nx", json_integer),
                    json_field(obj, "ny", json_integer), json_field(obj, "cell_size", json_number))
 
     @property
@@ -350,11 +353,14 @@ def save(mset: MeasurementSet, path: str | Path) -> None:
             shutil.copyfileobj(join(), f)
 
 
-def _json_object(line: bytes):
+def _json_object(line: bytes) -> dict:
     try:
-        return json.loads(line.decode("utf-8"))
+        obj = json.loads(line.decode("utf-8"))
     except json.JSONDecodeError as exc:  # its position repeats "line 1"
         raise ValueError(f"not valid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _header(line: bytes) -> tuple[str, GridMap, int]:
@@ -372,7 +378,7 @@ def _record(line: bytes, grid: GridMap, first_ids: list[int] | None) -> Measurem
                       json_field(a, "cir", _numbers))
         for a in obj["anchors"]
     )
-    cell = json_field(obj, "cell", _pair(json_integer))
+    cell = json_field(obj, "cell", json_pair(json_integer))
     if not grid.contains_cell(*cell):
         raise ValueError(f"cell {cell} outside the {grid.nx}x{grid.ny} grid")
     ids = [r.anchor_id for r in anchors]
@@ -381,20 +387,24 @@ def _record(line: bytes, grid: GridMap, first_ids: list[int] | None) -> Measurem
     return Measurement(cell, json_field(obj, "pass", json_integer), anchors)
 
 
-def _read_records(f, stop: int, grid: GridMap, first_ids: list[int], where) -> list[Measurement]:
-    """The records from ``f``'s offset up to byte ``stop``. An error names
-    its line by ``where(k)``, k counting this part's lines from 0, so a part
-    that does not start the file counts the lines before it only then."""
-    records, pos, k = [], f.tell(), 0
-    while pos < stop and (line := f.readline()):
-        pos += len(line)
-        if line.strip():
-            try:
-                records.append(_record(line, grid, first_ids))
-            except Exception:
-                with reading(where(k), "record"):  # locates the error and raises it
-                    raise
-        k += 1
+def _read_records(path: Path, a: int, b: int, grid: GridMap, ids: list[int]) -> list[Measurement]:
+    """The records in bytes ``a:b`` of ``path``, each with anchor ids ``ids``,
+    read through a handle of its own (a forked child shares its parent's
+    offsets). An error names its line by the newlines before it, counted
+    only then."""
+    records = []
+    with path.open("rb") as f:
+        f.seek(a)
+        while a < b and (line := f.readline()):
+            if line.strip():
+                try:
+                    records.append(_record(line, grid, ids))
+                except Exception:
+                    f.seek(0)
+                    lineno = f.read(a).count(b"\n") + 1
+                    with reading(f"{path}: line {lineno}", "record"):  # locates the error and raises it
+                        raise
+            a += len(line)
     return records
 
 
@@ -456,22 +466,13 @@ def load(path: str | Path) -> MeasurementSet:
         # the first record's length
         start, size = f.tell(), os.fstat(f.fileno()).st_size
         bounds = _part_bounds(f, start, size, _part_count(1 + (size - start) // len(line)))
+        parts = list(zip(bounds, bounds[1:]))
 
         def parse(part, out):
-            a, b = part
-            with path.open("rb") as g:  # not f: a forked child shares f's offset
+            _write_columns(_read_records(path, *part, grid, ids), out)
 
-                def where(k):  # the lines before the part are counted only here
-                    g.seek(0)
-                    before = g.read(a).count(b"\n")
-                    return f"{path}: line {before + 1 + k}"
-
-                g.seek(a)
-                _write_columns(_read_records(g, b, grid, ids, where), out)
-
-        with _forked(path, list(zip(bounds[1:], bounds[2:])), parse) as joins:
-            measurements = [first, *_read_records(f, bounds[1], grid, ids,
-                                                  lambda k: f"{path}: line {lineno + 1 + k}")]
+        with _forked(path, parts[1:], parse) as joins:
+            measurements = [first, *_read_records(path, *parts[0], grid, ids)]
             for join in joins:
                 measurements += _read_columns(join(), ids)
     return MeasurementSet(scenario_name, grid, measurements, seed)

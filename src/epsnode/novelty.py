@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import features as feat
-from .dataset import GridMap, InputFileError, MeasurementSet, reading
+from .dataset import GridMap, MeasurementSet, reading
 
 
 def anchor_error(y_hat, y):
@@ -125,33 +125,30 @@ def read_error_map_csv(path: str | Path) -> ErrorMap:
     exactly once; a missing file, or a malformed, out-of-range, duplicate or
     missing row, raises ``dataset.InputFileError`` naming the file and line."""
     with reading(path, "error map"), Path(path).open("r", encoding="utf-8") as f:
-        first = f.readline().strip()
-        if not first.startswith("# grid="):
-            raise InputFileError(f"{path}:1: missing grid comment line")
-        with reading(f"{path}:1", "grid comment"):
+        with reading(f"{path}: line 1", "grid comment"):
+            first = f.readline().strip()
+            if not first.startswith("# grid="):
+                raise ValueError(f"expected '# grid=ox,oy,nx,ny,cell_size', got {first!r}")
             grid = GridMap.from_spec(first.removeprefix("# grid="))
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _COLUMNS:
-            raise InputFileError(f"{path}:2: unexpected header {header}")
+        with reading(f"{path}: line 2", "header"):
+            if (header := next(reader, None)) != _COLUMNS:
+                raise ValueError(f"expected {_COLUMNS}, got {header}")
         values = np.full((grid.ny, grid.nx), np.nan)
         counts = np.zeros((grid.ny, grid.nx), dtype=int)
         seen = np.zeros((grid.ny, grid.nx), dtype=bool)
         for row in reader:
-            where = f"{path}:{reader.line_num + 1}"  # the grid line precedes the reader
-            try:
+            with reading(f"{path}: line {reader.line_num + 1}", "row"):  # the grid line precedes the reader
                 i_s, j_s, value_s, count_s = row
                 i, j, value, count = int(i_s), int(j_s), float(value_s), int(count_s)
-            except ValueError as exc:
-                raise InputFileError(f"{where}: malformed row {row}: {exc}") from exc
-            if not grid.contains_cell(i, j):
-                raise InputFileError(f"{where}: cell ({i}, {j}) outside the {grid.nx}x{grid.ny} grid")
-            if seen[j, i]:
-                raise InputFileError(f"{where}: duplicate cell ({i}, {j})")
+                if not grid.contains_cell(i, j):
+                    raise ValueError(f"cell ({i}, {j}) outside the {grid.nx}x{grid.ny} grid")
+                if seen[j, i]:
+                    raise ValueError(f"duplicate cell ({i}, {j})")
             seen[j, i] = True
             values[j, i] = value
             counts[j, i] = count
-    if not seen.all():
-        j, i = np.argwhere(~seen)[0]
-        raise InputFileError(f"{path}: {int((~seen).sum())} cells missing, first ({i}, {j})")
+        if not seen.all():
+            j, i = np.argwhere(~seen)[0]
+            raise ValueError(f"{int((~seen).sum())} cells missing, first ({i}, {j})")
     return ErrorMap(grid=grid, values=values, counts=counts)

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (CIR_LENGTH, AnchorReading, GridMap, Measurement, MeasurementSet,
-                      read_json_object, reading)
+from .dataset import (CIR_LENGTH, AnchorReading, GridMap, Measurement, MeasurementSet, json_field,
+                      json_integer, json_number, json_pair, read_json_object, reading)
 
 # The fixed channel: propagation speed in m/ns (speed of light), CIR bin
 # width, Gaussian pulse std in bins, first-path detection threshold as a
@@ -375,25 +375,31 @@ def save_environment(env: Environment, path: str | Path) -> None:
 
 def load_environment(path: str | Path) -> Environment:
     """Read an environment file; raises ``dataset.InputFileError`` naming the
-    file when it is missing, not a JSON object, misses a key or describes an
-    invalid environment."""
+    file when it is missing, not a JSON object, misses a key, holds a value
+    of the wrong JSON type (an anchor ``id`` is an integer, and every
+    coordinate and coefficient a number) or describes an invalid environment."""
+
+    def numbers(value) -> list[float]:
+        return [json_number(v) for v in value]
+
     with reading(path, "environment file"):
         obj = read_json_object(path)
-        room = Rect(*[float(v) for v in obj["room"]])
+        room = Rect(*json_field(obj, "room", numbers))
         anchors = tuple(
-            Anchor(int(a["id"]), (float(a["position"][0]), float(a["position"][1])))
+            Anchor(json_field(a, "id", json_integer), json_field(a, "position", json_pair(json_number)))
             for a in obj["anchors"]
         )
         obstacles = tuple(
             Obstacle(
-                Rect(*[float(v) for v in o["footprint"]]),
+                Rect(*json_field(o, "footprint", numbers)),
                 Material(o["material"]),
-                float(o["reflectivity"]),
-                float(o["transmissivity"]),
+                json_field(o, "reflectivity", json_number),
+                json_field(o, "transmissivity", json_number),
             )
             for o in obj.get("obstacles", [])
         )
-        wall_refl = float(obj.get("wall_reflectivity", Environment.wall_reflectivity))
+        wall_refl = json_field({"wall_reflectivity": Environment.wall_reflectivity} | obj,
+                               "wall_reflectivity", json_number)
         return Environment(room=room, anchors=anchors, obstacles=obstacles, wall_reflectivity=wall_refl)
 
 

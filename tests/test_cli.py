@@ -605,6 +605,8 @@ class TestTrainScoreEvaluate:
             ("RNG", lambda obj: with_entry(obj, ["scaler", "mins", 2], False),
              "'mins': expected numbers, got False"),
             ("RNG", lambda obj: with_entry(obj, ["weights", 0, 1, 2], True), "expected numbers, got True"),
+            ("RNG", lambda obj: with_entry(obj, ["weights", 0, 1, 2], 10**400),
+             "int too large to convert to float"),
             ("RNG", lambda obj: with_entry(obj, ["biases", 3, 0], "0.5"), "expected numbers, got '0.5'"),
             ("PCA", lambda obj: with_entry(obj, ["pca", "components", 7, 0], "0.1"),
              "'components': expected numbers, got '0.1'"),
@@ -617,8 +619,8 @@ class TestTrainScoreEvaluate:
              "scaler-of-3", "scaler-of-5", "scaler-nan", "weight-nan",
              "pca-mean-of-10", "pca-explained-ratio-of-1", "pca-missing", "rng-with-pca",
              "float-dims", "float-anchor-id", "string-anchor-ids", "anchor-ids-short",
-             "string-scaler", "bool-scaler", "bool-weight", "string-bias", "string-pca-component",
-             "output-of-3"],
+             "string-scaler", "bool-scaler", "bool-weight", "weight-too-large", "string-bias",
+             "string-pca-component", "output-of-3"],
     )
     def test_score_rejects_malformed_bundle(self, request, workspace, capsys, pipeline, corrupt,
                                             named):

@@ -336,8 +336,9 @@ class TestCores:
         ({-3: ("cell", [0, 9])}, False),
         ({-2: ("anchors", "x"), -40: ("cell", [1.9, 0])}, False),  # the earlier one is reported
         ({150: ("anchors", []), -2: ("pass", "7")}, False),  # the first part's, by its id check
+        ({-4: ("anchors", [{"id": 0, "range": 10**400, "cir": [0.0] * CIR}])}, False),
     ], ids=["last-line", "after-blank-lines", "anchor-ids", "cell-outside", "two-in-last-part",
-            "one-in-each-part"])
+            "one-in-each-part", "range-too-large"])
     def test_bad_record_in_a_later_part_reads_as_on_one_core(self, tmp_path, part_lines, bad, blank):
         lines = list(part_lines)
         for index, (key, value) in bad.items():

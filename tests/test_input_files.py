@@ -90,12 +90,12 @@ def test_bad_input_file_is_one_located_error(tmp_path, reader, corruption):
 
 def set_in_line(number, change):
     """A corruption that passes the JSON object on line ``number`` (from 1)
-    through ``change``, which edits it in place."""
+    through ``change``, which edits it in place or returns the value that
+    takes its place."""
     def corrupt(text):
         lines = text.splitlines()
         obj = json.loads(lines[number - 1])
-        change(obj)
-        lines[number - 1] = json.dumps(obj)
+        lines[number - 1] = json.dumps(change(obj) or obj)
         return "\n".join(lines) + "\n"
     return corrupt
 
@@ -114,8 +114,11 @@ DATASET_TYPES = {
     "pass-string": (3, lambda obj: obj.update({"pass": "7"}), "'pass': expected an integer, got '7'"),
     "id-float": (2, first_anchor("id", 1.4), "'id': expected an integer, got 1.4"),
     "range-string": (3, first_anchor("range", "1.5"), "'range': expected a number, got '1.5'"),
+    "range-too-large": (3, first_anchor("range", 10**400), "'range': int too large to convert to float"),
     "cir-string": (2, first_sample("0.25"), "'cir': expected numbers, got '0.25'"),
     "cir-bool": (3, first_sample(True), "'cir': expected numbers, got True"),
+    "cir-too-large": (2, first_sample(10**400), "'cir': int too large to convert to float"),
+    "record-list": (3, lambda obj: [obj], "expected a JSON object, got list"),
     "scenario-int": (1, lambda obj: obj.update(scenario=5), "'scenario': expected a string, got 5"),
     "nx-float": (1, lambda obj: obj["grid"].update(nx=2.7), "'nx': expected an integer, got 2.7"),
     "ny-string": (1, lambda obj: obj["grid"].update(ny="2"), "'ny': expected an integer, got '2'"),
@@ -140,3 +143,31 @@ def test_dataset_value_of_wrong_json_type_exits_2(tmp_path, capsys, case):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {path}: line {number}: invalid {what}: {reason}\n"
     assert not out_dir.exists()
+
+
+# each environment value at a wrong JSON type: (change, the error's reason)
+ENVIRONMENT_TYPES = {
+    "id-float": (lambda obj: obj["anchors"][1].update(id=1.5), "'id': expected an integer, got 1.5"),
+    "position-string": (first_anchor("position", [0.0, "0.0"]),
+                        "'position': expected a number, got '0.0'"),
+    "room-bool": (lambda obj: obj.update(room=[0.0, 0.0, True, 5.0]), "'room': expected a number, got True"),
+    "reflectivity-string": (lambda obj: obj["obstacles"][0].update(reflectivity="0.9"),
+                            "'reflectivity': expected a number, got '0.9'"),
+    "wall-reflectivity-string": (lambda obj: obj.update(wall_reflectivity="0.5"),
+                                 "'wall_reflectivity': expected a number, got '0.5'"),
+}
+
+
+@pytest.mark.parametrize("case", ENVIRONMENT_TYPES)
+def test_environment_value_of_wrong_json_type_exits_2(tmp_path, capsys, case):
+    change, reason = ENVIRONMENT_TYPES[case]
+    path = tmp_path / "env.json"
+    sim.save_environment(sim.scenario("B"), path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    change(obj)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "data.jsonl"
+    rc = cli.main(["simulate", "--env-file", str(path), "--grid", "3.5,2.5,2,2,0.5", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: invalid environment file: {reason}\n"
+    assert not out.exists()

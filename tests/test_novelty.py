@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -228,19 +227,23 @@ class TestCsv:
     @pytest.mark.parametrize(
         "rows, located",
         [
-            (FULL[:3] + ["99,0,1.0,1"], ":6: cell (99, 0) outside the 2x2 grid"),
-            (FULL + ["0,0,1.0,1"], ":7: duplicate cell (0, 0)"),
-            (FULL[:3], ": 1 cells missing, first (1, 1)"),
-            (["0,0,abc,1"] + FULL[1:], ":3: malformed row"),
-            (["0,0,1.0,x"] + FULL[1:], ":3: malformed row"),
-            (FULL[:2] + ["0,1,1.0"] + FULL[3:], ":5: malformed row"),
+            (FULL[:3] + ["99,0,1.0,1"], ": line 6: invalid row: cell (99, 0) outside the 2x2 grid"),
+            (FULL + ["0,0,1.0,1"], ": line 7: invalid row: duplicate cell (0, 0)"),
+            (FULL[:3], ": invalid error map: 1 cells missing, first (1, 1)"),
+            (["0,0,abc,1"] + FULL[1:], ": line 3: invalid row: could not convert string to float: 'abc'"),
+            (["0,0,1.0,x"] + FULL[1:], ": line 3: invalid row: invalid literal for int() with base 10: 'x'"),
+            (FULL[:2] + ["0,1,1.0"] + FULL[3:],
+             ": line 5: invalid row: not enough values to unpack (expected 4, got 3)"),
         ],
+        ids=["cell-outside", "duplicate-cell", "cells-missing", "value-not-float", "count-not-int",
+             "short-row"],
     )
     def test_bad_rows_are_located(self, tmp_path, rows, located):
         path = tmp_path / "map.csv"
         path.write_text(self.HEAD + "\n".join(rows) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{path}{located}")):
+        with pytest.raises(ds.InputFileError) as raised:
             nov.read_error_map_csv(path)
+        assert str(raised.value) == f"{path}{located}"
 
     @given(st.integers(2, 5), st.integers(2, 5), st.data())
     @settings(max_examples=50, deadline=None)
