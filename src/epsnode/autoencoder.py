@@ -173,13 +173,8 @@ def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
 
 
 def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    """Reconstruction of one length-N row, or of each row of an (m, N) matrix
-    sent as an (m, 1, N) stack: matmul runs the one-row kernel on each slice,
-    so a row keeps the bits it gets alone (an (m, N) product rounds otherwise)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != model.n:
-        raise ValueError(f"expected rows of length {model.n}, got {x.shape}")
-    return _reconstruct(model, x[..., None, :])[..., 0, :]
+    """Reconstruction of one length-N row, or of each row of an (m, N) matrix."""
+    return feat.each_row(lambda rows: _reconstruct(model, rows), x, model.n)
 
 
 def _stack_mse(stack: AutoencoderModel, rows: np.ndarray) -> np.ndarray:
@@ -357,8 +352,8 @@ def save_bundle(
     model: AutoencoderModel,
     pipeline: feat.Pipeline,
     scaler: feat.Scaler,
-    pca: feat.PcaModel | None = None,
-    anchor_ids: list[int] | None = None,
+    pca: feat.PcaModel | None,
+    anchor_ids: list[int],
 ) -> None:
     """Persist the model plus the preprocessing artifacts and the anchor ids
     it was trained with."""
@@ -372,8 +367,7 @@ def save_bundle(
     }
     if pca is not None:
         obj["pca"] = feat.arrays_to_json(pca)
-    if anchor_ids is not None:
-        obj["anchor_ids"] = list(anchor_ids)
+    obj["anchor_ids"] = list(anchor_ids)
     Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
@@ -418,11 +412,9 @@ def load_bundle(path: str | Path) -> dict:
                 raise ValueError(f"{name} has shape {values.shape}, dims {list(dims)} need {shape}")
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} holds a value that is not finite")
-        anchor_ids = None
-        if "anchor_ids" in obj:
-            anchor_ids = [json_integer(a) for a in obj["anchor_ids"]]
-            if (width := feat.feature_length(pipeline, len(anchor_ids), pca)) != dims[0]:
-                raise ValueError(f"{len(anchor_ids)} anchor_ids give {pipeline.value} features of "
-                                 f"length {width}, not dims[0] = {dims[0]}")
+        anchor_ids = [json_integer(a) for a in obj["anchor_ids"]]
+        if (width := feat.feature_length(pipeline, len(anchor_ids), pca)) != dims[0]:
+            raise ValueError(f"{len(anchor_ids)} anchor_ids give {pipeline.value} features of "
+                             f"length {width}, not dims[0] = {dims[0]}")
         return {"model": AutoencoderModel(dims, params), "pipeline": pipeline,
                 "scaler": scaler, "pca": pca, "anchor_ids": anchor_ids}

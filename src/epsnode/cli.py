@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import autoencoder as ae
@@ -177,16 +177,14 @@ def _cmd_train(args) -> int:
     pipeline = cfg["pipeline"]
     n = train_rows.shape[1]
     if cfg["architecture"] == "search":
-        # train the winner again with its sweep seed: solo training is
+        # train the winner again from its sweep trial: solo training is
         # bit-identical to the sweep's stacked run, so this is the model it
         # ranked first, without holding every trial's model
         best = _sweep(cfg, config, train_rows, val_rows)
-        e1, e2, d1 = best.e1, best.e2, best.d1
-        config = replace(config, batch_size=best.batch_size, learning_rate=best.learning_rate,
-                         seed=gs.trial_seed(config.seed, best.index))
+        model, config = gs.trial(best, n, config.seed, config.max_epochs, config.patience)
     else:
-        e1, e2, d1 = cfg["architecture"]
-    model = ae.build(n, e1, e2, d1, seed=config.seed)
+        model = ae.build(n, *cfg["architecture"], seed=config.seed)
+    e1, e2, d1 = model.dims[1:4]
     trained, report = ae.train(model, train_rows, val_rows, config)
 
     out_dir = Path(cfg["out_dir"])
@@ -212,7 +210,7 @@ def _cmd_train(args) -> int:
 def _cmd_score(args) -> int:
     bundle = ae.load_bundle(args.model)
     mset = ds.load(args.dataset)
-    if bundle["anchor_ids"] is not None and mset.anchor_ids != bundle["anchor_ids"]:
+    if mset.anchor_ids != bundle["anchor_ids"]:
         raise ValueError(
             f"{args.dataset}: anchor ids {mset.anchor_ids} differ from the ids "
             f"{bundle['anchor_ids']} the model {args.model} was trained on"

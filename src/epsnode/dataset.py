@@ -22,6 +22,7 @@ of a single process.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -55,7 +56,7 @@ def reading(path: str | Path, what: str):
         raise InputFileError(f"{path}: invalid {what}: missing key {exc}") from exc
     except OSError as exc:  # its str() repeats the path
         raise InputFileError(f"{path}: invalid {what}: {exc.strerror or exc}") from exc
-    except (TypeError, IndexError, ValueError, OverflowError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError, csv.Error) as exc:
         raise InputFileError(f"{path}: invalid {what}: {exc}") from exc
 
 
@@ -96,9 +97,16 @@ def json_numbers(value) -> np.ndarray:
     return array
 
 
+def json_object(value) -> dict:
+    """``value``, which must be a JSON object (a file's top level, or one nested in it)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def json_field(obj: dict, key: str, kind):
     """``kind(obj[key])``, where a wrong value raises an error naming the key."""
-    value = obj[key]
+    value = json_object(obj)[key]
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -120,9 +128,7 @@ def read_json_object(path: str | Path) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    return obj
+    return json_object(obj)
 
 
 @dataclass(frozen=True)
@@ -358,9 +364,7 @@ def _json_object(line: bytes) -> dict:
         obj = json.loads(line.decode("utf-8"))
     except json.JSONDecodeError as exc:  # its position repeats "line 1"
         raise ValueError(f"not valid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    return obj
+    return json_object(obj)
 
 
 def _header(line: bytes) -> tuple[str, GridMap, int]:

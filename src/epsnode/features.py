@@ -120,14 +120,19 @@ def fit_pca(rows: np.ndarray, variance_target: float = VARIANCE_TARGET) -> PcaMo
     return PcaModel(mean=mean, components=components, explained_ratio=ratios[:k].copy())
 
 
-def apply_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Projection of one length-d row, or of each row of an (m, d) matrix
-    sent as an (m, 1, d) stack: matmul runs the one-row kernel on each slice,
-    so a row keeps the bits it gets alone (an (m, d) product rounds otherwise)."""
+def each_row(f, x, n: int) -> np.ndarray:
+    """``f`` on one length-n row, or on each row of an (m, n) matrix sent as
+    an (m, 1, n) stack: matmul runs the one-row kernel on each slice, so a
+    row keeps the bits it gets alone (an (m, n) product rounds otherwise)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1:] != model.mean.shape:
-        raise ValueError(f"expected rows of length {model.mean.shape[0]}, got {x.shape}")
-    return ((x - model.mean)[..., None, :] @ model.components)[..., 0, :]
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"expected rows of length {n}, got {x.shape}")
+    return f(x[..., None, :])[..., 0, :]
+
+
+def apply_pca(model: PcaModel, x: np.ndarray) -> np.ndarray:
+    """Projection of one length-d row, or of each row of an (m, d) matrix."""
+    return each_row(lambda rows: (rows - model.mean) @ model.components, x, model.mean.size)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +67,9 @@ def enumerate_candidates(
 ) -> tuple[list[Candidate], list[tuple[tuple, str]]]:
     """Full Cartesian product with D1 = E1; combinations violating the
     overcompleteness constraints are excluded with a reason."""
-    for name, values in (
-        ("e1_values", space.e1_values),
-        ("e2_values", space.e2_values),
-        ("batch_sizes", space.batch_sizes),
-        ("learning_rates", space.learning_rates),
-    ):
-        if not values:
-            raise ValueError(f"search space has empty {name}")
+    for field in fields(space):
+        if not getattr(space, field.name):
+            raise ValueError(f"search space has empty {field.name}")
     candidates: list[Candidate] = []
     skipped: list[tuple[tuple, str]] = []
     index = 0
@@ -93,29 +89,27 @@ def trial_seed(base_seed: int, candidate_index: int) -> int:
     return int(np.random.SeedSequence((base_seed, candidate_index)).generate_state(1)[0])
 
 
-def _run_group(args) -> list[TrialResult]:
+def trial(candidate: Candidate, n: int, base_seed: int, max_epochs: int,
+          patience: int) -> tuple[ae.AutoencoderModel, ae.TrainConfig]:
+    """The untrained model of ``candidate`` for rows of length ``n``, and its
+    training config, both seeded with its trial seed."""
+    c, seed = candidate, trial_seed(base_seed, candidate.index)
+    return ae.build(n, c.e1, c.e2, c.d1, seed=seed), ae.TrainConfig(
+        batch_size=c.batch_size, learning_rate=c.learning_rate, max_epochs=max_epochs,
+        patience=patience, seed=seed)
+
+
+def _run_group(cands, train_rows, val_rows, base_seed, max_epochs, patience) -> list[TrialResult]:
     """Train candidates that share their layer widths and batch size as one
     ``ae.train_group`` stack; each result equals training it alone."""
-    cands, train_rows, val_rows, base_seed, max_epochs, patience = args
-    seeds = [trial_seed(base_seed, c.index) for c in cands]
-    models = [ae.build(train_rows.shape[1], c.e1, c.e2, c.d1, seed=s) for c, s in zip(cands, seeds)]
-    configs = [
-        ae.TrainConfig(
-            batch_size=c.batch_size,
-            learning_rate=c.learning_rate,
-            max_epochs=max_epochs,
-            patience=patience,
-            seed=s,
-        )
-        for c, s in zip(cands, seeds)
-    ]
+    models, configs = zip(*(trial(c, train_rows.shape[1], base_seed, max_epochs, patience) for c in cands))
     results = []
-    for cand, seed, outcome in zip(cands, seeds, ae.train_group(models, train_rows, val_rows, configs)):
+    for cand, config, outcome in zip(cands, configs, ae.train_group(models, train_rows, val_rows, configs)):
         if isinstance(outcome, ae.TrainingDivergedError):
-            results.append(TrialResult(cand, "failed", None, None, seed, str(outcome)))
+            results.append(TrialResult(cand, "failed", None, None, config.seed, str(outcome)))
         else:
             report = outcome[1]
-            results.append(TrialResult(cand, "ok", report.final_val_mse, report.stopped_epoch, seed))
+            results.append(TrialResult(cand, "ok", report.final_val_mse, report.stopped_epoch, config.seed))
     return results
 
 
@@ -147,14 +141,15 @@ def run(
     groups: dict[tuple, list[Candidate]] = {}
     for c in candidates:
         groups.setdefault((c.e1, c.e2, c.batch_size), []).append(c)
-    tasks = [(g, train_rows, val_rows, base_seed, max_epochs, patience) for g in groups.values()]
+    run_group = partial(_run_group, train_rows=train_rows, val_rows=val_rows, base_seed=base_seed,
+                        max_epochs=max_epochs, patience=patience)
     if parallelism <= 1:
-        per_group = [_run_group(t) for t in tasks]
+        per_group = list(map(run_group, groups.values()))
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when used
 
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            per_group = list(pool.map(_run_group, tasks))
+            per_group = list(pool.map(run_group, groups.values()))
     results = [r for group in per_group for r in group]
     ok = sorted((r for r in results if r.status == "ok"), key=_rank_key)
     failed = sorted((r for r in results if r.status != "ok"), key=lambda r: r.candidate.index)

@@ -8,6 +8,7 @@ over that cell's samples.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,8 +123,10 @@ def write_error_map_csv(emap: ErrorMap, path: str | Path) -> None:
 
 def read_error_map_csv(path: str | Path) -> ErrorMap:
     """Inverse of :func:`write_error_map_csv`. Every grid cell must appear
-    exactly once; a missing file, or a malformed, out-of-range, duplicate or
-    missing row, raises ``dataset.InputFileError`` naming the file and line."""
+    exactly once, with a count >= 0 and the value nan when the count is 0,
+    else a finite value >= 0; a missing file, or a malformed, out-of-range,
+    duplicate or missing row, raises ``dataset.InputFileError`` naming the
+    file and line."""
     with reading(path, "error map"), Path(path).open("r", encoding="utf-8") as f:
         with reading(f"{path}: line 1", "grid comment"):
             first = f.readline().strip()
@@ -137,14 +140,23 @@ def read_error_map_csv(path: str | Path) -> ErrorMap:
         values = np.full((grid.ny, grid.nx), np.nan)
         counts = np.zeros((grid.ny, grid.nx), dtype=int)
         seen = np.zeros((grid.ny, grid.nx), dtype=bool)
-        for row in reader:
-            with reading(f"{path}: line {reader.line_num + 1}", "row"):  # the grid line precedes the reader
+        while True:
+            # the next row's line follows the grid line and the reader's lines so far
+            with reading(f"{path}: line {reader.line_num + 2}", "row"):
+                if (row := next(reader, None)) is None:
+                    break
                 i_s, j_s, value_s, count_s = row
                 i, j, value, count = int(i_s), int(j_s), float(value_s), int(count_s)
                 if not grid.contains_cell(i, j):
                     raise ValueError(f"cell ({i}, {j}) outside the {grid.nx}x{grid.ny} grid")
                 if seen[j, i]:
                     raise ValueError(f"duplicate cell ({i}, {j})")
+                if count < 0:
+                    raise ValueError(f"count must be >= 0, got {count}")
+                if count == 0 and not math.isnan(value):
+                    raise ValueError(f"a cell of count 0 takes the value nan, got {value}")
+                if count > 0 and not 0.0 <= value < math.inf:  # NaN fails too
+                    raise ValueError(f"a cell of count {count} takes a finite value >= 0, got {value}")
             seen[j, i] = True
             values[j, i] = value
             counts[j, i] = count

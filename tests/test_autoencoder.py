@@ -371,7 +371,7 @@ class TestPersistence:
         model = ae.build(4, 8, 12, 8, seed=9)
         scaler = feat.fit_scaler(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]))
         path = tmp_path / "model.json"
-        ae.save_bundle(path, model, pipeline=feat.Pipeline.RNG, scaler=scaler)
+        ae.save_bundle(path, model, feat.Pipeline.RNG, scaler, None, [0, 1, 2, 3])
         bundle = ae.load_bundle(path)
         loaded = bundle["model"]
         assert loaded.dims == model.dims
@@ -391,10 +391,10 @@ class TestPersistence:
         model.params[...] = values
         scaler = feat.fit_scaler(np.vstack([np.zeros(n), np.arange(1.0, n + 1)]))
         first = tmp_path_factory.mktemp("bundle") / "model.json"
-        ae.save_bundle(first, model, pipeline=feat.Pipeline.RNG, scaler=scaler)
+        ae.save_bundle(first, model, feat.Pipeline.RNG, scaler, None, list(range(n)))
         loaded = ae.load_bundle(first)["model"]
         second = first.with_name("again.json")
-        ae.save_bundle(second, loaded, pipeline=feat.Pipeline.RNG, scaler=scaler)
+        ae.save_bundle(second, loaded, feat.Pipeline.RNG, scaler, None, list(range(n)))
         assert second.read_bytes() == first.read_bytes()
         assert loaded.dims == model.dims
         assert np.array_equal(loaded.params, model.params)
@@ -412,7 +412,8 @@ class TestPersistence:
     def test_shapes_that_do_not_fit_dims_rejected(self, tmp_path, key, layer, corrupt):
         path = tmp_path / "model.json"
         scaler = feat.fit_scaler(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]))
-        ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9), feat.Pipeline.RNG, scaler)
+        ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9), feat.Pipeline.RNG, scaler, None,
+                       [0, 1, 2, 3])
         obj = json.loads(path.read_text(encoding="utf-8"))
         obj[key][layer] = corrupt(obj[key][layer])
         if obj[key][layer] is None:

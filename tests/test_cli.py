@@ -501,22 +501,13 @@ class TestTrainScoreEvaluate:
         del obj["anchor_ids"]
         older = tmp_path / "no_anchor_ids.json"
         older.write_text(json.dumps(obj), encoding="utf-8")
+        out_dir = tmp_path / "score_no_ids"
         rc = cli.main([
-            "score", "--model", str(older), "--dataset", str(perturbed),
-            "--out-dir", str(tmp_path / "score_no_ids"),
+            "score", "--model", str(older), "--dataset", str(perturbed), "--out-dir", str(out_dir),
         ])
-        assert rc == 0
-        assert (tmp_path / "score_no_ids" / "anchor_3.csv").exists()
-        # each anchor map is named by the scored dataset's anchor ids
-        out_dir = tmp_path / "score_no_ids_10_13"
-        rc = cli.main([
-            "score", "--model", str(older), "--out-dir", str(out_dir),
-            "--dataset", str(anchor_ids_shifted(perturbed, tmp_path / "b_ids_shifted.jsonl")),
-        ])
-        assert rc == 0
-        assert sorted(p.name for p in out_dir.glob("anchor_*.csv")) == [
-            f"anchor_{aid}.csv" for aid in (10, 11, 12, 13)]
-        capsys.readouterr()
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {older}: invalid model bundle: missing key 'anchor_ids'\n"
+        assert not out_dir.exists()
 
     def test_score_rejects_dataset_grid_not_finite(self, workspace, capsys):
         tmp_path, _, perturbed, model_dir = workspace
@@ -612,6 +603,9 @@ class TestTrainScoreEvaluate:
              "'components': expected numbers, got '0.1'"),
             ("RNG", lambda obj: output_width(obj, 3),
              "dims [4, 8, 12, 8, 3] must end in dims[0], the input it reconstructs"),
+            ("RNG", lambda obj: obj | {"scaler": [1, 2]}, "expected a JSON object, got list"),
+            ("RNG", lambda obj: {k: v for k, v in obj.items() if k != "anchor_ids"},
+             "missing key 'anchor_ids'"),
         ],
         ids=["no-leaky-alpha", "no-weights", "no-pipeline", "no-scaler", "json-list",
              "scaler-without-mins", "truncated", "int-dims", "int-weights",
@@ -620,7 +614,7 @@ class TestTrainScoreEvaluate:
              "pca-mean-of-10", "pca-explained-ratio-of-1", "pca-missing", "rng-with-pca",
              "float-dims", "float-anchor-id", "string-anchor-ids", "anchor-ids-short",
              "string-scaler", "bool-scaler", "bool-weight", "weight-too-large", "string-bias",
-             "string-pca-component", "output-of-3"],
+             "string-pca-component", "output-of-3", "list-scaler", "no-anchor-ids"],
     )
     def test_score_rejects_malformed_bundle(self, request, workspace, capsys, pipeline, corrupt,
                                             named):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from epsnode import autoencoder as ae
 from epsnode import features as feat
 from epsnode import gridsearch as gs
 from epsnode.features import Pipeline
@@ -107,6 +108,15 @@ class TestRun:
         assert best_s == best_p
         assert [(r.candidate, r.status, r.val_mse) for r in serial] == \
                [(r.candidate, r.status, r.val_mse) for r in parallel]
+
+    def test_each_trial_trained_alone_equals_its_result(self):
+        train, val = tiny_rows(seed=2)
+        results, _ = gs.run(small_space(), train, val, base_seed=5, max_epochs=10, patience=10)
+        for r in results:
+            model, config = gs.trial(r.candidate, train.shape[1], 5, 10, 10)
+            _, report = ae.train(model, train, val, config)
+            assert (config.seed, report.final_val_mse, report.stopped_epoch) == \
+                   (r.seed, r.val_mse, r.stopped_epoch)
 
     def test_repeat_runs_identical(self):
         train, val = tiny_rows(seed=3)

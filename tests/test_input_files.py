@@ -24,7 +24,8 @@ def write_dataset(path):
 
 def write_bundle(path):
     scaler = feat.fit_scaler(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]))
-    ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9), feat.Pipeline.RNG, scaler)
+    ae.save_bundle(path, ae.build(4, 8, 12, 8, seed=9), feat.Pipeline.RNG, scaler, None,
+                   [0, 1, 2, 3])
 
 
 def write_error_map(path):
@@ -127,6 +128,8 @@ DATASET_TYPES = {
     "cell-size-bool": (1, lambda obj: obj["grid"].update(cell_size=True),
                        "'cell_size': expected a number, got True"),
     "seed-bool": (1, lambda obj: obj.update(seed=True), "'seed': expected an integer, got True"),
+    "grid-list": (1, lambda obj: obj.update(grid=[1, 2]), "expected a JSON object, got list"),
+    "anchor-list": (3, lambda obj: obj["anchors"].__setitem__(1, [1, 2]), "expected a JSON object, got list"),
 }
 
 
@@ -155,6 +158,7 @@ ENVIRONMENT_TYPES = {
                             "'reflectivity': expected a number, got '0.9'"),
     "wall-reflectivity-string": (lambda obj: obj.update(wall_reflectivity="0.5"),
                                  "'wall_reflectivity': expected a number, got '0.5'"),
+    "anchor-list": (lambda obj: obj["anchors"].__setitem__(2, [1, 2]), "expected a JSON object, got list"),
 }
 
 

@@ -234,9 +234,21 @@ class TestCsv:
             (["0,0,1.0,x"] + FULL[1:], ": line 3: invalid row: invalid literal for int() with base 10: 'x'"),
             (FULL[:2] + ["0,1,1.0"] + FULL[3:],
              ": line 5: invalid row: not enough values to unpack (expected 4, got 3)"),
+            (["0,0,1.0,-7"] + FULL[1:], ": line 3: invalid row: count must be >= 0, got -7"),
+            (FULL[:2] + ["0,1,1.0,0"] + FULL[3:],
+             ": line 5: invalid row: a cell of count 0 takes the value nan, got 1.0"),
+            (["0,0,nan,3"] + FULL[1:],
+             ": line 3: invalid row: a cell of count 3 takes a finite value >= 0, got nan"),
+            (FULL[:3] + ["1,1,inf,1"],
+             ": line 6: invalid row: a cell of count 1 takes a finite value >= 0, got inf"),
+            (FULL[:1] + ["1,0,-5,2"] + FULL[2:],
+             ": line 4: invalid row: a cell of count 2 takes a finite value >= 0, got -5.0"),
+            (FULL[:1] + ["1,0," + "1" * 200000 + ",1"] + FULL[2:],
+             ": line 4: invalid row: field larger than field limit (131072)"),
         ],
         ids=["cell-outside", "duplicate-cell", "cells-missing", "value-not-float", "count-not-int",
-             "short-row"],
+             "short-row", "count-negative", "count-0-with-value", "value-nan", "value-inf",
+             "value-negative", "field-too-long"],
     )
     def test_bad_rows_are_located(self, tmp_path, rows, located):
         path = tmp_path / "map.csv"
@@ -249,11 +261,12 @@ class TestCsv:
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_is_bit_exact(self, tmp_path_factory, nx, ny, data):
         n = nx * ny
-        cells = st.one_of(st.floats(allow_nan=False), st.just(math.nan))
-        values = np.array(data.draw(st.lists(cells, min_size=n, max_size=n))).reshape(ny, nx)
         counts = np.array(
             data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)), dtype=int
         ).reshape(ny, nx)
+        # a cell without samples holds nan, any other a finite value >= 0
+        cells = st.floats(min_value=0.0, allow_infinity=False)
+        values = np.array([data.draw(cells) if count else math.nan for count in counts.flat]).reshape(ny, nx)
         grid = ds.GridMap(origin=(0.0, 0.0), nx=nx, ny=ny, cell_size=0.5)
         path = tmp_path_factory.mktemp("csv") / "map.csv"
         nov.write_error_map_csv(nov.ErrorMap(grid, values, counts), path)
