@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 runtime failure, 2 rejected input (any ValueError:
 a bad flag, config value or input file).
 All outputs are deterministic given identical inputs and seeds; wall-clock
 timestamps are confined to the ``run.meta.json`` sidecar. The EPSNODE_SEED
-environment variable overrides the base seed of any command.
+environment variable overrides the base seed of any command. A sweep, like
+dataset I/O, runs on every core this process may use (``taskset`` limits them).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ def _base_seed(value: int) -> int:
     if "EPSNODE_SEED" in os.environ:
         source, raw = "EPSNODE_SEED", os.environ["EPSNODE_SEED"]
     try:
-        seed = int(raw)
+        seed = ds.text_number(raw, int) if isinstance(raw, str) else raw
     except ValueError:
         seed = None
     if seed is None or seed < 0:
@@ -105,7 +106,6 @@ _SETTINGS = {
     "patience": (ds.json_integer, ae.TrainConfig.patience),
     "val_fraction": (ds.json_number, 0.2),
     "seed": (ds.json_integer, ae.TrainConfig.seed),
-    "jobs": (ds.json_integer, 1),
     "variance_target": (lambda v: feat.check_variance_target(ds.json_number(v)), feat.VARIANCE_TARGET),
 }
 
@@ -131,8 +131,6 @@ def _load_train_config(args) -> dict:
             raise ValueError(f"missing required config key {key!r}")
         with ds.reading(args.config, f"config key {key!r}"):  # only a file's value can fail
             cfg[key] = kind(cfg.get(key, default))
-    if cfg["jobs"] < 1:
-        raise ValueError(f"jobs (parallelism) must be >= 1, got {cfg['jobs']}")
     return cfg
 
 
@@ -151,13 +149,14 @@ def _load_training(args):
 
 
 def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.Candidate:
-    """Run the pipeline's table sweep, write its ranked report and return
-    the winning candidate."""
+    """Run the pipeline's table sweep on every usable core (their count goes
+    into ``cfg``), write its ranked report and return the winning candidate."""
+    cfg["cores"] = ds.core_count()
     results, best = gs.run(
         gs.TABLE_SPACES[cfg["pipeline"]],
         train_rows,
         val_rows,
-        parallelism=cfg["jobs"],
+        parallelism=cfg["cores"],
         base_seed=config.seed,
         max_epochs=config.max_epochs,
         patience=config.patience,
@@ -307,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--patience", type=int)
         p.add_argument("--val-fraction", type=float)
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
         p.add_argument("--out-dir")
         p.set_defaults(func=func)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import features as feat
-from .dataset import GridMap, MeasurementSet, reading
+from .dataset import GridMap, MeasurementSet, reading, text_number
 
 
 def anchor_error(y_hat, y):
@@ -146,7 +146,7 @@ def read_error_map_csv(path: str | Path) -> ErrorMap:
                 if (row := next(reader, None)) is None:
                     break
                 i_s, j_s, value_s, count_s = row
-                i, j, value, count = int(i_s), int(j_s), float(value_s), int(count_s)
+                i, j, value, count = map(text_number, (i_s, j_s, value_s, count_s), (int, int, float, int))
                 if not grid.contains_cell(i, j):
                     raise ValueError(f"cell ({i}, {j}) outside the {grid.nx}x{grid.ny} grid")
                 if seen[j, i]:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import counting_forks, usable_cores
 
 from epsnode import autoencoder as ae
 from epsnode import cli
@@ -79,7 +80,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "extra",
-        [("--passes", "0"), ("--noise-sigma", "-1"), ("--grid", "5,4,8,5,0.5"), ("--grid", "")],
+        [("--passes", "0"), ("--noise-sigma", "-1"), ("--grid", "5,4,8,5,0.5"), ("--grid", ""),
+         # int() and float() read these, but a grid spec holds plain ASCII numbers
+         ("--grid", " 1.0,1.25,2,2,0.5"), ("--grid", "1.0,1.25,0_2,2,0.5")],
     )
     def test_invalid_parameter_is_usage_error(self, tmp_path, capsys, extra):
         rc = cli.main([
@@ -247,6 +250,23 @@ def test_train_rejects_inconsistent_record(tmp_path, capsys, corrupt, named):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("pipeline", ["RNG", "MA"])
+def test_train_rejects_records_without_anchors(tmp_path, capsys, pipeline):
+    # every record holds the first record's (empty) anchor ids, so only the
+    # rule that a measurement has a reading names the file
+    header, *records = simulate(tmp_path).read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.jsonl"
+    emptied = [json.dumps(json.loads(record) | {"anchors": []}) for record in records]
+    bad.write_text("\n".join([header, *emptied]) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "model"
+    rc = cli.main(["train", "--dataset", str(bad), "--pipeline", pipeline, "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 2: invalid record: per-anchor readings must be one or more, unique and "
+        "ordered by anchor_id, got ids []\n")
+    assert not out_dir.exists()
+
+
 def anchor_ids_shifted(dataset, out):
     """``dataset`` saved to ``out`` with every anchor id raised by 10."""
     mset = ds.load(dataset)
@@ -300,11 +320,13 @@ def output_width(obj, width):
 
 
 @pytest.mark.parametrize("command", ["simulate", "train"])
-@pytest.mark.parametrize("source, named", [
-    ("--seed", "seed must be a non-negative integer, got -1"),
-    ("EPSNODE_SEED", "EPSNODE_SEED must be a non-negative integer, got '-1'"),
-], ids=["flag", "env"])
-def test_negative_seed_is_usage_error(workspace, tmp_path, capsys, monkeypatch, command, source, named):
+@pytest.mark.parametrize("source, value, named", [
+    ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ("EPSNODE_SEED", "-1", "EPSNODE_SEED must be a non-negative integer, got '-1'"),
+    ("EPSNODE_SEED", "1_0", "EPSNODE_SEED must be a non-negative integer, got '1_0'"),
+], ids=["flag", "env", "env-underscore"])
+def test_negative_seed_is_usage_error(workspace, tmp_path, capsys, monkeypatch, command, source, value,
+                                      named):
     _, nominal, _, _ = workspace
     out = tmp_path / "out"
     if command == "simulate":
@@ -313,9 +335,9 @@ def test_negative_seed_is_usage_error(workspace, tmp_path, capsys, monkeypatch, 
         argv = ["train", "--dataset", str(nominal), "--pipeline", "RNG",
                 "--architecture", "8", "12", "8", "--out-dir", str(out)]
     if source == "--seed":
-        argv += ["--seed", "-1"]
+        argv += ["--seed", value]
     else:
-        monkeypatch.setenv("EPSNODE_SEED", "-1")
+        monkeypatch.setenv("EPSNODE_SEED", value)
     assert cli.main(argv) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
@@ -378,7 +400,7 @@ class TestTrainScoreEvaluate:
         assert "not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("val_fraction", "x"), ("jobs", "x"), ("variance_target", "x"),
+        ("val_fraction", "x"), ("patience", "x"), ("variance_target", "x"),
         ("out_dir", ["typed"]), ("dataset", 5),
         # a JSON integer setting takes no fraction, string or boolean, and a
         # number setting no boolean: each of these once trained as int() or
@@ -789,12 +811,31 @@ class TestGridsearchCommand:
         assert records[0]["val_mse"] <= records[1]["val_mse"]
         assert (out_dir / "sweep.csv").exists()
         # the sidecar records the keys of gridsearch's flags and
-        # variance_target, none of the settings its sweep does not read
+        # variance_target, none of the settings its sweep does not read, and
+        # the cores the sweep ran on
         meta = json.loads((out_dir / "run.meta.json").read_text(encoding="utf-8"))
         assert sorted(meta["config"]) == sorted([
             "dataset", "pipeline", "out_dir", "max_epochs", "patience", "val_fraction", "seed",
-            "jobs", "variance_target",
+            "variance_target", "cores",
         ])
+        assert meta["config"]["cores"] == ds.core_count()
+
+    def test_sweep_on_one_or_two_cores_writes_the_same_bytes(self, tmp_path, trimmed_rng_table):
+        nominal = simulate(tmp_path, "n.jsonl")
+        reports = {}
+        for cores in (1, 2):
+            out_dir = tmp_path / f"sweep-{cores}"
+            with usable_cores(cores), counting_forks() as forks:
+                assert cli.main([
+                    "gridsearch", "--dataset", str(nominal), "--pipeline", "RNG",
+                    "--max-epochs", "10", "--patience", "10", "--seed", "2", "--out-dir", str(out_dir),
+                ]) == 0
+            if cores == 1:
+                assert forks == []  # no process pool
+            meta = json.loads((out_dir / "run.meta.json").read_text(encoding="utf-8"))
+            assert meta["config"]["cores"] == cores
+            reports[cores] = [(out_dir / name).read_bytes() for name in ("sweep.json", "sweep.csv")]
+        assert reports[1] == reports[2]
 
     def test_no_valid_candidate_is_usage_error(self, tmp_path, capsys):
         # on the default grid's 160 training rows this variance target keeps
@@ -815,22 +856,24 @@ class TestGridsearchCommand:
         assert "search space contains no valid candidates" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize(
-        "command, jobs",
-        [(("gridsearch",), "0"), (("gridsearch",), "-3"),
-         (("train", "--architecture", "8", "12", "8"), "0"),
-         (("train", "--architecture", "8", "12", "8"), "-3")],
-        ids=["0", "-3", "train-0", "train--3"],
-    )
-    def test_jobs_below_one_is_usage_error(self, tmp_path, trimmed_rng_table, capsys, command, jobs):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["gridsearch", "train"])
+    def test_jobs_is_usage_error(self, tmp_path, capsys, command, source):
+        # the sweep takes every usable core; no setting picks a count
         nominal = simulate(tmp_path, "n.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
         out_dir = tmp_path / "sweep"
-        rc = cli.main([
-            *command, "--dataset", str(nominal), "--pipeline", "RNG",
-            "--max-epochs", "2", "--patience", "2", "--jobs", jobs, "--out-dir", str(out_dir),
-        ])
-        assert rc == 2
-        assert f"jobs (parallelism) must be >= 1, got {jobs}" in capsys.readouterr().err
+        argv = [command, "--dataset", str(nominal), "--pipeline", "RNG", "--max-epochs", "2",
+                "--patience", "2", "--out-dir", str(out_dir)]
+        if source == "flag":
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--jobs", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        else:
+            assert cli.main(argv + ["--config", str(config)]) == 2
+            assert f"{config}: invalid config file: unknown key 'jobs'" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_required_key(self, tmp_path, capsys):

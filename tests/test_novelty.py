@@ -245,10 +245,15 @@ class TestCsv:
              ": line 4: invalid row: a cell of count 2 takes a finite value >= 0, got -5.0"),
             (FULL[:1] + ["1,0," + "1" * 200000 + ",1"] + FULL[2:],
              ": line 4: invalid row: field larger than field limit (131072)"),
+            # int() and float() read these, but a row holds plain ASCII numbers
+            (["0,0,1_0, 1"] + FULL[1:], ": line 3: invalid row: expected a plain ASCII number, got '1_0'"),
+            (["0,0,1.0, 1"] + FULL[1:], ": line 3: invalid row: expected a plain ASCII integer, got ' 1'"),
+            (FULL[:3] + ["\u0661,1,4.0,1"],
+             ": line 6: invalid row: expected a plain ASCII integer, got '\u0661'"),
         ],
         ids=["cell-outside", "duplicate-cell", "cells-missing", "value-not-float", "count-not-int",
              "short-row", "count-negative", "count-0-with-value", "value-nan", "value-inf",
-             "value-negative", "field-too-long"],
+             "value-negative", "field-too-long", "value-underscore", "count-space", "cell-arabic-digit"],
     )
     def test_bad_rows_are_located(self, tmp_path, rows, located):
         path = tmp_path / "map.csv"
