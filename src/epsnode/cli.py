@@ -4,8 +4,7 @@ Exit codes: 0 success, 1 runtime failure, 2 rejected input (any ValueError:
 a bad flag, config value or input file).
 All outputs are deterministic given identical inputs and seeds; wall-clock
 timestamps are confined to the ``run.meta.json`` sidecar. The EPSNODE_SEED
-environment variable overrides the base seed of any command. A sweep, like
-dataset I/O, runs on every core this process may use (``taskset`` limits them).
+environment variable overrides the base seed of any command.
 """
 from __future__ import annotations
 
@@ -149,14 +148,12 @@ def _load_training(args):
 
 
 def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.Candidate:
-    """Run the pipeline's table sweep on every usable core (their count goes
-    into ``cfg``), write its ranked report and return the winning candidate."""
-    cfg["cores"] = ds.core_count()
+    """Run the pipeline's table sweep in one process, write its ranked report
+    and return the winning candidate."""
     results, best = gs.run(
         gs.TABLE_SPACES[cfg["pipeline"]],
         train_rows,
         val_rows,
-        parallelism=cfg["cores"],
         base_seed=config.seed,
         max_epochs=config.max_epochs,
         patience=config.patience,

@@ -13,12 +13,12 @@ bit-exact. Reading takes each value at its JSON type: an int above holds no
 float. A bad line raises ``<path>: line N: invalid header|record: <reason>``,
 the form that ``reading`` gives every reader's located error.
 
-Large sets are written and read on every usable core (``core_count``): the
-records split into one contiguous part per core, of at least PART_RECORDS
-each, and forked children format or parse every part but the first while
-this process does the first. One per-record function formats, and one part
-reader parses, on both paths, so the file's bytes, the loaded set and every
-located error are those of a single process.
+Large sets are written and read on every usable core: the records split into
+one contiguous part per core, of at least PART_RECORDS each, and forked
+children format or parse every part but the first while this process does the
+first. One per-record function formats, and one part reader parses, on both
+paths, so the file's bytes, the loaded set and every located error are those
+of a single process.
 """
 from __future__ import annotations
 
@@ -83,13 +83,11 @@ def json_number(value) -> float:
 
 
 def text_number(text: str, kind=float):
-    """``kind(text)``, ``kind`` int or float, of a number read from text.
-    int() and float() also take underscores, surrounding spaces and non-ASCII
-    digits, which no writer writes; those raise a ValueError naming the text."""
-    value = kind(text)
+    """``kind(text)``, ``kind`` int or float, of a number written as plain ASCII: no
+    underscore, surrounding space or non-ASCII digit, which int() and float() take."""
     if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(f"expected a plain ASCII {'integer' if kind is int else 'number'}, got {text!r}")
-    return value
+    return kind(text)
 
 
 def _numbers(values) -> np.ndarray:
@@ -234,8 +232,7 @@ class Measurement:
         object.__setattr__(self, "per_anchor", tuple(self.per_anchor))
         ids = [r.anchor_id for r in self.per_anchor]
         if not ids or ids != sorted(ids) or len(set(ids)) != len(ids):
-            raise ValueError(f"per-anchor readings must be one or more, unique and ordered by "
-                             f"anchor_id, got ids {ids}")
+            raise ValueError("per-anchor readings must be one or more, unique and ordered by anchor_id")
 
 
 @dataclass
@@ -265,17 +262,12 @@ class MeasurementSet:
 PART_RECORDS = 200  # the fewest records a part takes; smaller sets stay in one process
 
 
-def core_count() -> int:
-    """The cores this process may run on (``taskset`` narrows them)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _part_count(n_records: int) -> int:
     """The number of parts for ``n_records`` records: one per usable core,
     each of at least PART_RECORDS, and one where this host cannot fork."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(core_count(), n_records // PART_RECORDS))
+    return max(1, min(len(os.sched_getaffinity(0)), n_records // PART_RECORDS))
 
 
 def _child(work, job, out) -> None:

@@ -5,8 +5,8 @@ Each candidate is trained with a seed derived from the base seed and its
 enumeration index, so results do not depend on execution order or the level
 of parallelism. Candidates that share their layer widths and batch size train
 as one stack (``autoencoder.train_group``), bit-identical to training each
-alone, in one process or on a pool of at most one worker per stack. Trials
-whose loss diverges are recorded as failed and never enter the ranking.
+alone. Trials whose loss diverges are recorded as failed and never enter the
+ranking.
 """
 from __future__ import annotations
 
@@ -130,7 +130,7 @@ def run(
 ) -> tuple[list[TrialResult], Candidate]:
     """Train every candidate and return results ranked by validation MSE.
 
-    The result list is the same at any parallelism (>= 1); at most one process runs per stack.
+    The result list is identical for any parallelism level (>= 1).
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -143,12 +143,12 @@ def run(
         groups.setdefault((c.e1, c.e2, c.batch_size), []).append(c)
     run_group = partial(_run_group, train_rows=train_rows, val_rows=val_rows, base_seed=base_seed,
                         max_epochs=max_epochs, patience=patience)
-    if (workers := min(parallelism, len(groups))) == 1:
+    if parallelism <= 1:
         per_group = list(map(run_group, groups.values()))
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when used
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
             per_group = list(pool.map(run_group, groups.values()))
     results = [r for group in per_group for r in group]
     ok = sorted((r for r in results if r.status == "ok"), key=_rank_key)

@@ -5,8 +5,6 @@ synthesis, autoencoder training) to one run each.
 """
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -18,23 +16,6 @@ from epsnode import simulator as sim
 from epsnode.dataset import split
 
 ACCEPT_SEED = 42
-
-
-@contextmanager
-def usable_cores(n):
-    """Run as if this process may use ``n`` cores (1: the one-process path)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        yield
-
-
-@contextmanager
-def counting_forks():
-    """The list of this process's ``os.fork`` calls made inside the block."""
-    forks, fork = [], os.fork
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
-        yield forks
 
 
 def msets_equal(a, b) -> bool:

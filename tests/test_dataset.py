@@ -7,10 +7,11 @@ import math
 import os
 import re
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import counting_forks, msets_equal, usable_cores
+from conftest import msets_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -228,6 +229,23 @@ class TestPersistence:
         with pytest.raises(InputFileError, match=r"data\.jsonl: line 3: invalid record: not valid JSON"):
             ds.load(path)
 
+
+
+@contextmanager
+def usable_cores(n):
+    """Run as if this process may use ``n`` cores (1: the one-process path)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        yield
+
+
+@contextmanager
+def counting_forks():
+    """The list of this process's ``os.fork`` calls made inside the block."""
+    forks, fork = [], os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        yield forks
 
 
 def assert_no_child_left():

@@ -6,7 +6,6 @@ import json
 
 import numpy as np
 import pytest
-from conftest import counting_forks
 
 from epsnode import autoencoder as ae
 from epsnode import features as feat
@@ -109,15 +108,6 @@ class TestRun:
         assert best_s == best_p
         assert [(r.candidate, r.status, r.val_mse) for r in serial] == \
                [(r.candidate, r.status, r.val_mse) for r in parallel]
-
-    def test_one_stack_runs_in_this_process(self):
-        # at most one worker per stack: the two learning rates of one
-        # architecture and batch size are one stack, so no pool starts
-        train, val = tiny_rows(seed=2)
-        with counting_forks() as forks:
-            results, _ = gs.run(gs.SearchSpace((8,), (20,), (8,), (0.01, 0.001)), train, val,
-                                max_epochs=3, patience=3, parallelism=8)
-        assert forks == [] and len(results) == 2
 
     def test_parallelism_below_one_is_an_error(self):
         train, val = tiny_rows(seed=2)

@@ -51,7 +51,7 @@ def loaded_after(statement: str, *prefixes: str) -> str:
 
 
 def test_import_loads_no_process_pool():
-    """Only a sweep on more than one core needs a process pool, so
+    """Only ``gridsearch.run`` above parallelism 1 needs a process pool, so
     ``import epsnode`` leaves ``concurrent.futures`` and ``multiprocessing``
     unloaded."""
     assert loaded_after("import epsnode", "concurrent", "multiprocessing") == "[]"

@@ -13,10 +13,9 @@ timestamp. The flow:
   b32 at seed 42;
 - score B and C with each model, and B with the RNG model by median;
 - evaluate each scored total-error map;
-- the RNG sweep for 10 epochs twice: on every usable core (sweep-jobs2) and
-  with the command pinned to one core (sweep-jobs1), as ``taskset -c 0``
-  pins it, so the manifest holds a parallel and a serial sweep, which must
-  write the same bytes (the directory names keep older manifests comparable);
+- the RNG sweep for 10 epochs, twice, each in a fresh process; the output
+  dirs keep the names sweep-jobs1 and sweep-jobs2 of the ``--jobs 1`` and
+  ``--jobs 2`` runs they replace, so older manifests stay comparable;
 - train without --architecture (sweep, then retrain the winner) for 5 epochs.
 
 With --compare, the new manifest is then compared with OTHER_MANIFEST. Every
@@ -46,9 +45,8 @@ SKIPPED = {"run.meta.json", "manifest.json"}
 ARCHITECTURES = {"RNG": ("15 30 15", "32"), "MA": ("70 90 70", "64"), "PCA": ("120 165 120", "32")}
 
 
-def flow() -> list[tuple[list[str], bool]]:
-    """The CLI commands, in order, with paths relative to the output dir, each
-    with whether it runs pinned to one core."""
+def flow() -> list[list[str]]:
+    """The CLI commands, in order, with paths relative to the output dir."""
     steps = [["simulate", "--scenario", "nominal", "--passes", "5", "--samples-per-cell", "10",
               "--seed", "42", "--out", "nominal.jsonl"]]
     steps += [["simulate", "--scenario", s, "--passes", "1", "--samples-per-cell", "10",
@@ -69,12 +67,7 @@ def flow() -> list[tuple[list[str], bool]]:
                       "--max-epochs", "10", "--patience", "10", "--seed", "42", "--out-dir", out_dir])
     steps.append(["train", "--dataset", "nominal.jsonl", "--pipeline", "RNG",
                   "--max-epochs", "5", "--patience", "5", "--seed", "42", "--out-dir", "searched"])
-    return [(step, step[-1] == "sweep-jobs1") for step in steps]  # the serial sweep
-
-
-def pin_to_one_core() -> None:
-    """Leave this process one usable core, the first of its set."""
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return steps
 
 
 def fail(message: str):
@@ -91,9 +84,9 @@ def run_flow(tree: Path, out_dir: Path) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if k != "EPSNODE_SEED"}
     env["PYTHONPATH"] = str(tree / "src")
 
-    def cli(*args: str, one_core: bool = False) -> subprocess.CompletedProcess:
-        done = subprocess.run([sys.executable, *args], cwd=out_dir, env=env, capture_output=True,
-                              text=True, preexec_fn=pin_to_one_core if one_core else None)
+    def cli(*args: str) -> subprocess.CompletedProcess:
+        done = subprocess.run([sys.executable, *args], cwd=out_dir, env=env,
+                              capture_output=True, text=True)
         if done.returncode != 0:
             fail(f"exit {done.returncode} from {' '.join(args)}\n{done.stderr}")
         return done
@@ -101,8 +94,8 @@ def run_flow(tree: Path, out_dir: Path) -> dict[str, str]:
     where = cli("-c", "import epsnode; print(epsnode.__file__)").stdout.strip()
     if not Path(where).resolve().is_relative_to(tree / "src"):
         fail(f"epsnode imports from {where}, not from {tree / 'src'}")
-    for step, one_core in flow():
-        cli("-m", "epsnode.cli", *step, one_core=one_core)
+    for step in flow():
+        cli("-m", "epsnode.cli", *step)
     return {
         path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out_dir.rglob("*"))
