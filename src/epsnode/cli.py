@@ -16,6 +16,8 @@ import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import autoencoder as ae
 from . import dataset as ds
 from . import evaluation as ev
@@ -38,6 +40,15 @@ def _base_seed(value: int) -> int:
     if seed is None or seed < 0:
         raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
     return seed
+
+
+# argparse names a flag's type function in its error: "invalid integer value: '1_0'"
+def integer(text: str) -> int:
+    return ds.text_number(text, int)
+
+
+def number(text: str) -> float:
+    return ds.text_number(text, float)
 
 
 def _load_environment(scenario_name: str | None, env_file: str | None) -> tuple[sim.Environment, str]:
@@ -215,17 +226,21 @@ def _cmd_score(args) -> int:
         bundle["model"], bundle["scaler"], bundle["pipeline"], bundle["pca"], mset,
         aggregate=args.aggregate,
     )
+    sampled = emap.counts > 0  # the other cells hold NaN
+    if not all(np.isfinite(m.values[sampled]).all() for m in [emap, *anchor_maps]):
+        raise ValueError(f"{args.model}: the model's errors on {args.dataset} are not all finite")
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    nov.write_error_map_csv(emap, out_dir / "error_map.csv")
-    for anchor_id, amap in zip(mset.anchor_ids, anchor_maps):
-        nov.write_error_map_csv(amap, out_dir / f"anchor_{anchor_id}.csv")
+    # every output is built before the directory is made, so one that cannot be built leaves none
     art = render.ascii_heatmap(
         emap.values, title=f"total error [{mset.scenario_name}] ({args.aggregate} per cell)"
     )
-    (out_dir / "heatmap.txt").write_text(art, encoding="utf-8")
-    render.write_pgm(emap.values, out_dir / "heatmap.pgm")
+    outputs = {"error_map.csv": nov.error_map_csv(emap)}
+    outputs |= {f"anchor_{a}.csv": nov.error_map_csv(m) for a, m in zip(mset.anchor_ids, anchor_maps)}
+    outputs |= {"heatmap.txt": art, "heatmap.pgm": render.pgm(emap.values)}
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
     print(art, end="")
     return 0
 
@@ -273,11 +288,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help=f"preset name ({', '.join(sim.PRESET_NAMES)})")
     p.add_argument("--env-file", help="custom environment JSON file")
     p.add_argument("--grid", help="ox,oy,nx,ny,cell_size (default: standard grid)")
-    p.add_argument("--passes", type=int, default=5)
-    p.add_argument("--samples-per-cell", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-sigma", type=float, default=sim.ChannelParams().noise_sigma)
-    p.add_argument("--jitter-sigma", type=float, default=sim.ChannelParams().range_jitter_sigma)
+    p.add_argument("--passes", type=integer, default=5)
+    p.add_argument("--samples-per-cell", type=integer, default=10)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--noise-sigma", type=number, default=sim.ChannelParams().noise_sigma)
+    p.add_argument("--jitter-sigma", type=number, default=sim.ChannelParams().range_jitter_sigma)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -293,16 +308,16 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--architecture",
                 nargs=3,
-                type=int,
+                type=integer,
                 metavar=("E1", "E2", "D1"),
                 help='hidden layer sizes (omit to sweep the table and train its best)',
             )
-            p.add_argument("--batch-size", type=int)
-            p.add_argument("--learning-rate", type=float)
-        p.add_argument("--max-epochs", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--val-fraction", type=float)
-        p.add_argument("--seed", type=int)
+            p.add_argument("--batch-size", type=integer)
+            p.add_argument("--learning-rate", type=number)
+        p.add_argument("--max-epochs", type=integer)
+        p.add_argument("--patience", type=integer)
+        p.add_argument("--val-fraction", type=number)
+        p.add_argument("--seed", type=integer)
         p.add_argument("--out-dir")
         p.set_defaults(func=func)
 
@@ -318,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--env-file")
     p.add_argument("--pipeline")
-    p.add_argument("--bandwidth", type=float, default=ev.DEFAULT_BANDWIDTH)
-    p.add_argument("--eps", type=float, default=ev.DEFAULT_EPS)
+    p.add_argument("--bandwidth", type=number, default=ev.DEFAULT_BANDWIDTH)
+    p.add_argument("--eps", type=number, default=ev.DEFAULT_EPS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 

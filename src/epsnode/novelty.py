@@ -8,6 +8,7 @@ over that cell's samples.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,17 +109,23 @@ def score(
 _COLUMNS = ["i", "j", "value", "count"]
 
 
-def write_error_map_csv(emap: ErrorMap, path: str | Path) -> None:
-    """One row per cell: i, j, value, count. A leading comment line records
-    the grid so the map is self-describing."""
+def error_map_csv(emap: ErrorMap) -> str:
+    """The CSV text of a map, one row per cell: i, j, value, count. A leading
+    comment line records the grid so the map is self-describing."""
     grid = emap.grid
     # as Python numbers: csv writes a float as its repr, and numpy's is "np.float64(...)"
     values, counts = emap.values.tolist(), emap.counts.tolist()
-    with Path(path).open("w", encoding="utf-8", newline="") as f:
-        f.write(f"# grid={grid.spec}\n")
-        w = csv.writer(f)
-        w.writerow(_COLUMNS)
-        w.writerows([i, j, values[j][i], counts[j][i]] for i, j in grid.cells())
+    f = io.StringIO()
+    f.write(f"# grid={grid.spec}\n")
+    w = csv.writer(f)
+    w.writerow(_COLUMNS)
+    w.writerows([i, j, values[j][i], counts[j][i]] for i, j in grid.cells())
+    return f.getvalue()
+
+
+def write_error_map_csv(emap: ErrorMap, path: str | Path) -> None:
+    """Write :func:`error_map_csv` to ``path``; its rows end in CRLF, as csv writes them."""
+    Path(path).write_text(error_map_csv(emap), encoding="utf-8", newline="")
 
 
 def read_error_map_csv(path: str | Path) -> ErrorMap:

@@ -44,12 +44,16 @@ def ascii_heatmap(values: np.ndarray, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_pgm(values: np.ndarray, path: str | Path) -> None:
-    """8-bit P2 PGM, one pixel per cell, row j = ny-1 on top."""
+def pgm(values: np.ndarray) -> str:
+    """The text of an 8-bit P2 PGM, one pixel per cell, row j = ny-1 on top."""
     norm, lo, hi = _scaled(values)
     pixels = np.where(np.isfinite(norm), np.clip(norm * 255.0, 0, 255), 0.0).astype(int)
     ny, nx = values.shape
     lines = [f"P2", f"# scale {lo!r} {hi!r}", f"{nx} {ny}", "255"]
     for j in range(ny - 1, -1, -1):
         lines.append(" ".join(str(int(p)) for p in pixels[j]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_pgm(values: np.ndarray, path: str | Path) -> None:
+    Path(path).write_text(pgm(values), encoding="utf-8")

@@ -1,6 +1,7 @@
 """End-to-end command-line toolchain."""
 from __future__ import annotations
 
+import argparse
 import inspect
 import json
 import math
@@ -30,6 +31,15 @@ def simulate(tmp_path, name="sim.jsonl", scenario="nominal", seed=3, extra=()):
     ])
     assert rc == 0
     return out
+
+
+def exit_code(argv) -> int:
+    """The exit status of ``epsnode`` run with ``argv``: cli.main's return value,
+    or the status argparse exits with when it rejects a flag."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def train(tmp_path, dataset, out_name="model", seed=3, pipeline="RNG", arch=("8", "12", "8")):
@@ -81,10 +91,13 @@ class TestSimulate:
         "extra",
         [("--passes", "0"), ("--noise-sigma", "-1"), ("--grid", "5,4,8,5,0.5"), ("--grid", ""),
          # int() and float() read these, but a grid spec holds plain ASCII numbers
-         ("--grid", " 1.0,1.25,2,2,0.5"), ("--grid", "1.0,1.25,0_2,2,0.5")],
+         ("--grid", " 1.0,1.25,2,2,0.5"), ("--grid", "1.0,1.25,0_2,2,0.5"),
+         # so do the numeric flags: argparse rejects them through dataset.text_number
+         ("--passes", "1_0"), ("--samples-per-cell", " 5"), ("--samples-per-cell", "\u0665"),
+         ("--noise-sigma", "0_1"), ("--jitter-sigma", "0.01 ")],
     )
     def test_invalid_parameter_is_usage_error(self, tmp_path, capsys, extra):
-        rc = cli.main([
+        rc = exit_code([
             "simulate", "--scenario", "nominal", "--grid", GRID,
             "--out", str(tmp_path / "x.jsonl"), *extra,
         ])
@@ -323,7 +336,8 @@ def output_width(obj, width):
     ("--seed", "-1", "seed must be a non-negative integer, got -1"),
     ("EPSNODE_SEED", "-1", "EPSNODE_SEED must be a non-negative integer, got '-1'"),
     ("EPSNODE_SEED", "1_0", "EPSNODE_SEED must be a non-negative integer, got '1_0'"),
-], ids=["flag", "env", "env-underscore"])
+    ("--seed", " 1_0", "argument --seed: invalid integer value: ' 1_0'"),
+], ids=["flag", "env", "env-underscore", "flag-underscore"])
 def test_negative_seed_is_usage_error(workspace, tmp_path, capsys, monkeypatch, command, source, value,
                                       named):
     _, nominal, _, _ = workspace
@@ -337,9 +351,18 @@ def test_negative_seed_is_usage_error(workspace, tmp_path, capsys, monkeypatch, 
         argv += ["--seed", value]
     else:
         monkeypatch.setenv("EPSNODE_SEED", value)
-    assert cli.main(argv) == 2
+    assert exit_code(argv) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_numeric_flags_take_plain_ascii_numbers():
+    # every numeric flag reads its text by dataset.text_number, as the
+    # input files and EPSNODE_SEED do, so "1_0" and " 1" are rejected
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    types = {action.type for sub in commands.values() for action in sub._actions} - {None}
+    assert types == {cli.integer, cli.number}
 
 
 class TestTrainScoreEvaluate:
@@ -554,6 +577,22 @@ class TestTrainScoreEvaluate:
         ])
         assert rc == 2
         capsys.readouterr()
+
+    def test_score_writes_nothing_from_errors_not_finite(self, workspace, capsys):
+        # 1e308 is a finite weight, so the bundle loads, but the model's
+        # reconstructions overflow
+        tmp_path, _, perturbed, model_dir = workspace
+        obj = json.loads((model_dir / "model.json").read_text(encoding="utf-8"))
+        big = tmp_path / "huge_weight.json"
+        big.write_text(json.dumps(with_entry(obj, ["weights", 0, 0, 0], 1e308)), encoding="utf-8")
+        out_dir = tmp_path / "score_huge"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["score", "--model", str(big), "--dataset", str(perturbed),
+                           "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {big}: the model's errors on {perturbed} are not all finite\n"
+        assert not out_dir.exists()
 
     def test_score_rejects_bundle_that_does_not_fit_dims(self, workspace, capsys):
         tmp_path, _, perturbed, model_dir = workspace

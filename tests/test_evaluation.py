@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ def emap_from(values, grid=None):
         grid = GridMap(origin=(0.0, 0.0), nx=nx, ny=ny, cell_size=0.5)
     counts = np.where(np.isnan(values), 0, 1).astype(int)
     return ErrorMap(grid=grid, values=values, counts=counts)
+
+
+def pairwise_kde(emap: ErrorMap, bandwidth: float) -> np.ndarray:
+    """The (n, n) form ``kde`` had before its kernel was split per axis, kept as
+    its oracle: the Gaussian of every pair of the n = nx * ny cell centers."""
+    grid = emap.grid
+    weights = np.nan_to_num(emap.values, nan=0.0).reshape(-1)
+    centers = np.array([grid.cell_center(i, j) for i, j in grid.cells()])
+    diff = centers[:, None, :] - centers[None, :, :]
+    density = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * bandwidth**2)) @ weights
+    return (density / density.sum()).reshape(grid.ny, grid.nx)
 
 
 class TestDensityMap:
@@ -151,6 +163,37 @@ class TestKde:
         b = ev.kde(emap_from(c * values))
         assert np.allclose(b.p, a.p, rtol=1e-12, atol=0.0)
 
+    @given(
+        arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(2, 12)),
+               elements=st.one_of(st.just(0.0), st.just(np.nan), st.floats(1e-3, 1e3))),
+        st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+        st.floats(0.01, 2.0),
+        st.floats(0.5, 20.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_oracle(self, values, origin, cell_size, cells_per_bandwidth):
+        # a bandwidth of half a cell or more keeps every kernel value and every
+        # weighted term of a 12x12 grid far above the subnormals, so both
+        # forms keep full precision
+        assume(np.nansum(values) > 0)
+        ny, nx = values.shape
+        emap = emap_from(values, GridMap(origin=origin, nx=nx, ny=ny, cell_size=cell_size))
+        bandwidth = cell_size * cells_per_bandwidth
+        expected = pairwise_kde(emap, bandwidth)
+        assert np.allclose(ev.kde(emap, bandwidth).p, expected, rtol=1e-12, atol=0.0)
+
+    def test_memory_grows_with_the_axes_not_the_cell_pairs(self):
+        # 3000 cells: the pairwise form's (n, n, 2) offsets alone take 144 MB
+        rng = np.random.default_rng(7)
+        emap = emap_from(rng.random((50, 60)))
+        tracemalloc.start()
+        try:
+            ev.kde(emap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_nan_cells_contribute_nothing(self):
         values = np.array([[1.0, np.nan], [np.nan, np.nan]])
         zeroed = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -175,6 +218,13 @@ class TestGroundTruth:
     def test_nominal_scenario_errors(self, grid):
         with pytest.raises(ValueError, match="no novelty"):
             ev.ground_truth_density(sim.scenario("nominal"), grid)
+
+    def test_grid_far_from_every_obstacle_errors(self):
+        # the kde of an all-zero indicator would blame an error map instead
+        grid = GridMap.from_spec("1.0,1.25,2,2,0.5")
+        with pytest.raises(ValueError, match=r"no cell of the grid 1\.0,1\.25,2,2,0\.5 lies within "
+                           r"GROUND_TRUTH_RADIUS \(0\.75 m\) of the scenario's obstacles"):
+            ev.ground_truth_density(sim.scenario("B"), grid)
 
     def test_mass_concentrates_near_obstacles(self, grid):
         for name in ("A", "B", "C"):
