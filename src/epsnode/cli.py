@@ -104,28 +104,34 @@ def _architecture(value) -> list[int] | str:
     raise TypeError(f'expected "search" or three integer widths, got {value!r}')
 
 
-# each train/gridsearch setting: its type, and its default (None: required)
+# each train/gridsearch setting: its type, its default (None: required) and its flag's argparse
+# options (None: no flag); gridsearch takes all but _TRAIN_ONLY, which its sweep sets per candidate
 _SETTINGS = {
-    "dataset": (ds.json_text, None),
-    "pipeline": (feat.Pipeline, None),
-    "out_dir": (ds.json_text, None),
-    "architecture": (_architecture, "search"),
-    "batch_size": (ds.json_integer, ae.TrainConfig.batch_size),
-    "learning_rate": (ds.json_number, ae.TrainConfig.learning_rate),
-    "max_epochs": (ds.json_integer, ae.TrainConfig.max_epochs),
-    "patience": (ds.json_integer, ae.TrainConfig.patience),
-    "val_fraction": (ds.json_number, 0.2),
-    "seed": (ds.json_integer, ae.TrainConfig.seed),
-    "variance_target": (lambda v: feat.check_variance_target(ds.json_number(v)), feat.VARIANCE_TARGET),
+    "dataset": (ds.json_text, None, {}),
+    "pipeline": (feat.Pipeline, None, {"choices": [pl.value for pl in feat.Pipeline]}),
+    "out_dir": (ds.json_text, None, {}),
+    "architecture": (_architecture, "search", {"nargs": 3, "type": integer, "metavar": ("E1", "E2", "D1"),
+                     "help": "hidden layer sizes (omit to sweep the table and train its best)"}),
+    "batch_size": (ds.json_integer, ae.TrainConfig.batch_size, {"type": integer}),
+    "learning_rate": (ds.json_number, ae.TrainConfig.learning_rate, {"type": number}),
+    "max_epochs": (ds.json_integer, ae.TrainConfig.max_epochs, {"type": integer}),
+    "patience": (ds.json_integer, ae.TrainConfig.patience, {"type": integer}),
+    "val_fraction": (ds.json_number, 0.2, {"type": number}),
+    "seed": (ds.json_integer, ae.TrainConfig.seed, {"type": integer}),
+    "variance_target": (lambda v: feat.check_variance_target(ds.json_number(v)), feat.VARIANCE_TARGET, None),
 }
+_TRAIN_ONLY = ("architecture", "batch_size", "learning_rate")
+
+
+def _setting_keys(command: str) -> list[str]:
+    return [key for key in _SETTINGS if command == "train" or key not in _TRAIN_ONLY]
 
 
 def _load_train_config(args) -> dict:
     """The settings of ``train`` and ``gridsearch``: each flag given
-    overrides the ``--config`` file, which overrides the defaults. A command
-    takes the settings of its own flags and ``variance_target``; each value
+    overrides the ``--config`` file, which overrides the defaults. Each value
     is converted to its type here, once."""
-    keys = [key for key in _SETTINGS if key in vars(args) or key == "variance_target"]
+    keys = _setting_keys(args.command)
     cfg: dict = {}
     if args.config:
         with ds.reading(args.config, "config file"):
@@ -133,8 +139,8 @@ def _load_train_config(args) -> dict:
             if unknown := [key for key in cfg if key not in keys]:
                 raise ValueError(f"unknown key {unknown[0]!r}; {args.command} takes {', '.join(keys)}")
     for key in keys:
-        kind, default = _SETTINGS[key]
-        flag = getattr(args, key, None)  # variance_target has no flag
+        kind, default, _ = _SETTINGS[key]
+        flag = getattr(args, key, None)  # None: not given, or no flag
         if flag is not None:
             cfg[key] = flag
         if cfg.get(key) is None and default is None:
@@ -302,29 +308,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--dataset")
-        p.add_argument("--pipeline", choices=[pl.value for pl in feat.Pipeline])
-        if name == "train":
-            p.add_argument(
-                "--architecture",
-                nargs=3,
-                type=integer,
-                metavar=("E1", "E2", "D1"),
-                help='hidden layer sizes (omit to sweep the table and train its best)',
-            )
-            p.add_argument("--batch-size", type=integer)
-            p.add_argument("--learning-rate", type=number)
-        p.add_argument("--max-epochs", type=integer)
-        p.add_argument("--patience", type=integer)
-        p.add_argument("--val-fraction", type=number)
-        p.add_argument("--seed", type=integer)
-        p.add_argument("--out-dir")
+        for key in _setting_keys(name):
+            if (options := _SETTINGS[key][2]) is not None:
+                p.add_argument("--" + key.replace("_", "-"), **options)
         p.set_defaults(func=func)
 
     p = sub.add_parser("score", help="score a dataset with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--aggregate", choices=("mean", "median", "max"), default="mean")
+    p.add_argument("--aggregate", choices=nov.AGGREGATORS, default="mean")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_score)
 

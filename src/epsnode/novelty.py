@@ -47,7 +47,7 @@ class ErrorMap:
             raise ValueError(f"map arrays must have shape {shape}")
 
 
-_AGGREGATORS = {
+AGGREGATORS = {
     "mean": np.mean,
     "median": np.median,
     "max": np.max,
@@ -68,9 +68,9 @@ def score(
     order) and the (m, n_anchors) per-anchor errors, one row per measurement
     in ``mset.measurements`` order.
     """
-    if aggregate not in _AGGREGATORS:
+    if aggregate not in AGGREGATORS:
         raise ValueError(f"unknown aggregate {aggregate!r}")
-    agg = _AGGREGATORS[aggregate]
+    agg = AGGREGATORS[aggregate]
     pipeline = feat.Pipeline(pipeline)
     n_anchors = len(mset.anchor_ids)
     expected = feat.feature_length(pipeline, n_anchors, pca)
