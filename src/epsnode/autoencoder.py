@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features as feat
-from .dataset import CIR_LENGTH, json_integer, json_numbers, read_json_object, reading
+from .dataset import CIR_LENGTH, MAX_ARRAY_BYTES, json_integer, json_numbers, read_json_object, reading
 
 N_LAYERS = 5
 # Adam (Kingma & Ba 2015), the least validation-MSE drop that early stopping
@@ -57,6 +57,9 @@ def _layer_views(dims: tuple[int, ...], flat: np.ndarray | None = None):
         raise ValueError(f"dims must have {N_LAYERS} entries, got {list(dims)}")
     layers = list(zip(dims[:1] + dims[:-1], dims))
     ends = list(itertools.accumulate(n_in * n_out + n_out for n_in, n_out in layers))
+    if ends[-1] * 8 > MAX_ARRAY_BYTES:
+        raise ValueError(f"dims {list(dims)} need {ends[-1]} parameters, "
+                         "more than one numpy array of floats holds")
     flat = np.zeros(ends[-1]) if flat is None else flat
     if flat.ndim not in (1, 2) or flat.shape[-1] != ends[-1]:
         raise ValueError(f"dims {list(dims)} need {ends[-1]} parameters, got {flat.shape}")
@@ -91,14 +94,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("max_epochs and patience must be >= 1")
         if self.patience > self.max_epochs:
-            raise ValueError("patience must not exceed max_epochs")
+            raise ValueError(f"patience must not exceed max_epochs ({self.max_epochs}), got {self.patience}")
 
 
 @dataclass

@@ -228,10 +228,11 @@ def _cmd_score(args) -> int:
             f"{args.dataset}: anchor ids {mset.anchor_ids} differ from the ids "
             f"{bundle['anchor_ids']} the model {args.model} was trained on"
         )
-    emap, anchor_maps, _ = nov.score(
-        bundle["model"], bundle["scaler"], bundle["pipeline"], bundle["pca"], mset,
-        aggregate=args.aggregate,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, as errors not finite
+        emap, anchor_maps, _ = nov.score(
+            bundle["model"], bundle["scaler"], bundle["pipeline"], bundle["pca"], mset,
+            aggregate=args.aggregate,
+        )
     sampled = emap.counts > 0  # the other cells hold NaN
     if not all(np.isfinite(m.values[sampled]).all() for m in [emap, *anchor_maps]):
         raise ValueError(f"{args.model}: the model's errors on {args.dataset} are not all finite")

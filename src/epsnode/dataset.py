@@ -35,6 +35,9 @@ from pathlib import Path
 import numpy as np
 
 CIR_LENGTH = 152
+# the most bytes one numpy array may take: a larger size fails with numpy's
+# "Maximum allowed dimension exceeded" or "array is too big", naming no input
+MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 class InputFileError(ValueError):
@@ -151,6 +154,8 @@ class GridMap:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2x2 cells")
+        if self.nx * self.ny * 8 > MAX_ARRAY_BYTES:
+            raise ValueError(f"grid {self.nx}x{self.ny} has more cells than one numpy array of floats holds")
         if not all(math.isfinite(v) for v in self.origin):
             raise ValueError(f"origin must be finite, got {self.origin}")
         if not (math.isfinite(self.cell_size) and self.cell_size > 0):
@@ -409,14 +414,13 @@ def _read_records(path: Path, a: int, b: int, grid: GridMap, ids: list[int]) -> 
     with path.open("rb") as f:
         f.seek(a)
         while a < b and (line := f.readline()):
-            if line.strip():
-                try:
-                    records.append(_record(line, grid, ids))
-                except Exception:
-                    f.seek(0)
-                    lineno = f.read(a).count(b"\n") + 1
-                    with reading(f"{path}: line {lineno}", "record"):  # locates the error and raises it
-                        raise
+            try:
+                records.append(_record(line, grid, ids))
+            except Exception:
+                f.seek(0)
+                lineno = f.read(a).count(b"\n") + 1
+                with reading(f"{path}: line {lineno}", "record"):  # locates the error and raises it
+                    raise
             a += len(line)
     return records
 
@@ -452,26 +456,21 @@ def _read_columns(f, anchor_ids: list[int]) -> list[Measurement]:
 
 
 def load(path: str | Path) -> MeasurementSet:
-    """Parse a dataset file; any malformed or schema-violating record aborts
-    the load (no partial set is returned) with an InputFileError naming the
-    file and line. Every record must lie in the header's grid and carry the
-    first record's anchor ids."""
+    """Parse a dataset file: line 1 is the header and every later line one
+    record, as :func:`save` writes them. A bad line, a blank one included,
+    aborts the load (no partial set is returned) with an InputFileError naming
+    the file and line. Every record must lie in the header's grid and carry
+    the first record's anchor ids."""
     path = Path(path)
     with reading(path, "dataset"), path.open("rb") as f:
-        head = []  # (line number, line) of the header and the first record
-        for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                head.append((lineno, line))
-                if len(head) == 2:
-                    break
-        if not head:
+        header, line = f.readline(), f.readline()
+        if not header:
             raise ValueError("empty file: missing header")
-        with reading(f"{path}: line {head[0][0]}", "header"):
-            scenario_name, grid, seed = _header(head[0][1])
-        if len(head) == 1:
+        with reading(f"{path}: line 1", "header"):
+            scenario_name, grid, seed = _header(header)
+        if not line:
             raise ValueError("dataset contains no measurements")
-        lineno, line = head[1]
-        with reading(f"{path}: line {lineno}", "record"):
+        with reading(f"{path}: line 2", "record"):
             first = _record(line, grid, None)
         ids = [r.anchor_id for r in first.per_anchor]
 
@@ -498,7 +497,7 @@ def split(
     ``ceil(val_fraction * count)`` samples to validation and must keep at
     least one for training."""
     if not (0.0 < val_fraction < 1.0):
-        raise ValueError("val_fraction must be in (0, 1)")
+        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     by_cell: dict[tuple[int, int], list[int]] = {}
     for idx, m in enumerate(mset.measurements):
         by_cell.setdefault(m.cell, []).append(idx)

@@ -533,8 +533,9 @@ def generate_dataset(
     each (cell, anchor) pair is traced once; only the noise and the range
     jitter are drawn per sample, from streams seeded by the sample's
     coordinates (see ``_pass_streams``), so no sample depends on another."""
-    if passes < 1 or samples_per_cell < 1:
-        raise ValueError("passes and samples_per_cell must be >= 1")
+    for name, value in (("passes", passes), ("samples_per_cell", samples_per_cell)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     check_grid_in_room(env, grid)
     if params is None:
         params = ChannelParams()

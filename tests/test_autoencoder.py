@@ -163,7 +163,9 @@ class TestForward:
 class TestTrain:
     @pytest.mark.parametrize("max_epochs, patience", [(0, 0), (-3, -3), (5, 0)])
     def test_config_rejects_epoch_counts_below_one(self, max_epochs, patience):
-        with pytest.raises(ValueError, match="max_epochs and patience"):
+        # one field per message: the first one below 1, with its value
+        name, value = ("max_epochs", max_epochs) if max_epochs < 1 else ("patience", patience)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
             TrainConfig(max_epochs=max_epochs, patience=patience)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])

@@ -5,6 +5,8 @@ import argparse
 import inspect
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -470,26 +472,43 @@ class TestTrainScoreEvaluate:
         assert "batch_size" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, extra",
+        "command, extra, config, named",
         [
-            ("train", ("--architecture", "8", "12", "8", "--max-epochs", "0", "--patience", "0")),
-            ("train", ("--architecture", "8", "12", "8", "--max-epochs", "-3", "--patience", "-3")),
-            ("train", ("--max-epochs", "-3")),
-            ("gridsearch", ("--max-epochs", "2", "--patience", "5")),
-            ("train", ("--architecture", "8", "12", "8", "--val-fraction", "1.5")),
+            ("train", ("--architecture", "8", "12", "8", "--max-epochs", "0", "--patience", "0"), {},
+             "max_epochs must be >= 1, got 0"),
+            ("train", ("--architecture", "8", "12", "8", "--max-epochs", "-3", "--patience", "-3"), {},
+             "max_epochs must be >= 1, got -3"),
+            ("train", ("--max-epochs", "-3"), {}, "max_epochs must be >= 1, got -3"),
+            ("gridsearch", ("--max-epochs", "2", "--patience", "5"), {},
+             "patience must not exceed max_epochs (2), got 5"),
+            ("train", ("--architecture", "8", "12", "8", "--val-fraction", "1.5"), {},
+             "val_fraction must be in (0, 1), got 1.5"),
             # every cell holds 5 samples, so all of them go to validation
-            ("train", ("--architecture", "8", "12", "8", "--val-fraction", "0.99")),
+            ("train", ("--architecture", "8", "12", "8", "--val-fraction", "0.99"), {},
+             "cell (0, 0): val_fraction 0.99 takes all 5 of its samples"),
+            # a range error names the key and the value, as a flag's does, not the file
+            ("train", ("--architecture", "8", "12", "8"), {"val_fraction": 1},
+             "error: val_fraction must be in (0, 1), got 1.0\n"),
+            ("train", ("--architecture", "8", "12", "8"), {"patience": 0}, "error: patience must be >= 1, got 0\n"),
+            # more parameters than one numpy array holds
+            ("train", (), {"architecture": [8, 12, 2**63]},
+             "dims [4, 8, 12, 9223372036854775808, 4] need 156797324626531188908 parameters, "
+             "more than one numpy array of floats holds"),
         ],
+        ids=["train-extra0", "train-extra1", "train-extra2", "gridsearch-extra3", "train-extra4",
+             "train-extra5", "config-val-fraction-1", "config-patience-0", "config-architecture-too-large"],
     )
-    def test_invalid_training_setup_is_usage_error(self, workspace, capsys, command, extra):
+    def test_invalid_training_setup_is_usage_error(self, workspace, capsys, command, extra, config, named):
         tmp_path, nominal, _, _ = workspace
         out_dir = tmp_path / "bad_setup"
+        path = tmp_path / "setup.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
         rc = cli.main([
-            command, "--dataset", str(nominal), "--pipeline", "RNG",
+            command, "--config", str(path), "--dataset", str(nominal), "--pipeline", "RNG",
             "--out-dir", str(out_dir), *extra,
         ])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_split_that_empties_a_cell_is_usage_error(self, tmp_path, capsys):
@@ -586,10 +605,12 @@ class TestTrainScoreEvaluate:
         big = tmp_path / "huge_weight.json"
         big.write_text(json.dumps(with_entry(obj, ["weights", 0, 0, 0], 1e308)), encoding="utf-8")
         out_dir = tmp_path / "score_huge"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:  # numpy's overflow warnings land here
+            warnings.simplefilter("always")
             rc = cli.main(["score", "--model", str(big), "--dataset", str(perturbed),
                            "--out-dir", str(out_dir)])
         assert rc == 2
+        assert [str(w.message) for w in caught] == []  # the error line below is the one message
         err = capsys.readouterr().err
         assert err == f"error: {big}: the model's errors on {perturbed} are not all finite\n"
         assert not out_dir.exists()
@@ -666,6 +687,8 @@ class TestTrainScoreEvaluate:
             ("RNG", lambda obj: obj | {"scaler": [1, 2]}, "expected a JSON object, got list"),
             ("RNG", lambda obj: {k: v for k, v in obj.items() if k != "anchor_ids"},
              "missing key 'anchor_ids'"),
+            ("RNG", lambda obj: obj | {"dims": [4, 8, 12, 2**63, 4]},
+             "dims [4, 8, 12, 9223372036854775808, 4] need 156797324626531188908 parameters"),
         ],
         ids=["no-leaky-alpha", "no-weights", "no-pipeline", "no-scaler", "json-list",
              "scaler-without-mins", "truncated", "int-dims", "int-weights",
@@ -674,7 +697,7 @@ class TestTrainScoreEvaluate:
              "pca-mean-of-10", "pca-explained-ratio-of-1", "pca-missing", "rng-with-pca",
              "float-dims", "float-anchor-id", "string-anchor-ids", "anchor-ids-short",
              "string-scaler", "bool-scaler", "bool-weight", "weight-too-large", "string-bias",
-             "string-pca-component", "output-of-3", "list-scaler", "no-anchor-ids"],
+             "string-pca-component", "output-of-3", "list-scaler", "no-anchor-ids", "dims-too-large"],
     )
     def test_score_rejects_malformed_bundle(self, request, workspace, capsys, pipeline, corrupt,
                                             named):
@@ -822,6 +845,29 @@ def test_setting_defaults_are_the_library_defaults():
     sweep = inspect.signature(gs.run).parameters
     assert (sweep["max_epochs"].default, sweep["patience"].default) == (
         defaults.max_epochs, defaults.patience)
+
+
+def test_each_flag_is_a_config_key(tmp_path, capsys):
+    """train and gridsearch take one flag per --config key but variance_target,
+    which has no flag; gridsearch takes neither the flag nor the key of a
+    setting its sweep sets per candidate."""
+    config = tmp_path / "config.json"
+    keys = {}
+    for command in ("train", "gridsearch"):
+        assert exit_code([command, "--help"]) == 0
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help", "--config"}
+        config.write_text(json.dumps({"unknown": 0}), encoding="utf-8")
+        assert cli.main([command, "--config", str(config)]) == 2
+        keys[command] = capsys.readouterr().err.rstrip("\n").split(f"; {command} takes ")[1].split(", ")
+        assert flags == {"--" + key.replace("_", "-") for key in keys[command] if key != "variance_target"}
+    assert (len(keys["train"]), len(keys["gridsearch"])) == (11, 8)
+    assert [key for key in keys["train"] if key not in keys["gridsearch"]] == list(cli._TRAIN_ONLY)
+    for key in cli._TRAIN_ONLY:
+        assert exit_code(["gridsearch", "--" + key.replace("_", "-"), "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        config.write_text(json.dumps({key: 1}), encoding="utf-8")
+        assert cli.main(["gridsearch", "--config", str(config)]) == 2
+        assert f"invalid config file: unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -111,6 +111,18 @@ class TestGridMap:
         with pytest.raises(ValueError, match=re.escape(named)):
             GridMap.from_spec(f"{origin[0]},{origin[1]},2,2,{cell_size}")
 
+    @pytest.mark.parametrize("nx, ny", [(2, 2**64 + 1), (2**31, 2**31)])
+    def test_rejects_more_cells_than_one_array_holds(self, nx, ny):
+        # a map of one float per cell must fit one numpy array, whose
+        # size numpy bounds by its index type
+        named = f"grid {nx}x{ny} has more cells than one numpy array of floats holds"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            GridMap((0.0, 0.0), nx, ny)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            GridMap.from_spec(f"0.0,0.0,{nx},{ny},0.5")
+        largest = GridMap((0.0, 0.0), 2, np.iinfo(np.intp).max // 16)
+        assert largest.n_cells * 8 <= np.iinfo(np.intp).max
+
     @given(FINITE, FINITE, st.integers(2, 10**6), st.integers(2, 10**6), st.floats(5e-324, 1e308))
     @settings(max_examples=60, deadline=None)
     def test_text_form_round_trips(self, ox, oy, nx, ny, cell_size):
@@ -229,6 +241,19 @@ class TestPersistence:
         with pytest.raises(InputFileError, match=r"data\.jsonl: line 3: invalid record: not valid JSON"):
             ds.load(path)
 
+    @pytest.mark.parametrize("at, what", [(0, "header"), (1, "record"), (5, "record")],
+                             ids=["before-header", "before-first-record", "at-end"])
+    def test_blank_line_is_a_located_error(self, tmp_path, at, what):
+        # save writes no blank line, so load reads none: line 1 is the header
+        # and every later line one record
+        path = tmp_path / "data.jsonl"
+        ds.save(small_set(n_per_cell=1), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines.insert(at, b"\n")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(InputFileError, match=rf"data\.jsonl: line {at + 1}: invalid {what}: not valid JSON"):
+            ds.load(path)
+
 
 
 @contextmanager
@@ -331,7 +356,7 @@ class TestCores:
 
     @pytest.mark.parametrize("bad, blank", [
         ({-1: ("pass", "7")}, False),
-        ({-1: ("pass", "7")}, True),   # blank lines count as lines
+        ({-1: ("pass", "7")}, True),   # the first blank line is reported, as any bad line
         ({-5: ("anchors", [])}, False),  # the anchor ids differ from the first record's
         ({-3: ("cell", [0, 9])}, False),
         ({-2: ("anchors", "x"), -40: ("cell", [1.9, 0])}, False),  # the earlier one is reported
@@ -346,7 +371,7 @@ class TestCores:
         first = min(index % len(lines) for index in bad) + 1  # the line reported
         if blank:
             lines[300:300] = [b"\n", b"  \n"]
-            first += 2
+            first = 301
         path = tmp_path / "data.jsonl"
         path.write_bytes(b"".join(lines))
         with usable_cores(1), pytest.raises(InputFileError) as serial:

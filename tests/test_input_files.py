@@ -109,7 +109,7 @@ def first_sample(value):
     return lambda obj: obj["anchors"][1]["cir"].__setitem__(5, value)
 
 
-# each dataset field at a wrong JSON type: (line, change, the error's reason)
+# each dataset field at a wrong JSON type, or too large: (line, change, the error's reason)
 DATASET_TYPES = {
     "cell-float": (2, lambda obj: obj.update(cell=[1.9, 0]), "'cell': expected an integer, got 1.9"),
     "pass-string": (3, lambda obj: obj.update({"pass": "7"}), "'pass': expected an integer, got '7'"),
@@ -123,6 +123,8 @@ DATASET_TYPES = {
     "scenario-int": (1, lambda obj: obj.update(scenario=5), "'scenario': expected a string, got 5"),
     "nx-float": (1, lambda obj: obj["grid"].update(nx=2.7), "'nx': expected an integer, got 2.7"),
     "ny-string": (1, lambda obj: obj["grid"].update(ny="2"), "'ny': expected an integer, got '2'"),
+    "ny-too-large": (1, lambda obj: obj["grid"].update(ny=2**64 + 1),
+                     "grid 2x18446744073709551617 has more cells than one numpy array of floats holds"),
     "origin-string": (1, lambda obj: obj["grid"].update(origin=[1.0, "1.25"]),
                       "'origin': expected a number, got '1.25'"),
     "cell-size-bool": (1, lambda obj: obj["grid"].update(cell_size=True),
