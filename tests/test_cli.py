@@ -489,7 +489,8 @@ class TestTrainScoreEvaluate:
             # a range error names the key and the value, as a flag's does, not the file
             ("train", ("--architecture", "8", "12", "8"), {"val_fraction": 1},
              "error: val_fraction must be in (0, 1), got 1.0\n"),
-            ("train", ("--architecture", "8", "12", "8"), {"patience": 0}, "error: patience must be >= 1, got 0\n"),
+            ("train", ("--architecture", "8", "12", "8"), {"patience": 0},
+             "error: patience must be >= 1, got 0\n"),
             # more parameters than one numpy array holds
             ("train", (), {"architecture": [8, 12, 2**63]},
              "dims [4, 8, 12, 9223372036854775808, 4] need 156797324626531188908 parameters, "

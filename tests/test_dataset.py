@@ -251,7 +251,8 @@ class TestPersistence:
         lines = path.read_bytes().splitlines(keepends=True)
         lines.insert(at, b"\n")
         path.write_bytes(b"".join(lines))
-        with pytest.raises(InputFileError, match=rf"data\.jsonl: line {at + 1}: invalid {what}: not valid JSON"):
+        located = rf"data\.jsonl: line {at + 1}: invalid {what}: not valid JSON"
+        with pytest.raises(InputFileError, match=located):
             ds.load(path)
 
 
