@@ -142,20 +142,10 @@ def build(n: int, e1: int, e2: int, d1: int, seed: int = 0) -> AutoencoderModel:
 
 
 def _activate(z: np.ndarray, layer: int) -> np.ndarray:
-    """The layer's activation of the pre-activations ``z``, which a ReLU
-    overwrites."""
-    if layer < N_LAYERS - 1:
-        return np.maximum(z, 0.0, out=z)
-    return np.where(z > 0.0, z, LEAKY_ALPHA * z)
-
-
-def _activate_grad(a: np.ndarray, layer: int) -> np.ndarray:
-    """The activation's slope, read from the layer's outputs ``a``: for ReLU,
-    and for Leaky ReLU with a slope >= 0, an output is positive exactly where its
-    pre-activation is (-0.0, NaN and a LEAKY_ALPHA * z that underflows included)."""
-    if layer < N_LAYERS - 1:
-        return a > 0.0  # a multiply casts it to 1.0 / 0.0
-    return np.where(a > 0.0, 1.0, LEAKY_ALPHA)
+    """The layer's activation of the pre-activations ``z``, in place: ReLU,
+    or for the output layer Leaky ReLU, ``np.where(z > 0, z, LEAKY_ALPHA * z)``
+    for every float."""
+    return np.maximum(z, 0.0 if layer < N_LAYERS - 1 else LEAKY_ALPHA * z, out=z)
 
 
 def _dense(model: AutoencoderModel, a: np.ndarray, layer: int) -> np.ndarray:
@@ -184,25 +174,32 @@ def _stack_mse(stack: AutoencoderModel, rows: np.ndarray) -> np.ndarray:
     return np.mean((_reconstruct(stack, rows) - rows) ** 2, axis=(-2, -1))
 
 
-def _backprop(stack: AutoencoderModel, batch: np.ndarray, grads: AutoencoderModel) -> np.ndarray:
+def _backprop(stack: AutoencoderModel, batch: np.ndarray, grads: AutoencoderModel,
+              loss: np.ndarray | None = None) -> np.ndarray:
     """Gradients of each stacked model's batch-and-feature-mean MSE on its own
     (m, n) slice of the (C, m, n) batch, written into ``grads`` (laid out like
-    ``stack.params``); returns the (C,) losses. A stacked matmul or reduction
-    equals the 2-D call on each slice bit for bit, so a model's gradient does
-    not depend on the stack it is in."""
+    ``stack.params``); returns the (C,) losses, written into ``loss`` when
+    given. A stacked matmul or reduction equals the 2-D call on each slice bit
+    for bit, so a model's gradient does not depend on the stack it is in.
+
+    Each slope is read from the layer's output: for ReLU, and for Leaky ReLU
+    with a slope >= 0, an output is positive exactly where its pre-activation
+    is (-0.0, NaN and a LEAKY_ALPHA * z that underflows included)."""
     acts = [batch]  # each layer's input, then the reconstruction
     for layer in range(N_LAYERS):
         acts.append(_dense(stack, acts[-1], layer))
-    diff = acts[-1] - batch
+    out = acts[-1]
+    diff = out - batch
     m, n = batch.shape[-2:]
-    loss = np.add.reduce(diff**2, axis=(-2, -1)) / (m * n)  # np.mean, minus its wrapper
+    loss = np.divide(np.add.reduce(diff**2, axis=(-2, -1)), m * n, out=loss)  # np.mean, unwrapped
     delta = 2.0 * diff / (m * n)
+    np.multiply(delta, LEAKY_ALPHA, out=delta, where=out <= 0.0)
     for layer in range(N_LAYERS - 1, -1, -1):
-        delta *= _activate_grad(acts[layer + 1], layer)
         np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads.weights[layer])
         np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[layer])
         if layer > 0:
             delta = delta @ stack.weights[layer].swapaxes(-1, -2)
+            delta *= acts[layer] > 0.0  # a multiply casts it to 1.0 / 0.0
     return loss
 
 
@@ -239,10 +236,10 @@ def train_group(
     The models must share ``dims``, and their configs
     ``batch_size``, ``max_epochs`` and ``patience``; learning rates and seeds
     may differ. They train as one (C, P) stack, each with its own shuffling,
-    best snapshot, patience count and curves. A model leaves the stack when it
-    stops early or a loss becomes non-finite. Returns, in the models' order,
-    what ``train`` returns for each alone, or the TrainingDivergedError it
-    raises.
+    best snapshot, patience count and curves. A model leaves the stack at the
+    end of the epoch in which it stops early or a batch loss became
+    non-finite. Returns, in the models' order, what ``train`` returns for each
+    alone, or the TrainingDivergedError it raises.
     """
     train_rows = np.asarray(train_rows, dtype=float)
     val_rows = np.asarray(val_rows, dtype=float)
@@ -278,6 +275,8 @@ def train_group(
     lr = np.array([[c.learning_rate] for c in configs])
     step = 0
     n_rows = train_rows.shape[0]
+    starts = range(0, n_rows, batch_size)
+    sizes = np.diff([*starts, n_rows])[:, None]  # rows per batch
 
     for epoch in range(max_epochs):
         work = AutoencoderModel(dims, params)
@@ -285,18 +284,9 @@ def train_group(
         m_hat, denom = np.empty_like(params), np.empty_like(params)
         g = grads.params
         orders = np.stack([rngs[k].permutation(n_rows) for k in live])
-        loss_sum = np.zeros(len(live))  # per slot, each batch's loss times its rows
-        for batch_idx, start in enumerate(range(0, n_rows, batch_size)):
-            batch = train_rows[orders[:, start : start + batch_size]]
-            loss = _backprop(work, batch, grads)
-            loss_sum += loss * batch.shape[1]
-            if not np.isfinite(loss).all():
-                # a diverged model's result is kept now; its slot runs on,
-                # unread, until the stack is compacted after the epoch
-                for slot in np.flatnonzero(~np.isfinite(loss)):
-                    if results[live[slot]] is None:
-                        results[live[slot]] = TrainingDivergedError(
-                            epoch, batch_idx, configs[live[slot]].learning_rate)
+        losses = np.empty((len(starts), len(live)))  # each batch's loss, per slot
+        for loss, start in zip(losses, starts):
+            _backprop(work, train_rows[orders[:, start : start + batch_size]], grads, loss)
             step += 1
             # Adam in place, with the float ops of
             # mom = BETA1 * mom + (1 - BETA1) * g
@@ -317,9 +307,13 @@ def train_group(
             m_hat /= denom
             params -= m_hat
 
-        train_mse, val_mse = loss_sum / n_rows, _stack_mse(work, val_rows)
+        # summed in batch order, not pairwise as .sum() would, so the curves
+        # keep their bits
+        train_mse = np.add.accumulate(losses * sizes)[-1] / n_rows
+        val_mse = _stack_mse(work, val_rows)
         for slot, k in enumerate(live):
-            if results[k] is not None:
+            if (bad := np.flatnonzero(~np.isfinite(losses[:, slot]))).size:
+                results[k] = TrainingDivergedError(epoch, int(bad[0]), configs[k].learning_rate)
                 continue
             curves[k][0].append(float(train_mse[slot]))
             curves[k][1].append(val := float(val_mse[slot]))
@@ -378,9 +372,10 @@ def load_bundle(path: str | Path) -> dict:
     it is missing, not a JSON object, misses a key, holds a value of the
     wrong type (``dims`` and ``anchor_ids`` are JSON integers, and the
     arrays JSON numbers), a ``leaky_alpha`` other than LEAKY_ALPHA or a value
-    that is not finite, when ``dims`` does not end in ``dims[0]``, when its
-    arrays or its anchor count do not fit its dims, or when it
-    holds a ``pca`` with any pipeline but PCA, or none with PCA."""
+    that is not finite, when ``dims`` does not end in ``dims[0]`` or breaks
+    the overcompleteness constraints, when its arrays or its anchor count do
+    not fit its dims, or when it holds a ``pca`` with any pipeline but PCA,
+    or none with PCA."""
     with reading(path, "model bundle"):
         obj = read_json_object(path)
         if obj["leaky_alpha"] != LEAKY_ALPHA:
@@ -389,6 +384,8 @@ def load_bundle(path: str | Path) -> dict:
         params, weights, biases = _layer_views(dims)
         if dims[-1] != dims[0]:
             raise ValueError(f"dims {list(dims)} must end in dims[0], the input it reconstructs")
+        if reason := constraint_violation(*dims[:4]):
+            raise ConstraintError(f"dims {list(dims)}: {reason}")
         saved = [json_numbers(a) for a in obj["weights"] + obj["biases"]]
         shapes, fits = [a.shape for a in saved], [v.shape for v in weights + biases]
         if shapes != fits:

@@ -540,15 +540,15 @@ def generate_dataset(
     if params is None:
         params = ChannelParams()
 
-    templates = [
-        ((i, j), [noise_free_cir(env, grid.cell_center(i, j), a) for a in env.anchors])
-        for i, j in grid.cells()
-    ]
-    cells = np.array([cell for cell, _ in templates])
+    # allocated before any tracing, so a grid too large to hold fails at once
+    templates = np.empty((grid.n_cells, len(env.anchors), CIR_LENGTH))
+    cells = np.array(list(grid.cells()))
+    for (i, j), clean in zip(cells.tolist(), templates):
+        clean[...] = [noise_free_cir(env, grid.cell_center(i, j), a) for a in env.anchors]
     measurements: list[Measurement] = []
     for pass_id in range(passes):
         streams = _pass_streams(seed, pass_id, cells, samples_per_cell, len(env.anchors))
-        for ((i, j), clean), cell_streams in zip(templates, streams):
+        for (i, j), clean, cell_streams in zip(cells.tolist(), templates, streams):
             for sample_streams in cell_streams:
                 readings = []
                 for anchor, template, (noise, jitter) in zip(env.anchors, clean, sample_streams):

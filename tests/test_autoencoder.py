@@ -265,6 +265,30 @@ class TestTrain:
                 val_mse = np.mean((forward_batch(result[0], val_rows) - val_rows) ** 2)
                 assert float(val_mse) == result[1].final_val_mse
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stack, inf_row", [(3, 2), (2, 7), (3, 9)])
+    def test_each_model_diverges_at_its_own_batch(self, stack, inf_row):
+        """One inf training row makes each model's loss non-finite in the batch
+        its own permutation puts that row in (22 rows at batch size 8 end in a
+        batch of 6): the error names that batch of epoch 0, as ``train`` does
+        for the model alone."""
+        rows = np.random.default_rng(6).uniform(size=(30, 4))
+        train_rows, val_rows = rows[:22], rows[22:]
+        train_rows[inf_row] = np.inf
+        models = [ae.build(4, 8, 12, 8, seed=s) for s in range(stack)]
+        configs = [TrainConfig(batch_size=8, learning_rate=1e-3, max_epochs=3, patience=3,
+                               seed=10 + s) for s in range(stack)]
+        group = ae.train_group(models, train_rows, val_rows, configs)
+        for model, config, result in zip(models, configs, group):
+            order = np.random.default_rng(config.seed).permutation(len(train_rows))
+            position = int(np.flatnonzero(order == inf_row)[0])
+            assert isinstance(result, ae.TrainingDivergedError)
+            assert (result.epoch, result.batch) == (0, position // config.batch_size)
+            with pytest.raises(ae.TrainingDivergedError) as solo:
+                ae.train(model, train_rows, val_rows, config)
+            assert (solo.value.epoch, solo.value.batch, str(solo.value)) == \
+                   (result.epoch, result.batch, str(result))
+
     def test_worse_than_untrained_is_diverged(self):
         """A learning rate of 1e6 on a 1-pass, 4-sample nominal set keeps every
         loss finite, but its best validation MSE ends far above the untrained

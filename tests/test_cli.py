@@ -5,8 +5,12 @@ import argparse
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,28 @@ class TestSimulate:
         ])
         assert rc == 2
         assert "ox,oy,nx,ny,cell_size" in capsys.readouterr().err
+
+    def test_grid_too_large_to_hold_fails_at_once(self, tmp_path):
+        """10^10 cells of 10 um fit the room and numpy's array bound, but their
+        (cells, anchors, 152) templates do not fit in memory: the run fails
+        as a MemoryError (exit 1) before it traces any cell. The child's
+        address space is capped, so the result does not depend on the host's
+        overcommit policy."""
+        out = tmp_path / "tiny.jsonl"
+        cap = 4 << 30
+        code = ("import resource, sys; from epsnode import cli; "
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--scenario", "nominal",
+             "--grid", "0.5,0.5,100000,100000,0.00001", "--passes", "1",
+             "--samples-per-cell", "1", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: Unable to allocate")
+        assert not out.exists()
 
 
 def drop_first_anchor_position(obj):
@@ -331,6 +357,16 @@ def output_width(obj, width):
     return obj | {"dims": obj["dims"][:-1] + [width],
                   "weights": obj["weights"][:-1] + [[row[:width] for row in obj["weights"][-1]]],
                   "biases": obj["biases"][:-1] + [obj["biases"][-1][:width]]}
+
+
+def hidden_width(obj, width):
+    """The bundle ``obj`` with its three hidden layers ``width`` units wide
+    and zero weights: a net whose dims ``build`` refuses."""
+    n = obj["dims"][0]
+    dims = [n, width, width, width, n]
+    _, weights, biases = ae._layer_views(tuple(dims))
+    return obj | {"dims": dims, "weights": [w.tolist() for w in weights],
+                  "biases": [b.tolist() for b in biases]}
 
 
 @pytest.mark.parametrize("command", ["simulate", "train"])
@@ -690,6 +726,8 @@ class TestTrainScoreEvaluate:
              "missing key 'anchor_ids'"),
             ("RNG", lambda obj: obj | {"dims": [4, 8, 12, 2**63, 4]},
              "dims [4, 8, 12, 9223372036854775808, 4] need 156797324626531188908 parameters"),
+            ("RNG", lambda obj: hidden_width(obj, 2),
+             "dims [4, 2, 2, 2, 4]: N < N_E1 violated: 4 >= 2"),
         ],
         ids=["no-leaky-alpha", "no-weights", "no-pipeline", "no-scaler", "json-list",
              "scaler-without-mins", "truncated", "int-dims", "int-weights",
@@ -698,7 +736,8 @@ class TestTrainScoreEvaluate:
              "pca-mean-of-10", "pca-explained-ratio-of-1", "pca-missing", "rng-with-pca",
              "float-dims", "float-anchor-id", "string-anchor-ids", "anchor-ids-short",
              "string-scaler", "bool-scaler", "bool-weight", "weight-too-large", "string-bias",
-             "string-pca-component", "output-of-3", "list-scaler", "no-anchor-ids", "dims-too-large"],
+             "string-pca-component", "output-of-3", "list-scaler", "no-anchor-ids", "dims-too-large",
+             "not-overcomplete"],
     )
     def test_score_rejects_malformed_bundle(self, request, workspace, capsys, pipeline, corrupt,
                                             named):
@@ -851,7 +890,8 @@ def test_setting_defaults_are_the_library_defaults():
 def test_each_flag_is_a_config_key(tmp_path, capsys):
     """train and gridsearch take one flag per --config key but variance_target,
     which has no flag; gridsearch takes neither the flag nor the key of a
-    setting its sweep sets per candidate."""
+    setting its sweep sets per candidate (TestGridsearchCommand checks the
+    message each such flag and key gets)."""
     config = tmp_path / "config.json"
     keys = {}
     for command in ("train", "gridsearch"):
@@ -863,12 +903,6 @@ def test_each_flag_is_a_config_key(tmp_path, capsys):
         assert flags == {"--" + key.replace("_", "-") for key in keys[command] if key != "variance_target"}
     assert (len(keys["train"]), len(keys["gridsearch"])) == (11, 8)
     assert [key for key in keys["train"] if key not in keys["gridsearch"]] == list(cli._TRAIN_ONLY)
-    for key in cli._TRAIN_ONLY:
-        assert exit_code(["gridsearch", "--" + key.replace("_", "-"), "1"]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-        config.write_text(json.dumps({key: 1}), encoding="utf-8")
-        assert cli.main(["gridsearch", "--config", str(config)]) == 2
-        assert f"invalid config file: unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.fixture
