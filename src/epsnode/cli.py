@@ -1,4 +1,4 @@
-"""Command-line toolchain: simulate | train | score | evaluate | gridsearch.
+"""Command-line toolchain: simulate | train | score | evaluate.
 
 Exit codes: 0 success, 1 runtime failure, 2 rejected input (any ValueError:
 a bad flag, config value or input file).
@@ -104,8 +104,7 @@ def _architecture(value) -> list[int] | str:
     raise TypeError(f'expected "search" or three integer widths, got {value!r}')
 
 
-# each train/gridsearch setting: its type, its default (None: required) and its flag's argparse
-# options (None: no flag); gridsearch takes all but _TRAIN_ONLY, which its sweep sets per candidate
+# each train setting: its type, its default (None: required) and its flag's argparse options (None: no flag)
 _SETTINGS = {
     "dataset": (ds.json_text, None, {}),
     "pipeline": (feat.Pipeline, None, {"choices": [pl.value for pl in feat.Pipeline]}),
@@ -120,29 +119,31 @@ _SETTINGS = {
     "seed": (ds.json_integer, ae.TrainConfig.seed, {"type": integer}),
     "variance_target": (lambda v: feat.check_variance_target(ds.json_number(v)), feat.VARIANCE_TARGET, None),
 }
-_TRAIN_ONLY = ("architecture", "batch_size", "learning_rate")
-
-
-def _setting_keys(command: str) -> list[str]:
-    return [key for key in _SETTINGS if command == "train" or key not in _TRAIN_ONLY]
 
 
 def _load_train_config(args) -> dict:
-    """The settings of ``train`` and ``gridsearch``: each flag given
-    overrides the ``--config`` file, which overrides the defaults. Each value
-    is converted to its type here, once."""
-    keys = _setting_keys(args.command)
+    """The settings of ``train``: each flag given overrides the ``--config``
+    file, which overrides the defaults. Each value is converted to its type
+    here, once. A sweep sets the batch size and learning rate per candidate,
+    so without an architecture they are refused, and left out."""
     cfg: dict = {}
     if args.config:
         with ds.reading(args.config, "config file"):
             cfg = ds.read_json_object(args.config)
-            if unknown := [key for key in cfg if key not in keys]:
-                raise ValueError(f"unknown key {unknown[0]!r}; {args.command} takes {', '.join(keys)}")
-    for key in keys:
-        kind, default, _ = _SETTINGS[key]
+            if unknown := [key for key in cfg if key not in _SETTINGS]:
+                raise ValueError(f"unknown key {unknown[0]!r}; train takes {', '.join(_SETTINGS)}")
+    for key, (kind, default, _) in _SETTINGS.items():
         flag = getattr(args, key, None)  # None: not given, or no flag
         if flag is not None:
             cfg[key] = flag
+        if key in ("batch_size", "learning_rate") and cfg["architecture"] == "search":
+            refused = f"{key} is set per candidate by the sweep; give --architecture to set it"
+            if flag is not None:
+                raise ValueError(refused)
+            with ds.reading(args.config, "config file"):  # located to the file, as an unknown key is
+                if key in cfg:
+                    raise ValueError(refused)
+            continue
         if cfg.get(key) is None and default is None:
             raise ValueError(f"missing required config key {key!r}")
         with ds.reading(args.config, f"config key {key!r}"):  # only a file's value can fail
@@ -151,10 +152,8 @@ def _load_train_config(args) -> dict:
 
 
 def _load_training(args):
-    """The config dict, the validated TrainConfig (from the settings the
-    command has; a sweep sets batch size and learning rate per candidate), the
-    dataset's anchor ids and the prepared features of ``train`` and
-    ``gridsearch``."""
+    """The config dict, the validated TrainConfig (from the settings the run
+    reads), the dataset's anchor ids and the prepared features."""
     cfg = _load_train_config(args)
     present = {f.name: cfg[f.name] for f in fields(ae.TrainConfig) if f.name in cfg}
     config = ae.TrainConfig(**present | {"seed": _base_seed(cfg["seed"])})
@@ -164,43 +163,27 @@ def _load_training(args):
     )
 
 
-def _sweep(cfg: dict, config: ae.TrainConfig, train_rows, val_rows) -> gs.Candidate:
-    """Run the pipeline's table sweep in one process, write its ranked report
-    and return the winning candidate."""
-    results, best = gs.run(
-        gs.TABLE_SPACES[cfg["pipeline"]],
-        train_rows,
-        val_rows,
-        base_seed=config.seed,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-    )
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    gs.write_report(results, out_dir / "sweep.json", out_dir / "sweep.csv")
-    print(
-        f"{len(results)} trials; best: e1={best.e1} e2={best.e2} "
-        f"batch={best.batch_size} lr={best.learning_rate}"
-    )
-    return best
-
-
 def _cmd_train(args) -> int:
     cfg, config, anchor_ids, (train_rows, val_rows, scaler, pca) = _load_training(args)
-    pipeline = cfg["pipeline"]
+    pipeline, out_dir = cfg["pipeline"], Path(cfg["out_dir"])
     n = train_rows.shape[1]
     if cfg["architecture"] == "search":
+        # sweep the pipeline's table in one process and write its ranked report
+        results, best = gs.run(gs.TABLE_SPACES[pipeline], train_rows, val_rows, base_seed=config.seed,
+                               max_epochs=config.max_epochs, patience=config.patience)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        gs.write_report(results, out_dir / "sweep.json", out_dir / "sweep.csv")
+        print(f"{len(results)} trials; best: e1={best.e1} e2={best.e2} "
+              f"batch={best.batch_size} lr={best.learning_rate}")
         # train the winner again from its sweep trial: solo training is
         # bit-identical to the sweep's stacked run, so this is the model it
         # ranked first, without holding every trial's model
-        best = _sweep(cfg, config, train_rows, val_rows)
         model, config = gs.trial(best, n, config.seed, config.max_epochs, config.patience)
     else:
         model = ae.build(n, *cfg["architecture"], seed=config.seed)
     e1, e2, d1 = model.dims[1:4]
     trained, report = ae.train(model, train_rows, val_rows, config)
 
-    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     ae.save_bundle(out_dir / "model.json", trained, pipeline, scaler, pca, anchor_ids)
     summary = {
@@ -276,13 +259,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_gridsearch(args) -> int:
-    cfg, config, _, (train_rows, val_rows, _, _) = _load_training(args)
-    _sweep(cfg, config, train_rows, val_rows)
-    _write_meta(Path(cfg["out_dir"]), "gridsearch", cfg)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -303,16 +279,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    for name, func, help_text in (
-        ("train", _cmd_train, "train an autoencoder on nominal data"),
-        ("gridsearch", _cmd_gridsearch, "sweep the hyperparameter table"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        for key in _setting_keys(name):
-            if (options := _SETTINGS[key][2]) is not None:
-                p.add_argument("--" + key.replace("_", "-"), **options)
-        p.set_defaults(func=func)
+    p = sub.add_parser("train", help="train an autoencoder on nominal data (without --architecture, "
+                                     "sweep the hyperparameter table and train its best)")
+    p.add_argument("--config", help="JSON config file; flags override it")
+    for key, (_, _, options) in _SETTINGS.items():
+        if options is not None:
+            p.add_argument("--" + key.replace("_", "-"), **options)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("score", help="score a dataset with a trained model")
     p.add_argument("--model", required=True)

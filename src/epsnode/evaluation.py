@@ -25,6 +25,7 @@ from .simulator import Environment
 DEFAULT_BANDWIDTH = 0.5  # meters, one cell
 DEFAULT_EPS = 1e-9
 GROUND_TRUTH_RADIUS = 0.75  # meters
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass
@@ -35,6 +36,8 @@ class DensityMap:
     def __post_init__(self):
         if self.p.shape != (self.grid.ny, self.grid.nx):
             raise ValueError("density shape must match grid")
+        if not np.isfinite(self.p).all():
+            raise ValueError(f"density values must be finite, got {self.p[~np.isfinite(self.p)][0]}")
         if np.any(self.p < 0):
             raise ValueError("density values must be non-negative")
         if abs(float(self.p.sum()) - 1.0) > 1e-9:
@@ -54,6 +57,7 @@ class KlReport:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # each result is checked instead
 def kde(emap: ErrorMap, bandwidth: float = DEFAULT_BANDWIDTH) -> DensityMap:
     """Smooth cell errors into a probability density over the cell centers.
 
@@ -68,11 +72,17 @@ def kde(emap: ErrorMap, bandwidth: float = DEFAULT_BANDWIDTH) -> DensityMap:
     if weights.sum() <= 0:
         raise ValueError("no density mass: error map is all zero")
     (ox, oy), size, (ny, nx) = emap.grid.origin, emap.grid.cell_size, weights.shape
-    # the 1-D kernel between the cell centers along each axis; each is symmetric, so Kx.T is Kx
-    kx, ky = (np.exp(-np.subtract.outer(c, c) ** 2 / (2.0 * bandwidth**2))
+    # the 1-D kernel between the cell centers along each axis; each is symmetric, so Kx.T is Kx.
+    # A tiny bandwidth overflows the exponent to -inf, whose entry exp(-inf) = 0 is exact, or
+    # underflows 2h² to 0, whose 0/0 is refused; a huge one overflows 2h² to inf, and every entry is 1
+    kx, ky = (np.exp(-np.subtract.outer(c, c) ** 2 / (2.0 * np.float64(bandwidth) ** 2))
               for c in (ox + (np.arange(nx) + 0.5) * size, oy + (np.arange(ny) + 0.5) * size))
+    if not (np.isfinite(kx).all() and np.isfinite(ky).all()):
+        raise ValueError(f"bandwidth must be large enough for a finite kernel, got {bandwidth}")
     density = ky @ weights @ kx
-    return DensityMap(grid=emap.grid, p=density / density.sum())
+    if not math.isfinite(total := density.sum()):
+        raise ValueError(f"error map values too large: their density sums to {total}")
+    return DensityMap(grid=emap.grid, p=density / total)
 
 
 def uniform_density(grid: GridMap) -> DensityMap:
@@ -82,9 +92,13 @@ def uniform_density(grid: GridMap) -> DensityMap:
 
 def kl_divergence(p: DensityMap, q: DensityMap, eps: float = DEFAULT_EPS) -> float:
     """KL(P || Q) in nats after flooring both densities at eps and
-    renormalizing (Q = 0 would otherwise be undefined)."""
+    renormalizing (Q = 0 would otherwise be undefined). eps is a normal float
+    below 1: a floor of 1 or more lifts every value, so both become uniform
+    (and at 1e308 their sum overflows), and a subnormal one lets P / Q overflow."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not _TINY <= eps < 1.0:
+        raise ValueError(f"eps must be a normal float below 1 ({_TINY} <= eps < 1), got {eps}")
     if p.grid != q.grid:
         raise ValueError("density maps must share the same grid")
     pf = np.maximum(p.p, eps)

@@ -144,9 +144,7 @@ def read_error_map_csv(path: str | Path) -> ErrorMap:
         with reading(f"{path}: line 2", "header"):
             if (header := next(reader, None)) != _COLUMNS:
                 raise ValueError(f"expected {_COLUMNS}, got {header}")
-        values = np.full((grid.ny, grid.nx), np.nan)
-        counts = np.zeros((grid.ny, grid.nx), dtype=int)
-        seen = np.zeros((grid.ny, grid.nx), dtype=bool)
+        cells: dict[tuple[int, int], tuple[float, int]] = {}  # (j, i): (value, count), bounded by the rows
         while True:
             # the next row's line follows the grid line and the reader's lines so far
             with reading(f"{path}: line {reader.line_num + 2}", "row"):
@@ -156,7 +154,7 @@ def read_error_map_csv(path: str | Path) -> ErrorMap:
                 i, j, value, count = map(text_number, (i_s, j_s, value_s, count_s), (int, int, float, int))
                 if not grid.contains_cell(i, j):
                     raise ValueError(f"cell ({i}, {j}) outside the {grid.nx}x{grid.ny} grid")
-                if seen[j, i]:
+                if (j, i) in cells:
                     raise ValueError(f"duplicate cell ({i}, {j})")
                 if count < 0:
                     raise ValueError(f"count must be >= 0, got {count}")
@@ -164,10 +162,15 @@ def read_error_map_csv(path: str | Path) -> ErrorMap:
                     raise ValueError(f"a cell of count 0 takes the value nan, got {value}")
                 if count > 0 and not 0.0 <= value < math.inf:  # NaN fails too
                     raise ValueError(f"a cell of count {count} takes a finite value >= 0, got {value}")
-            seen[j, i] = True
-            values[j, i] = value
-            counts[j, i] = count
-        if not seen.all():
-            j, i = np.argwhere(~seen)[0]
-            raise ValueError(f"{int((~seen).sum())} cells missing, first ({i}, {j})")
+            cells[j, i] = value, count
+        if len(cells) < grid.n_cells:
+            # the first missing cell in row-major order is the first rank its sorted cells skip
+            ranks = sorted(j * grid.nx + i for j, i in cells)
+            j, i = divmod(next((k for k, rank in enumerate(ranks) if k != rank), len(ranks)), grid.nx)
+            raise ValueError(f"{grid.n_cells - len(cells)} cells missing, first ({i}, {j})")
+        # every cell is listed, so the grid's arrays take no more memory than its rows
+        values = np.empty((grid.ny, grid.nx))
+        counts = np.empty((grid.ny, grid.nx), dtype=int)
+        for (j, i), (value, count) in cells.items():
+            values[j, i], counts[j, i] = value, count
     return ErrorMap(grid=grid, values=values, counts=counts)

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -14,10 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epsnode import autoencoder as ae
 from epsnode import cli
 from epsnode import dataset as ds
+from epsnode import evaluation as ev
 from epsnode import features as feat
 from epsnode import gridsearch as gs
 from epsnode import novelty as nov
@@ -46,6 +51,19 @@ def exit_code(argv) -> int:
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def run_capped(*argv) -> subprocess.CompletedProcess:
+    """``epsnode argv`` in a child whose address space is capped at 4 GiB, so
+    that a result does not depend on the host's overcommit policy."""
+    cap = 4 << 30
+    code = ("import resource, sys; from epsnode import cli; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
 
 
 def train(tmp_path, dataset, out_name="model", seed=3, pipeline="RNG", arch=("8", "12", "8")):
@@ -147,17 +165,8 @@ class TestSimulate:
         address space is capped, so the result does not depend on the host's
         overcommit policy."""
         out = tmp_path / "tiny.jsonl"
-        cap = 4 << 30
-        code = ("import resource, sys; from epsnode import cli; "
-                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
-                "sys.exit(cli.main(sys.argv[1:]))")
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", code, "simulate", "--scenario", "nominal",
-             "--grid", "0.5,0.5,100000,100000,0.00001", "--passes", "1",
-             "--samples-per-cell", "1", "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+        run = run_capped("simulate", "--scenario", "nominal", "--grid", "0.5,0.5,100000,100000,0.00001",
+                         "--passes", "1", "--samples-per-cell", "1", "--out", str(out))
         assert run.returncode == 1
         assert run.stderr.startswith("error: Unable to allocate")
         assert not out.exists()
@@ -416,6 +425,7 @@ class TestTrainScoreEvaluate:
         assert meta["config"]["pipeline"] == "RNG"
         assert meta["config"]["architecture"] == [8, 12, 8]
         assert type(meta["config"]["batch_size"]) is int
+        assert len(meta["config"]) == 11  # every setting: a run with an architecture reads them all
 
     def test_constraint_violation_is_usage_error(self, workspace, capsys):
         tmp_path, nominal, _, _ = workspace
@@ -515,7 +525,7 @@ class TestTrainScoreEvaluate:
             ("train", ("--architecture", "8", "12", "8", "--max-epochs", "-3", "--patience", "-3"), {},
              "max_epochs must be >= 1, got -3"),
             ("train", ("--max-epochs", "-3"), {}, "max_epochs must be >= 1, got -3"),
-            ("gridsearch", ("--max-epochs", "2", "--patience", "5"), {},
+            ("train", ("--max-epochs", "2", "--patience", "5"), {},
              "patience must not exceed max_epochs (2), got 5"),
             ("train", ("--architecture", "8", "12", "8", "--val-fraction", "1.5"), {},
              "val_fraction must be in (0, 1), got 1.5"),
@@ -532,7 +542,7 @@ class TestTrainScoreEvaluate:
              "dims [4, 8, 12, 9223372036854775808, 4] need 156797324626531188908 parameters, "
              "more than one numpy array of floats holds"),
         ],
-        ids=["train-extra0", "train-extra1", "train-extra2", "gridsearch-extra3", "train-extra4",
+        ids=["train-extra0", "train-extra1", "train-extra2", "train-extra3", "train-extra4",
              "train-extra5", "config-val-fraction-1", "config-patience-0", "config-architecture-too-large"],
     )
     def test_invalid_training_setup_is_usage_error(self, workspace, capsys, command, extra, config, named):
@@ -803,6 +813,19 @@ class TestTrainScoreEvaluate:
         assert f"{field} must be finite and positive, got {float(value)}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_evaluate_error_map_grid_too_large_to_hold(self, tmp_path):
+        """A grid line of 10^10 cells with one row is refused for its missing
+        cells before any (ny, nx) array is made, so the run needs no memory
+        for the grid. The child's address space is capped at 4 GiB; the
+        map's value and count arrays alone would take 149 GiB."""
+        path = tmp_path / "huge.csv"
+        path.write_text("# grid=0.5,0.0,100000,100000,0.00001\ni,j,value,count\n0,0,1.0,1\n", encoding="utf-8")
+        out = tmp_path / "kl.json"
+        run = run_capped("evaluate", "--error-map", str(path), "--scenario", "B", "--out", str(out))
+        assert run.returncode == 2
+        assert run.stderr == f"error: {path}: invalid error map: 9999999999 cells missing, first (1, 0)\n"
+        assert not out.exists()
+
     def test_evaluate_grid_outside_room(self, workspace, tmp_path, capsys):
         grid = ds.GridMap(origin=(0.0, 0.0), nx=20, ny=2, cell_size=0.5)
         emap = nov.ErrorMap(grid, np.ones((2, 20)), np.ones((2, 20), dtype=int))
@@ -829,6 +852,55 @@ class TestTrainScoreEvaluate:
         ])
         assert rc == 2
         assert "no novelty" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def scored_wide_map(workspace):
+    """A scored map of 6x2 cells of preset B, some of them far enough from
+    the obstacle that a narrow ground-truth density is 0 there."""
+    tmp_path, _, _, model_dir = workspace
+    wide = simulate(tmp_path, "b_wide.jsonl", scenario="B", seed=1005,
+                    extra=("--grid", "1.0,2.5,6,2,0.5"))
+    out_dir = tmp_path / "score_wide"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["score", "--model", str(model_dir / "model.json"), "--dataset", str(wide),
+                         "--out-dir", str(out_dir)]) == 0
+    return out_dir / "error_map.csv"
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not a finite JSON number")
+
+
+@settings(max_examples=200, deadline=None)
+@example(bandwidth=1e-170, eps=ev.DEFAULT_EPS)  # 2h² underflows: the kernel's diagonal is 0/0
+@example(bandwidth=1e-155, eps=ev.DEFAULT_EPS)  # the exponent overflows, with numpy's warning
+@example(bandwidth=ev.DEFAULT_BANDWIDTH, eps=1e308)  # the floored densities sum to inf
+@example(bandwidth=0.01, eps=5e-324)  # a subnormal floor under a zero of the truth: P / Q overflows
+@given(bandwidth=st.floats(min_value=5e-324, max_value=1e308),
+       eps=st.floats(min_value=5e-324, max_value=1e308))
+def test_rating_is_finite_or_refused(scored_wide_map, bandwidth, eps):
+    """evaluate rates a map with finite numbers and no numpy warning, or
+    exits 2 naming the flag and its value and writes nothing."""
+    out = scored_wide_map.parent / "kl.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        rc = cli.main(["evaluate", "--error-map", str(scored_wide_map), "--scenario", "B",
+                       "--bandwidth", repr(bandwidth), "--eps", repr(eps), "--out", str(out)])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in err.getvalue()
+    if rc == 0:
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+        assert math.isfinite(report["kl_pred_vs_truth"]) and math.isfinite(report["kl_uniform_vs_truth"])
+    else:
+        assert rc == 2
+        named = re.fullmatch(r"error: (bandwidth|eps) must .*, got (\S+)\n", err.getvalue())
+        assert named is not None, err.getvalue()
+        assert float(named[2]) == {"bandwidth": bandwidth, "eps": eps}[named[1]]
+        assert not out.exists()
 
 
 class TestPcaPipeline:
@@ -888,21 +960,15 @@ def test_setting_defaults_are_the_library_defaults():
 
 
 def test_each_flag_is_a_config_key(tmp_path, capsys):
-    """train and gridsearch take one flag per --config key but variance_target,
-    which has no flag; gridsearch takes neither the flag nor the key of a
-    setting its sweep sets per candidate (TestGridsearchCommand checks the
-    message each such flag and key gets)."""
+    """train takes one flag per --config key but variance_target, which has no flag."""
+    assert exit_code(["train", "--help"]) == 0
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help", "--config"}
     config = tmp_path / "config.json"
-    keys = {}
-    for command in ("train", "gridsearch"):
-        assert exit_code([command, "--help"]) == 0
-        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help", "--config"}
-        config.write_text(json.dumps({"unknown": 0}), encoding="utf-8")
-        assert cli.main([command, "--config", str(config)]) == 2
-        keys[command] = capsys.readouterr().err.rstrip("\n").split(f"; {command} takes ")[1].split(", ")
-        assert flags == {"--" + key.replace("_", "-") for key in keys[command] if key != "variance_target"}
-    assert (len(keys["train"]), len(keys["gridsearch"])) == (11, 8)
-    assert [key for key in keys["train"] if key not in keys["gridsearch"]] == list(cli._TRAIN_ONLY)
+    config.write_text(json.dumps({"unknown": 0}), encoding="utf-8")
+    assert cli.main(["train", "--config", str(config)]) == 2
+    keys = capsys.readouterr().err.rstrip("\n").split("; train takes ")[1].split(", ")
+    assert flags == {"--" + key.replace("_", "-") for key in keys if key != "variance_target"}
+    assert len(keys) == 11
 
 
 @pytest.fixture
@@ -916,11 +982,19 @@ def trimmed_rng_table(monkeypatch):
 
 
 class TestGridsearchCommand:
+    """The table sweep, which ``train`` runs when no architecture is given."""
+
+    def test_gridsearch_is_no_command(self, tmp_path, capsys):
+        assert exit_code(["gridsearch", "--dataset", str(tmp_path / "n.jsonl"), "--pipeline", "RNG",
+                          "--out-dir", str(tmp_path / "sweep")]) == 2
+        assert "invalid choice: 'gridsearch'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_sweep_reports(self, tmp_path, trimmed_rng_table):
         nominal = simulate(tmp_path, "n.jsonl")
         out_dir = tmp_path / "sweep"
         rc = cli.main([
-            "gridsearch", "--dataset", str(nominal), "--pipeline", "RNG",
+            "train", "--dataset", str(nominal), "--pipeline", "RNG",
             "--max-epochs", "10", "--patience", "10", "--seed", "2",
             "--out-dir", str(out_dir),
         ])
@@ -929,13 +1003,14 @@ class TestGridsearchCommand:
         assert len(records) == 2
         assert records[0]["val_mse"] <= records[1]["val_mse"]
         assert (out_dir / "sweep.csv").exists()
-        # the sidecar records the keys of gridsearch's flags and
-        # variance_target, none of the settings its sweep does not read
+        # the sidecar records the settings the sweep reads, not the
+        # batch size and learning rate it sets per candidate
         meta = json.loads((out_dir / "run.meta.json").read_text(encoding="utf-8"))
         assert sorted(meta["config"]) == sorted([
-            "dataset", "pipeline", "out_dir", "max_epochs", "patience", "val_fraction", "seed",
-            "variance_target",
+            "dataset", "pipeline", "out_dir", "architecture", "max_epochs", "patience", "val_fraction",
+            "seed", "variance_target",
         ])
+        assert meta["config"]["architecture"] == "search"
 
     def test_no_valid_candidate_is_usage_error(self, tmp_path, capsys):
         # on the default grid's 160 training rows this variance target keeps
@@ -949,7 +1024,7 @@ class TestGridsearchCommand:
         config.write_text(json.dumps({"variance_target": 0.99999}), encoding="utf-8")
         out_dir = tmp_path / "sweep"
         rc = cli.main([
-            "gridsearch", "--config", str(config), "--dataset", str(nominal),
+            "train", "--config", str(config), "--dataset", str(nominal),
             "--pipeline", "PCA", "--out-dir", str(out_dir),
         ])
         assert rc == 2
@@ -957,14 +1032,17 @@ class TestGridsearchCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command", ["gridsearch", "train"])
+    @pytest.mark.parametrize("command", [
+        pytest.param(("train", "--architecture", "8", "12", "8"), id="architecture"),
+        pytest.param(("train",), id="train"),
+    ])
     def test_jobs_is_usage_error(self, tmp_path, capsys, command, source):
         # a sweep runs in one process; no setting picks a process count
         nominal = simulate(tmp_path, "n.jsonl")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
         out_dir = tmp_path / "sweep"
-        argv = [command, "--dataset", str(nominal), "--pipeline", "RNG", "--max-epochs", "2",
+        argv = [*command, "--dataset", str(nominal), "--pipeline", "RNG", "--max-epochs", "2",
                 "--patience", "2", "--out-dir", str(out_dir)]
         if source == "flag":
             with pytest.raises(SystemExit) as exc:
@@ -977,37 +1055,59 @@ class TestGridsearchCommand:
         assert not out_dir.exists()
 
     def test_missing_required_key(self, tmp_path, capsys):
-        rc = cli.main(["gridsearch", "--pipeline", "RNG", "--out-dir", str(tmp_path)])
+        rc = cli.main(["train", "--pipeline", "RNG", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "dataset" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag", [("--architecture", "8", "12", "8"), ("--batch-size", "8"), ("--learning-rate", "0.01")]
-    )
+    # the last case gives both flags; the first is named
+    @pytest.mark.parametrize("flag", [
+        ("--batch-size", "8"), ("--learning-rate", "0.01"), ("--batch-size", "8", "--learning-rate", "0.5"),
+    ])
     def test_train_only_flags_rejected(self, tmp_path, capsys, flag):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([
-                "gridsearch", "--dataset", str(tmp_path / "n.jsonl"), "--pipeline", "RNG",
-                "--out-dir", str(tmp_path / "sweep"), *flag,
-            ])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        """A sweep sets the batch size and learning rate per candidate, so a
+        run without an architecture refuses them before it reads the dataset."""
+        out_dir = tmp_path / "sweep"
+        rc = cli.main([
+            "train", "--dataset", str(tmp_path / "missing.jsonl"), "--pipeline", "RNG",
+            "--max-epochs", "2", "--patience", "2", "--out-dir", str(out_dir), *flag,
+        ])
+        assert rc == 2
+        key = flag[0].removeprefix("--").replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: {key} is set per candidate by the sweep; give --architecture to set it\n")
+        assert not out_dir.exists()
 
-    @pytest.mark.parametrize(
-        "key, value", [("architecture", [8, 12, 8]), ("batch_size", 8), ("learning_rate", 0.01)]
-    )
+    @pytest.mark.parametrize("key, value", [("batch_size", 8), ("learning_rate", 0.01)])
     def test_train_only_config_keys_rejected(self, tmp_path, trimmed_rng_table, capsys, key, value):
         nominal = simulate(tmp_path, "n.jsonl")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: value}), encoding="utf-8")
         out_dir = tmp_path / "sweep"
         rc = cli.main([
-            "gridsearch", "--config", str(config), "--dataset", str(nominal), "--pipeline", "RNG",
+            "train", "--config", str(config), "--dataset", str(nominal), "--pipeline", "RNG",
             "--max-epochs", "2", "--patience", "2", "--out-dir", str(out_dir),
         ])
         assert rc == 2
-        assert f"{config}: invalid config file: unknown key {key!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {config}: invalid config file: {key} is set per candidate by the sweep; "
+            "give --architecture to set it\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_per_candidate_settings_taken_with_architecture(self, tmp_path, source):
+        nominal = simulate(tmp_path, "n.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"batch_size": 8, "learning_rate": 0.02}), encoding="utf-8")
+        given = ["--config", str(config)] if source == "config" else ["--batch-size", "8", "--learning-rate", "0.02"]
+        out_dir = tmp_path / "model"
+        assert cli.main([
+            "train", "--dataset", str(nominal), "--pipeline", "RNG", "--architecture", "8", "12", "8",
+            "--max-epochs", "2", "--patience", "2", "--out-dir", str(out_dir), *given,
+        ]) == 0
+        report = json.loads((out_dir / "train_report.json").read_text(encoding="utf-8"))
+        meta = json.loads((out_dir / "run.meta.json").read_text(encoding="utf-8"))
+        assert (report["batch_size"], report["learning_rate"]) == (8, 0.02)
+        assert (meta["config"]["batch_size"], meta["config"]["learning_rate"]) == (8, 0.02)
 
     def test_train_without_architecture_writes_sweep_report(self, tmp_path, trimmed_rng_table, capsys):
         nominal = simulate(tmp_path, "n.jsonl")

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +65,12 @@ class TestDensityMap:
         with pytest.raises(ValueError):
             ev.DensityMap(grid2x2(), np.full((2, 2), 0.3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_values_not_finite(self, bad):
+        # NaN passes both the sign and the sum check on its own
+        with pytest.raises(ValueError, match=f"density values must be finite, got {bad}"):
+            ev.DensityMap(grid2x2(), np.array([[bad, 0.5], [0.25, 0.25]]))
+
 
 class TestKl:
     def test_self_divergence_is_zero(self):
@@ -101,6 +109,19 @@ class TestKl:
         p = ev.uniform_density(grid2x2())
         with pytest.raises(ValueError, match=f"eps must be finite and positive, got {eps}"):
             ev.kl_divergence(p, p, eps)
+
+    @pytest.mark.parametrize("eps", [1.0, 1e308, 5e-324, 1e-310])
+    def test_rejects_eps_not_a_normal_float_below_one(self, eps):
+        p = ev.uniform_density(grid2x2())
+        with pytest.raises(ValueError, match=rf"eps must be a normal float below 1 .*, got {re.escape(str(eps))}$"):
+            ev.kl_divergence(p, p, eps)
+
+    def test_smallest_normal_eps_keeps_the_ratio_finite(self):
+        # a subnormal floor under a zero of Q overflows P / Q to inf
+        grid = grid2x2()
+        p = ev.uniform_density(grid)
+        q = ev.DensityMap(grid, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert math.isfinite(ev.kl_divergence(p, q, float(np.finfo(float).tiny)))
 
     def test_asymmetric_in_general(self):
         grid = grid2x2()
@@ -212,6 +233,27 @@ class TestKde:
         for bandwidth in (0.0, -0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match=f"bandwidth must be finite and positive, got {bandwidth}"):
                 ev.kde(emap_from(np.ones((2, 2))), bandwidth=bandwidth)
+
+    def test_rejects_bandwidth_whose_kernel_is_not_finite(self):
+        # 2h² underflows to 0, so the kernel's diagonal is 0/0
+        with pytest.raises(ValueError, match="bandwidth must be large enough for a finite kernel, got 1e-170"):
+            ev.kde(emap_from(np.ones((2, 2))), bandwidth=1e-170)
+
+    @pytest.mark.parametrize("bandwidth, kernel", [(1e-155, "identity"), (1e300, "ones")])
+    def test_extreme_bandwidths_give_the_limit_kernels(self, bandwidth, kernel):
+        # the exponent overflows to -inf off the diagonal, or 2h² to inf; neither warns
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = ev.kde(emap_from(values), bandwidth=bandwidth).p
+        expected = values / values.sum() if kernel == "identity" else np.full((2, 2), 0.25)
+        np.testing.assert_array_equal(p, expected)
+
+    def test_rejects_values_whose_density_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="error map values too large: their density sums to inf"):
+                ev.kde(emap_from(np.full((2, 2), 1e308)))
 
 
 class TestGroundTruth:

@@ -13,10 +13,8 @@ timestamp. The flow:
   b32 at seed 42;
 - score B and C with each model, and B with the RNG model by median;
 - evaluate each scored total-error map;
-- the RNG sweep for 10 epochs, twice, each in a fresh process; the output
-  dirs keep the names sweep-jobs1 and sweep-jobs2 of the ``--jobs 1`` and
-  ``--jobs 2`` runs they replace, so older manifests stay comparable;
-- train without --architecture (sweep, then retrain the winner) for 5 epochs.
+- train without --architecture for 5 epochs: the RNG sweep and its report,
+  then the winner trained again.
 
 With --compare, the new manifest is then compared with OTHER_MANIFEST. Every
 file whose hash differs, or that only one side has, is listed. The exit
@@ -62,9 +60,6 @@ def flow() -> list[list[str]]:
                       "--dataset", f"{scenario}.jsonl", "--aggregate", aggregate, "--out-dir", out])
         steps.append(["evaluate", "--error-map", f"{out}/error_map.csv", "--scenario", scenario,
                       "--pipeline", pipeline, "--out", f"{out}/kl.json"])
-    for out_dir in ("sweep-jobs1", "sweep-jobs2"):
-        steps.append(["gridsearch", "--dataset", "nominal.jsonl", "--pipeline", "RNG",
-                      "--max-epochs", "10", "--patience", "10", "--seed", "42", "--out-dir", out_dir])
     steps.append(["train", "--dataset", "nominal.jsonl", "--pipeline", "RNG",
                   "--max-epochs", "5", "--patience", "5", "--seed", "42", "--out-dir", "searched"])
     return steps
