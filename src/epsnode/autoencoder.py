@@ -9,6 +9,7 @@ randomness is seeded so training is bit-reproducible.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -156,12 +157,16 @@ def _dense(model: AutoencoderModel, a: np.ndarray, layer: int) -> np.ndarray:
     return _activate(z, layer)
 
 
-def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    """The forward pass; a stack maps shared (r, n) rows to (C, r, n)."""
-    a = x
+def _activations(model: AutoencoderModel, a: np.ndarray):
+    """The forward pass, lazily: the rows ``a``, then each layer's output."""
+    yield a
     for layer in range(N_LAYERS):
-        a = _dense(model, a, layer)
-    return a
+        yield (a := _dense(model, a, layer))
+
+
+def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
+    """The last activation; a stack maps shared (r, n) rows to (C, r, n)."""
+    return collections.deque(_activations(model, x), maxlen=1).pop()
 
 
 def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
@@ -185,9 +190,7 @@ def _backprop(stack: AutoencoderModel, batch: np.ndarray, grads: AutoencoderMode
     Each slope is read from the layer's output: for ReLU, and for Leaky ReLU
     with a slope >= 0, an output is positive exactly where its pre-activation
     is (-0.0, NaN and a LEAKY_ALPHA * z that underflows included)."""
-    acts = [batch]  # each layer's input, then the reconstruction
-    for layer in range(N_LAYERS):
-        acts.append(_dense(stack, acts[-1], layer))
+    acts = list(_activations(stack, batch))  # each layer's input, then the reconstruction
     out = acts[-1]
     diff = out - batch
     m, n = batch.shape[-2:]

@@ -148,6 +148,7 @@ def _load_train_config(args) -> dict:
             raise ValueError(f"missing required config key {key!r}")
         with ds.reading(args.config, f"config key {key!r}"):  # only a file's value can fail
             cfg[key] = kind(cfg.get(key, default))
+    cfg["seed"] = _base_seed(cfg["seed"])  # the seed the run uses, as run.meta.json records it
     return cfg
 
 
@@ -156,7 +157,7 @@ def _load_training(args):
     reads), the dataset's anchor ids and the prepared features."""
     cfg = _load_train_config(args)
     present = {f.name: cfg[f.name] for f in fields(ae.TrainConfig) if f.name in cfg}
-    config = ae.TrainConfig(**present | {"seed": _base_seed(cfg["seed"])})
+    config = ae.TrainConfig(**present)
     mset = ds.load(cfg["dataset"])
     return cfg, config, mset.anchor_ids, _prepare_features(
         mset, cfg["pipeline"], cfg["val_fraction"], config.seed, cfg["variance_target"]

@@ -23,13 +23,14 @@ of a single process.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,13 @@ class MeasurementSet:
         """The anchor ids of the first measurement, in order; ``load`` checks
         that every record has the same."""
         return [r.anchor_id for r in self.measurements[0].per_anchor]
+
+    def rows_by_cell(self) -> dict[tuple[int, int], np.ndarray]:
+        """Each sampled cell's rows in ``measurements``, ascending; the cells in first-seen order."""
+        rows: dict[tuple[int, int], list[int]] = {}
+        for k, m in enumerate(self.measurements):
+            rows.setdefault(m.cell, []).append(k)
+        return {cell: np.array(ks) for cell, ks in rows.items()}
 
 
 PART_RECORDS = 200  # the fewest records a part takes; smaller sets stay in one process
@@ -498,25 +506,16 @@ def split(
     least one for training."""
     if not (0.0 < val_fraction < 1.0):
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    by_cell: dict[tuple[int, int], list[int]] = {}
-    for idx, m in enumerate(mset.measurements):
-        by_cell.setdefault(m.cell, []).append(idx)
-
     rng = np.random.default_rng(seed)
-    val_indices: set[int] = set()
-    for cell in sorted(by_cell):
-        indices = by_cell[cell]
-        n_val = math.ceil(val_fraction * len(indices))
-        if n_val >= len(indices):  # also every cell with a single sample
+    is_val = np.zeros(len(mset), dtype=bool)
+    for cell, rows in sorted(mset.rows_by_cell().items()):
+        n_val = math.ceil(val_fraction * len(rows))
+        if n_val >= len(rows):  # also every cell with a single sample
             raise ValueError(
-                f"cell {cell}: val_fraction {val_fraction} takes all {len(indices)} "
+                f"cell {cell}: val_fraction {val_fraction} takes all {len(rows)} "
                 "of its samples, leaving none for training"
             )
-        picked = rng.permutation(len(indices))[:n_val]
-        val_indices.update(indices[k] for k in picked)
+        is_val[rows[rng.permutation(len(rows))[:n_val]]] = True
 
-    train = [m for i, m in enumerate(mset.measurements) if i not in val_indices]
-    val = [m for i, m in enumerate(mset.measurements) if i in val_indices]
-    train_set = MeasurementSet(mset.scenario_name, mset.grid, train, mset.seed)
-    val_set = MeasurementSet(mset.scenario_name, mset.grid, val, mset.seed)
-    return train_set, val_set
+    return tuple(replace(mset, measurements=list(itertools.compress(mset.measurements, half)))
+                 for half in (~is_val, is_val))

@@ -94,7 +94,8 @@ def kl_divergence(p: DensityMap, q: DensityMap, eps: float = DEFAULT_EPS) -> flo
     """KL(P || Q) in nats after flooring both densities at eps and
     renormalizing (Q = 0 would otherwise be undefined). eps is a normal float
     below 1: a floor of 1 or more lifts every value, so both become uniform
-    (and at 1e308 their sum overflows), and a subnormal one lets P / Q overflow."""
+    (and at 1e308 their sum overflows), and a subnormal one lets P / Q overflow.
+    The rounding residue below 0 of two near-equal densities reads 0.0."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if not _TINY <= eps < 1.0:
@@ -105,7 +106,7 @@ def kl_divergence(p: DensityMap, q: DensityMap, eps: float = DEFAULT_EPS) -> flo
     qf = np.maximum(q.p, eps)
     pf = pf / pf.sum()
     qf = qf / qf.sum()
-    return float(np.sum(pf * np.log(pf / qf)))
+    return max(0.0, float(np.sum(pf * np.log(pf / qf))))
 
 
 def ground_truth_density(

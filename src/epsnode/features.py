@@ -173,10 +173,7 @@ def arrays_from_json(cls, obj: dict):
 def cir_matrix(measurements) -> np.ndarray:
     """(m, n_anchors * 152) matrix: each measurement's CIRs concatenated in
     anchor-id order."""
-    out = np.empty((len(measurements), sum(r.cir.size for r in measurements[0].per_anchor)))
-    for row, m in zip(out, measurements):
-        np.concatenate([r.cir for r in m.per_anchor], out=row)
-    return out
+    return np.stack([r.cir for m in measurements for r in m.per_anchor]).reshape(len(measurements), -1)
 
 
 def feature_length(pipeline: Pipeline, n_anchors: int, pca: PcaModel | None = None) -> int:

@@ -85,14 +85,11 @@ def score(
     errors = anchor_error(recon[:, :n_anchors], x[:, :n_anchors])
     totals = total_error(errors)
 
-    rows_by_cell: dict[tuple[int, int], list[int]] = {}
-    for k, meas in enumerate(mset.measurements):
-        rows_by_cell.setdefault(meas.cell, []).append(k)
     grid = mset.grid
     values = np.full((grid.ny, grid.nx), np.nan)
     counts = np.zeros((grid.ny, grid.nx), dtype=int)
     anchor_values = np.full((n_anchors, grid.ny, grid.nx), np.nan)
-    for (i, j), rows in rows_by_cell.items():
+    for (i, j), rows in mset.rows_by_cell().items():
         values[j, i] = agg(totals[rows])
         counts[j, i] = len(rows)
         anchor_values[:, j, i] = agg(errors[rows], axis=0)

@@ -5,12 +5,13 @@ renders stay comparable across runs. Missing cells render as '?'.
 """
 from __future__ import annotations
 
-import math
+import io
 from pathlib import Path
 
 import numpy as np
 
 _RAMP = " .:-=+*#%@"
+_CODES = np.frombuffer((_RAMP + "?\n").encode(), dtype=np.uint8)  # the ramp, '?', the line end
 
 
 def _scaled(values: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -28,20 +29,13 @@ def _scaled(values: np.ndarray) -> tuple[np.ndarray, float, float]:
 def ascii_heatmap(values: np.ndarray, title: str = "") -> str:
     """Render a (ny, nx) value grid with row j = ny-1 on top (y grows up)."""
     norm, lo, hi = _scaled(values)
-    lines = []
-    if title:
-        lines.append(title)
-    for j in range(values.shape[0] - 1, -1, -1):
-        chars = []
-        for i in range(values.shape[1]):
-            v = norm[j, i]
-            if not math.isfinite(v):
-                chars.append("?")
-            else:
-                chars.append(_RAMP[min(int(v * len(_RAMP)), len(_RAMP) - 1)])
-        lines.append("".join(chars))
-    lines.append(f"scale: ' '={lo:.6g} .. '@'={hi:.6g}")
-    return "\n".join(lines) + "\n"
+    finite = np.isfinite(norm)
+    # a finite cell's ramp index truncates, as int() does; any other cell takes '?'
+    ramp = np.minimum((np.where(finite, norm, 0.0) * len(_RAMP)).astype(int), len(_RAMP) - 1)
+    index = np.where(finite, ramp, len(_RAMP))[::-1]
+    rows = _CODES[np.column_stack([index, np.full(len(index), len(_RAMP) + 1)])]
+    head = f"{title}\n" if title else ""
+    return f"{head}{rows.tobytes().decode()}scale: ' '={lo:.6g} .. '@'={hi:.6g}\n"
 
 
 def pgm(values: np.ndarray) -> str:
@@ -49,10 +43,10 @@ def pgm(values: np.ndarray) -> str:
     norm, lo, hi = _scaled(values)
     pixels = np.where(np.isfinite(norm), np.clip(norm * 255.0, 0, 255), 0.0).astype(int)
     ny, nx = values.shape
-    lines = [f"P2", f"# scale {lo!r} {hi!r}", f"{nx} {ny}", "255"]
-    for j in range(ny - 1, -1, -1):
-        lines.append(" ".join(str(int(p)) for p in pixels[j]))
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    np.savetxt(text, pixels[::-1], fmt="%d", header=f"P2\n# scale {lo!r} {hi!r}\n{nx} {ny}\n255",
+               comments="")
+    return text.getvalue()
 
 
 def write_pgm(values: np.ndarray, path: str | Path) -> None:

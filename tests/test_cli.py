@@ -427,6 +427,16 @@ class TestTrainScoreEvaluate:
         assert type(meta["config"]["batch_size"]) is int
         assert len(meta["config"]) == 11  # every setting: a run with an architecture reads them all
 
+    def test_meta_records_the_seed_env_override(self, workspace, tmp_path, monkeypatch):
+        # EPSNODE_SEED overrides --seed once, for the training and its sidecar alike
+        _, nominal, _, _ = workspace
+        pinned = train(tmp_path, nominal, "pinned", seed=99)
+        monkeypatch.setenv("EPSNODE_SEED", "99")
+        overridden = train(tmp_path, nominal, "overridden", seed=5)
+        meta = json.loads((overridden / "run.meta.json").read_text(encoding="utf-8"))
+        assert meta["config"]["seed"] == 99
+        assert (overridden / "model.json").read_bytes() == (pinned / "model.json").read_bytes()
+
     def test_constraint_violation_is_usage_error(self, workspace, capsys):
         tmp_path, nominal, _, _ = workspace
         rc = cli.main([

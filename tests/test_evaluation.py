@@ -96,7 +96,15 @@ class TestKl:
             b = rng.random((2, 2)) + 1e-6
             p = ev.DensityMap(grid, a / a.sum())
             q = ev.DensityMap(grid, b / b.sum())
-            assert ev.kl_divergence(p, q) >= -1e-15
+            assert ev.kl_divergence(p, q) >= 0.0
+
+    def test_rounding_residue_reads_zero(self):
+        # at a bandwidth far wider than the grid both densities are uniform up
+        # to rounding, and the raw sum of P log(P / Q) comes out at -1.29e-16
+        grid = GridMap((3.5, 2.5), 6, 2, 0.25)
+        emap = ErrorMap(grid, np.arange(1.0, 13.0).reshape(2, 6), np.ones((2, 6), dtype=int))
+        truth = ev.ground_truth_density(sim.scenario("B"), grid, 5996)
+        assert ev.kl_divergence(ev.kde(emap, 5996), truth, 1e-9) == 0.0
 
     def test_grid_mismatch_errors(self):
         p = ev.uniform_density(grid2x2())
