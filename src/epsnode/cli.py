@@ -152,21 +152,15 @@ def _load_train_config(args) -> dict:
     return cfg
 
 
-def _load_training(args):
-    """The config dict, the validated TrainConfig (from the settings the run
-    reads), the dataset's anchor ids and the prepared features."""
-    cfg = _load_train_config(args)
-    present = {f.name: cfg[f.name] for f in fields(ae.TrainConfig) if f.name in cfg}
-    config = ae.TrainConfig(**present)
-    mset = ds.load(cfg["dataset"])
-    return cfg, config, mset.anchor_ids, _prepare_features(
-        mset, cfg["pipeline"], cfg["val_fraction"], config.seed, cfg["variance_target"]
-    )
-
-
 def _cmd_train(args) -> int:
-    cfg, config, anchor_ids, (train_rows, val_rows, scaler, pca) = _load_training(args)
-    pipeline, out_dir = cfg["pipeline"], Path(cfg["out_dir"])
+    cfg = _load_train_config(args)
+    # validated before the dataset is read, so a bad setting fails first
+    config = ae.TrainConfig(**{f.name: cfg[f.name] for f in fields(ae.TrainConfig) if f.name in cfg})
+    pipeline, out_dir, mset = cfg["pipeline"], Path(cfg["out_dir"]), ds.load(cfg["dataset"])
+    train_rows, val_rows, scaler, pca = _prepare_features(
+        mset, pipeline, cfg["val_fraction"], config.seed, cfg["variance_target"])
+    anchor_ids = mset.anchor_ids
+    del mset  # the rows are built; the set is not held through training
     n = train_rows.shape[1]
     if cfg["architecture"] == "search":
         # sweep the pipeline's table in one process and write its ranked report

@@ -195,7 +195,8 @@ class GridMap:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
+    def cell_center(self, i, j):
+        """The (x, y) center of cell (i, j); for index arrays, the arrays of centers."""
         ox, oy = self.origin
         return (ox + (i + 0.5) * self.cell_size, oy + (j + 0.5) * self.cell_size)
 

@@ -71,12 +71,11 @@ def kde(emap: ErrorMap, bandwidth: float = DEFAULT_BANDWIDTH) -> DensityMap:
         raise ValueError("error map values must be non-negative")
     if weights.sum() <= 0:
         raise ValueError("no density mass: error map is all zero")
-    (ox, oy), size, (ny, nx) = emap.grid.origin, emap.grid.cell_size, weights.shape
     # the 1-D kernel between the cell centers along each axis; each is symmetric, so Kx.T is Kx.
     # A tiny bandwidth overflows the exponent to -inf, whose entry exp(-inf) = 0 is exact, or
     # underflows 2h² to 0, whose 0/0 is refused; a huge one overflows 2h² to inf, and every entry is 1
     kx, ky = (np.exp(-np.subtract.outer(c, c) ** 2 / (2.0 * np.float64(bandwidth) ** 2))
-              for c in (ox + (np.arange(nx) + 0.5) * size, oy + (np.arange(ny) + 0.5) * size))
+              for c in emap.grid.cell_center(np.arange(emap.grid.nx), np.arange(emap.grid.ny)))
     if not (np.isfinite(kx).all() and np.isfinite(ky).all()):
         raise ValueError(f"bandwidth must be large enough for a finite kernel, got {bandwidth}")
     density = ky @ weights @ kx

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -70,18 +71,13 @@ def enumerate_candidates(
     for field in fields(space):
         if not getattr(space, field.name):
             raise ValueError(f"search space has empty {field.name}")
-    candidates: list[Candidate] = []
-    skipped: list[tuple[tuple, str]] = []
-    index = 0
-    for e1 in space.e1_values:
-        for e2 in space.e2_values:
-            for batch in space.batch_sizes:
-                for lr in space.learning_rates:
-                    if reason := ae.constraint_violation(n, e1, e2, e1):
-                        skipped.append(((e1, e2, batch, lr), reason))
-                        continue
-                    candidates.append(Candidate(index, e1, e2, batch, lr))
-                    index += 1
+    candidates, skipped = [], []
+    for combo in product(*astuple(space)):
+        e1, e2, *_ = combo
+        if reason := ae.constraint_violation(n, e1, e2, e1):
+            skipped.append((combo, reason))
+        else:
+            candidates.append(Candidate(len(candidates), *combo))
     return candidates, skipped
 
 

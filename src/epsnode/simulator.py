@@ -532,7 +532,8 @@ def generate_dataset(
     for every pass; deterministic for a fixed seed. The noise-free CIR of
     each (cell, anchor) pair is traced once; only the noise and the range
     jitter are drawn per sample, from streams seeded by the sample's
-    coordinates (see ``_pass_streams``), so no sample depends on another."""
+    coordinates (see ``_pass_streams``), so no sample depends on another.
+    A pair that no path reaches would read pure noise, so it is refused."""
     for name, value in (("passes", passes), ("samples_per_cell", samples_per_cell)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -545,6 +546,9 @@ def generate_dataset(
     cells = np.array(list(grid.cells()))
     for (i, j), clean in zip(cells.tolist(), templates):
         clean[...] = [noise_free_cir(env, grid.cell_center(i, j), a) for a in env.anchors]
+        if not (reached := clean.any(axis=1)).all():
+            unreached = env.anchors[reached.argmin()].id
+            raise ValueError(f"no path reaches anchor {unreached} from cell ({i}, {j})")
     measurements: list[Measurement] = []
     for pass_id in range(passes):
         streams = _pass_streams(seed, pass_id, cells, samples_per_cell, len(env.anchors))

@@ -218,6 +218,18 @@ class TestEnvironmentFile:
         preset = simulate(tmp_path, "preset.jsonl", scenario="B")
         assert from_file.read_bytes() == preset.read_bytes()  # scenario name = file stem "B"
 
+    def test_pair_no_path_reaches_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "walled.json"
+        wall = sim.Obstacle.of(sim.Rect(3.5, 2.25, 4.0, 2.75), "wall")
+        nominal = sim.scenario("nominal")
+        sim.save_environment(sim.Environment(nominal.room, nominal.anchors, (wall,)), path)
+        out = tmp_path / "walled.jsonl"
+        rc = cli.main(["simulate", "--env-file", str(path), "--passes", "1", "--samples-per-cell", "2",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "no path reaches anchor 0 from cell (5, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "evaluate"])
     def test_scenario_with_env_file_is_usage_error(self, tmp_path, capsys, command):
         path = tmp_path / "B.json"

@@ -264,6 +264,11 @@ class TestSynthesizeCir:
         assert np.array_equal(cir, in_window_sum(paths))
         assert not np.array_equal(cir, pulse_sum(paths))
 
+    def test_tag_outside_room_errors(self):
+        env = make_env()
+        with pytest.raises(ValueError, match=r"tag \(12\.5, 6\.0\) outside room"):
+            sim.noise_free_cir(env, (12.5, 6.0), env.anchors[0])
+
 
 class TestEstimateRange:
     def test_direct_peak_bin_ten(self):
@@ -411,6 +416,18 @@ class TestGenerateDataset:
         cirs = [r.cir for m in mset.measurements for r in m.per_anchor]
         assert len({id(c) for c in cirs}) == len(cirs)
         assert not any(c.base is not None for c in cirs)
+
+    def test_refuses_pair_no_path_reaches(self, grid, monkeypatch):
+        """A wall (transmissivity 0) over the center of cell (5, 2) leaves its
+        templates all zero: the set is refused before any sample is drawn,
+        naming the first such pair."""
+        wall = Obstacle.of(Rect(3.5, 2.25, 4.0, 2.75), "wall")
+        env = Environment(sim.scenario("nominal").room, sim.scenario("nominal").anchors, (wall,))
+        drawn = []
+        monkeypatch.setattr(sim, "add_noise", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=r"^no path reaches anchor 0 from cell \(5, 2\)$"):
+            sim.generate_dataset(env, grid, passes=1, samples_per_cell=1, seed=0)
+        assert drawn == []
 
     def test_rejects_bad_counts(self, grid):
         with pytest.raises(ValueError):
