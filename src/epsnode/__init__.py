@@ -1,20 +1,10 @@
 """Grid-map UWB novelty detection pipeline.
 
-Subpackages: simulator (planar channel model), dataset (persistence and
+Modules: simulator (planar channel model), dataset (persistence and
 splitting), features (RNG/MA/PCA input pipelines), autoencoder (overcomplete
 dense net), novelty (error maps), evaluation (KDE + KL), gridsearch
-(hyperparameter sweeps), cli (command-line toolchain).
+(hyperparameter sweeps), render (heatmaps), cli (command-line toolchain).
+``import epsnode`` loads none of them: import the modules you use.
 """
-
-from . import (  # noqa: F401
-    autoencoder,
-    dataset,
-    evaluation,
-    features,
-    gridsearch,
-    novelty,
-    render,
-    simulator,
-)
 
 __version__ = "0.1.0"

@@ -36,16 +36,8 @@ class ConstraintError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training blew up: a loss became non-finite (at ``batch``, or at -1 for
-    the validation pass), or the best validation MSE ended above the untrained
-    model's (``batch`` -1)."""
-
-    def __init__(self, epoch: int, batch: int, learning_rate: float,
-                 what: str = "non-finite loss"):
-        super().__init__(f"{what} at epoch {epoch}, batch {batch}, lr {learning_rate}")
-        self.epoch = epoch
-        self.batch = batch
-        self.learning_rate = learning_rate
+    """Training blew up: a batch or validation loss became non-finite, or the
+    best validation MSE ended above the untrained model's."""
 
 
 def _layer_views(dims: tuple[int, ...], flat: np.ndarray | None = None):
@@ -256,18 +248,17 @@ def train_group(
 
     results: list = [None] * len(models)
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    best = [m.params.copy() for m in models]
+    best = [None] * len(models)  # set in epoch 0: any finite validation MSE beats inf
     best_val = [float("inf")] * len(models)
     waits = [0] * len(models)
     curves = [([], []) for _ in models]
 
-    def finish(k: int, epoch: int):
+    def finish(k: int):
+        train_curve, val_curve = curves[k]
         if best_val[k] > untrained[k]:
             return TrainingDivergedError(
-                epoch, -1, configs[k].learning_rate,
-                f"best validation MSE {best_val[k]:.6g} exceeds the untrained model's "
-                f"{untrained[k]:.6g}")
-        train_curve, val_curve = curves[k]
+                f"best validation MSE {best_val[k]:.6g} after {len(val_curve)} epochs exceeds "
+                f"the untrained model's {untrained[k]:.6g}, lr {configs[k].learning_rate}")
         return (AutoencoderModel(dims, best[k]),
                 TrainReport(train_curve, val_curve, len(val_curve), best_val[k]))
 
@@ -316,12 +307,14 @@ def train_group(
         val_mse = _stack_mse(work, val_rows)
         for slot, k in enumerate(live):
             if (bad := np.flatnonzero(~np.isfinite(losses[:, slot]))).size:
-                results[k] = TrainingDivergedError(epoch, int(bad[0]), configs[k].learning_rate)
+                results[k] = TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}, batch {bad[0]}, lr {configs[k].learning_rate}")
                 continue
             curves[k][0].append(float(train_mse[slot]))
             curves[k][1].append(val := float(val_mse[slot]))
             if not np.isfinite(val):
-                results[k] = TrainingDivergedError(epoch, -1, configs[k].learning_rate)
+                results[k] = TrainingDivergedError(
+                    f"non-finite validation loss at epoch {epoch}, lr {configs[k].learning_rate}")
             elif val < best_val[k] - MIN_DELTA:
                 best_val[k] = val
                 best[k] = params[slot].copy()
@@ -329,7 +322,7 @@ def train_group(
             else:
                 waits[k] += 1
                 if waits[k] >= patience:
-                    results[k] = finish(k, epoch)
+                    results[k] = finish(k)
         keep = [results[k] is None for k in live]
         if not all(keep):
             live = [k for k, kept in zip(live, keep) if kept]
@@ -338,7 +331,7 @@ def train_group(
             params, mom, vel, lr = params[keep], mom[keep], vel[keep], lr[keep]
 
     for k in live:
-        results[k] = finish(k, epoch)
+        results[k] = finish(k)
     return results
 
 

@@ -156,6 +156,7 @@ def _cmd_train(args) -> int:
     cfg = _load_train_config(args)
     # validated before the dataset is read, so a bad setting fails first
     config = ae.TrainConfig(**{f.name: cfg[f.name] for f in fields(ae.TrainConfig) if f.name in cfg})
+    ds.check_val_fraction(cfg["val_fraction"])
     pipeline, out_dir, mset = cfg["pipeline"], Path(cfg["out_dir"]), ds.load(cfg["dataset"])
     train_rows, val_rows, scaler, pca = _prepare_features(
         mset, pipeline, cfg["val_fraction"], config.seed, cfg["variance_target"])
@@ -307,12 +308,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # rejected input, InputFileError and ConstraintError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime failures
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # a ValueError (InputFileError, ConstraintError) is rejected input
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

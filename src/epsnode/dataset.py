@@ -499,14 +499,18 @@ def load(path: str | Path) -> MeasurementSet:
     return MeasurementSet(scenario_name, grid, measurements, seed)
 
 
+def check_val_fraction(val_fraction: float) -> None:
+    if not (0.0 < val_fraction < 1.0):
+        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
+
+
 def split(
     mset: MeasurementSet, val_fraction: float, seed: int
 ) -> tuple[MeasurementSet, MeasurementSet]:
     """Stratified per-cell split: each cell contributes
     ``ceil(val_fraction * count)`` samples to validation and must keep at
     least one for training."""
-    if not (0.0 < val_fraction < 1.0):
-        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    check_val_fraction(val_fraction)
     rng = np.random.default_rng(seed)
     is_val = np.zeros(len(mset), dtype=bool)
     for cell, rows in sorted(mset.rows_by_cell().items()):

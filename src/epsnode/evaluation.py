@@ -95,8 +95,6 @@ def kl_divergence(p: DensityMap, q: DensityMap, eps: float = DEFAULT_EPS) -> flo
     below 1: a floor of 1 or more lifts every value, so both become uniform
     (and at 1e308 their sum overflows), and a subnormal one lets P / Q overflow.
     The rounding residue below 0 of two near-equal densities reads 0.0."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
     if not _TINY <= eps < 1.0:
         raise ValueError(f"eps must be a normal float below 1 ({_TINY} <= eps < 1), got {eps}")
     if p.grid != q.grid:

@@ -150,7 +150,7 @@ def run(
     ok = sorted((r for r in results if r.status == "ok"), key=_rank_key)
     failed = sorted((r for r in results if r.status != "ok"), key=lambda r: r.candidate.index)
     if not ok:
-        raise RuntimeError("every trial failed")
+        raise RuntimeError(f"every trial failed; candidate {failed[0].candidate.index}: {failed[0].message}")
     return ok + failed, ok[0].candidate
 
 

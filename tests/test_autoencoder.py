@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -247,16 +248,15 @@ class TestTrain:
         worse, diverged, survivor, early = group
         assert early[1].stopped_epoch < survivor[1].stopped_epoch == 12
         assert isinstance(diverged, ae.TrainingDivergedError)
-        assert (diverged.epoch, diverged.batch) == (0, 1)
+        assert str(diverged) == "non-finite loss at epoch 0, batch 1, lr 1e+40"
         assert isinstance(worse, ae.TrainingDivergedError)
-        assert worse.batch == -1
-        assert "exceeds the untrained model's" in str(worse)
+        assert re.fullmatch(r"best validation MSE \S+ after \d+ epochs exceeds the untrained "
+                            r"model's \S+, lr 0\.3", str(worse))
         for model, config, result in zip(models, configs, group):
             if isinstance(result, ae.TrainingDivergedError):
                 with pytest.raises(ae.TrainingDivergedError) as solo:
                     ae.train(model, train_rows, val_rows, config)
-                assert (solo.value.epoch, solo.value.batch, str(solo.value)) == \
-                       (result.epoch, result.batch, str(result))
+                assert str(solo.value) == str(result)
             else:
                 solo_model, solo_report = ae.train(model, train_rows, val_rows, config)
                 assert np.array_equal(result[0].params, solo_model.params)
@@ -283,11 +283,21 @@ class TestTrain:
             order = np.random.default_rng(config.seed).permutation(len(train_rows))
             position = int(np.flatnonzero(order == inf_row)[0])
             assert isinstance(result, ae.TrainingDivergedError)
-            assert (result.epoch, result.batch) == (0, position // config.batch_size)
+            assert str(result) == f"non-finite loss at epoch 0, batch {position // config.batch_size}, lr 0.001"
             with pytest.raises(ae.TrainingDivergedError) as solo:
                 ae.train(model, train_rows, val_rows, config)
-            assert (solo.value.epoch, solo.value.batch, str(solo.value)) == \
-                   (result.epoch, result.batch, str(result))
+            assert str(solo.value) == str(result)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_loss_is_diverged(self):
+        """At lr 1e300 the one batch of 48 rows at batch size 64 has a finite
+        loss, taken before the update, and the update overflows the weights:
+        the validation pass is what turns non-finite."""
+        rows = np.random.default_rng(0).uniform(size=(60, 4))
+        config = TrainConfig(batch_size=64, learning_rate=1e300, max_epochs=2, patience=2)
+        with pytest.raises(ae.TrainingDivergedError) as exc:
+            ae.train(ae.build(4, 8, 12, 8, seed=0), rows[:48], rows[48:], config)
+        assert str(exc.value) == "non-finite validation loss at epoch 0, lr 1e+300"
 
     def test_worse_than_untrained_is_diverged(self):
         """A learning rate of 1e6 on a 1-pass, 4-sample nominal set keeps every
@@ -304,12 +314,13 @@ class TestTrain:
         untrained = float(np.mean((forward_batch(model, val_rows) - val_rows) ** 2))
         with pytest.raises(ae.TrainingDivergedError) as exc:
             ae.train(model, train_rows, val_rows, TrainConfig(learning_rate=1e6))
-        assert exc.value.batch == -1
-        assert exc.value.learning_rate == 1e6
-        message = str(exc.value)
-        best = float(message.split("best validation MSE ")[1].split()[0])
-        assert best > untrained
-        assert f"exceeds the untrained model's {untrained:.6g}" in message
+        match = re.fullmatch(r"best validation MSE (\S+) after (\d+) epochs exceeds the untrained "
+                             r"model's (\S+), lr 1000000\.0", str(exc.value))
+        assert match
+        assert float(match[1]) > untrained
+        # epoch 0 improves on inf, then patience epochs pass without an improvement
+        assert TrainConfig.patience < int(match[2]) <= TrainConfig.max_epochs
+        assert match[3] == f"{untrained:.6g}"
 
     @pytest.mark.parametrize(
         "dims, batch_size",

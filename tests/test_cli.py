@@ -415,6 +415,16 @@ def test_negative_seed_is_usage_error(workspace, tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error, code", [(MemoryError, 1), (ValueError, 2)])
+def test_error_without_message_names_its_type(tmp_path, monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error()
+
+    monkeypatch.setattr(cli, "_cmd_simulate", fail)
+    assert cli.main(["simulate", "--scenario", "nominal", "--out", str(tmp_path / "n.jsonl")]) == code
+    assert capsys.readouterr().err == f"error: {error.__name__}\n"
+
+
 def test_numeric_flags_take_plain_ascii_numbers():
     # every numeric flag reads its text by dataset.text_number, as the
     # input files and EPSNODE_SEED do, so "1_0" and " 1" are rejected
@@ -469,6 +479,27 @@ class TestTrainScoreEvaluate:
         assert rc == 1
         assert "exceeds the untrained model's" in capsys.readouterr().err
         assert not (out_dir / "model.json").exists()
+
+    def test_worse_than_untrained_names_the_epochs_run(self, tmp_path, capsys):
+        """The seed-23 set's 40 training rows at batch size 64 take one Adam
+        step per epoch, and after two the MA model's best validation MSE is
+        above the untrained model's, with every loss finite."""
+        nominal = tmp_path / "n.jsonl"
+        assert cli.main([
+            "simulate", "--scenario", "nominal", "--passes", "1", "--samples-per-cell", "2",
+            "--seed", "23", "--out", str(nominal),
+        ]) == 0
+        out_dir = tmp_path / "model"
+        rc = cli.main([
+            "train", "--dataset", str(nominal), "--pipeline", "MA", "--architecture", "70", "90", "70",
+            "--batch-size", "64", "--max-epochs", "2", "--patience", "2", "--seed", "23",
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "best validation MSE 1.30869 after 2 epochs exceeds the untrained model's 1.27263" in err
+        assert "batch -1" not in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_learning_rate_is_usage_error(self, workspace, capsys, value):
@@ -559,13 +590,17 @@ class TestTrainScoreEvaluate:
              "error: val_fraction must be in (0, 1), got 1.0\n"),
             ("train", ("--architecture", "8", "12", "8"), {"patience": 0},
              "error: patience must be >= 1, got 0\n"),
+            # checked before the dataset is read, as the other settings are
+            ("train", ("--architecture", "8", "12", "8", "--val-fraction", "2", "--dataset", "missing.jsonl"), {},
+             "error: val_fraction must be in (0, 1), got 2.0\n"),
             # more parameters than one numpy array holds
             ("train", (), {"architecture": [8, 12, 2**63]},
              "dims [4, 8, 12, 9223372036854775808, 4] need 156797324626531188908 parameters, "
              "more than one numpy array of floats holds"),
         ],
         ids=["train-extra0", "train-extra1", "train-extra2", "train-extra3", "train-extra4",
-             "train-extra5", "config-val-fraction-1", "config-patience-0", "config-architecture-too-large"],
+             "train-extra5", "config-val-fraction-1", "config-patience-0", "val-fraction-before-dataset",
+             "config-architecture-too-large"],
     )
     def test_invalid_training_setup_is_usage_error(self, workspace, capsys, command, extra, config, named):
         tmp_path, nominal, _, _ = workspace
@@ -831,8 +866,9 @@ class TestTrainScoreEvaluate:
             "evaluate", "--error-map", str(path), "--scenario", "B", "--out", str(out), flag, value,
         ])
         assert rc == 2
-        field = flag.removeprefix("--")
-        assert f"{field} must be finite and positive, got {float(value)}" in capsys.readouterr().err
+        rule = {"--bandwidth": "bandwidth must be finite and positive", "--eps": "eps must be a normal float below 1"}
+        err = capsys.readouterr().err
+        assert rule[flag] in err and err.endswith(f", got {float(value)}\n")
         assert not out.exists()
 
     def test_evaluate_error_map_grid_too_large_to_hold(self, tmp_path):
@@ -1033,6 +1069,20 @@ class TestGridsearchCommand:
             "seed", "variance_target",
         ])
         assert meta["config"]["architecture"] == "search"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_trial_failed_is_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(gs.TABLE_SPACES, Pipeline.RNG, gs.SearchSpace((8,), (12, 20), (8,), (1e40,)))
+        nominal = simulate(tmp_path, "n.jsonl")
+        out_dir = tmp_path / "sweep"
+        rc = cli.main([
+            "train", "--dataset", str(nominal), "--pipeline", "RNG",
+            "--max-epochs", "10", "--patience", "10", "--out-dir", str(out_dir),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: every trial failed; candidate 0: non-finite loss at epoch 0, batch 1, lr 1e+40\n"
+        assert not (out_dir / "model.json").exists()
 
     def test_no_valid_candidate_is_usage_error(self, tmp_path, capsys):
         # on the default grid's 160 training rows this variance target keeps

@@ -144,6 +144,14 @@ class TestRun:
         first_failed = results.index(failed[0])
         assert all(r.status == "ok" for r in results[:first_failed])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_trial_failed_names_the_first_failure(self):
+        train, val = tiny_rows(seed=4)
+        space = gs.SearchSpace((8, 15), (20, 30), (2,), (1e40,))
+        with pytest.raises(RuntimeError) as exc:
+            gs.run(space, train, val, base_seed=0, max_epochs=10, patience=10)
+        assert str(exc.value) == "every trial failed; candidate 0: non-finite loss at epoch 0, batch 1, lr 1e+40"
+
     def test_trial_worse_than_untrained_fails(self):
         """A trial whose losses stay finite but whose best validation MSE ends
         above its untrained model's is failed, like a diverged one."""

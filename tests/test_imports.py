@@ -50,16 +50,22 @@ def loaded_after(statement: str, *prefixes: str) -> str:
                           capture_output=True, text=True, check=True).stdout.strip()
 
 
+def test_import_loads_no_module():
+    """``import epsnode`` loads none of the package's modules; a caller imports
+    the ones it uses."""
+    assert loaded_after("import epsnode", "epsnode.") == "[]"
+
+
 def test_import_loads_no_process_pool():
     """Only ``gridsearch.run`` above parallelism 1 needs a process pool, so
-    ``import epsnode`` leaves ``concurrent.futures`` and ``multiprocessing``
-    unloaded."""
-    assert loaded_after("import epsnode", "concurrent", "multiprocessing") == "[]"
+    ``import epsnode.cli``, which loads every module, leaves
+    ``concurrent.futures`` and ``multiprocessing`` unloaded."""
+    assert loaded_after("import epsnode.cli", "concurrent", "multiprocessing") == "[]"
 
 
 def test_import_loads_no_numpy_random():
     """Only simulating, splitting or training draws random numbers, so
-    ``import epsnode`` loads no more of ``numpy.random`` than ``import
-    numpy`` does (numpy 2 loads none of it)."""
+    ``import epsnode.cli``, which loads every module, loads no more of
+    ``numpy.random`` than ``import numpy`` does (numpy 2 loads none of it)."""
     with_numpy = loaded_after("import numpy", "numpy.random")
-    assert loaded_after("import epsnode", "numpy.random") == with_numpy
+    assert loaded_after("import epsnode.cli", "numpy.random") == with_numpy
