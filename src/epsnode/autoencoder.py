@@ -9,7 +9,6 @@ randomness is seeded so training is bit-reproducible.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 import json
 import math
@@ -40,34 +39,40 @@ class TrainingDivergedError(RuntimeError):
     best validation MSE ended above the untrained model's."""
 
 
+def param_count(dims: tuple[int, ...]) -> int:
+    """The number of weights and biases of a model of ``dims``."""
+    return sum(n_in * n_out + n_out for n_in, n_out in zip(dims[:1] + dims[:-1], dims))
+
+
+def _carve(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` in the given shapes."""
+    ends = itertools.accumulate(map(math.prod, shapes))
+    return [flat[end - math.prod(shape) : end].reshape(shape) for shape, end in zip(shapes, ends)]
+
+
 def _layer_views(dims: tuple[int, ...], flat: np.ndarray | None = None):
-    """``(flat, weights, biases)`` with per-layer views of ``flat`` (zeros when
-    None). The only code that knows the layout: layer by layer, the row-major
-    (fan_in, fan_out) weights, then the fan_out biases. A (C, P) stack of C
-    parameter vectors gives (C, fan_in, fan_out) weights and (C, 1, fan_out)
-    biases, which broadcast over a (C, rows, fan_in) batch."""
+    """``(flat, weights, biases)`` with per-layer views of the (P,) vector
+    ``flat`` (zeros when None). The only code that knows one model's layout:
+    layer by layer, the row-major (fan_in, fan_out) weights, then the fan_out
+    biases."""
     if len(dims) != N_LAYERS:
         raise ValueError(f"dims must have {N_LAYERS} entries, got {list(dims)}")
-    layers = list(zip(dims[:1] + dims[:-1], dims))
-    ends = list(itertools.accumulate(n_in * n_out + n_out for n_in, n_out in layers))
-    if ends[-1] * 8 > MAX_ARRAY_BYTES:
-        raise ValueError(f"dims {list(dims)} need {ends[-1]} parameters, "
+    size = param_count(dims)
+    if size * 8 > MAX_ARRAY_BYTES:
+        raise ValueError(f"dims {list(dims)} need {size} parameters, "
                          "more than one numpy array of floats holds")
-    flat = np.zeros(ends[-1]) if flat is None else flat
-    if flat.ndim not in (1, 2) or flat.shape[-1] != ends[-1]:
-        raise ValueError(f"dims {list(dims)} need {ends[-1]} parameters, got {flat.shape}")
-    stack = flat.shape[:-1]
-    weights = [flat[..., end - n_out * (n_in + 1) : end - n_out].reshape(stack + (n_in, n_out))
-               for (n_in, n_out), end in zip(layers, ends)]
-    biases = [flat[..., end - n_out : end].reshape(stack + (1,) * len(stack) + (n_out,))
-              for (_, n_out), end in zip(layers, ends)]
-    return flat, weights, biases
+    flat = np.zeros(size) if flat is None else flat
+    if flat.shape != (size,):
+        raise ValueError(f"dims {list(dims)} need {size} parameters, got {flat.shape}")
+    views = _carve(flat, [shape for n_in, n_out in zip(dims[:1] + dims[:-1], dims)
+                          for shape in ((n_in, n_out), (n_out,))])
+    return flat, views[0::2], views[1::2]
 
 
 @dataclass
 class AutoencoderModel:
     dims: tuple[int, int, int, int, int]  # (N, E1, E2, D1, N)
-    params: np.ndarray                    # float64 (P,), or (C, P) for a stack; see _layer_views
+    params: np.ndarray                    # float64 (P,); see _layer_views
 
     def __post_init__(self):
         # weights[l] has shape (dims[l_in], dims[l_out]); both lists are views
@@ -149,16 +154,11 @@ def _dense(model: AutoencoderModel, a: np.ndarray, layer: int) -> np.ndarray:
     return _activate(z, layer)
 
 
-def _activations(model: AutoencoderModel, a: np.ndarray):
-    """The forward pass, lazily: the rows ``a``, then each layer's output."""
-    yield a
-    for layer in range(N_LAYERS):
-        yield (a := _dense(model, a, layer))
-
-
 def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    """The last activation; a stack maps shared (r, n) rows to (C, r, n)."""
-    return collections.deque(_activations(model, x), maxlen=1).pop()
+    """The network's output for the rows ``x``."""
+    for layer in range(N_LAYERS):
+        x = _dense(model, x, layer)
+    return x
 
 
 def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
@@ -166,36 +166,160 @@ def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     return feat.each_row(lambda rows: _reconstruct(model, rows), x, model.n)
 
 
-def _stack_mse(stack: AutoencoderModel, rows: np.ndarray) -> np.ndarray:
-    """(C,) MSE of each stacked model on the same (r, n) rows."""
-    return np.mean((_reconstruct(stack, rows) - rows) ** 2, axis=(-2, -1))
+def _runs(keys: list) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of equal neighbours in ``keys``."""
+    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    return list(zip([0, *cuts], [*cuts, len(keys)]))
 
 
-def _backprop(stack: AutoencoderModel, batch: np.ndarray, grads: AutoencoderModel,
-              loss: np.ndarray | None = None) -> np.ndarray:
-    """Gradients of each stacked model's batch-and-feature-mean MSE on its own
-    (m, n) slice of the (C, m, n) batch, written into ``grads`` (laid out like
-    ``stack.params``); returns the (C,) losses, written into ``loss`` when
-    given. A stacked matmul or reduction equals the 2-D call on each slice bit
-    for bit, so a model's gradient does not depend on the stack it is in.
+def _part(runs: list, start: int, stop: int) -> np.ndarray:
+    """Models ``start:stop`` of the block, in ``runs`` of ``(start, stop,
+    block)``, whose run holds them all."""
+    return next(block[start - a : stop - a] for a, b, block in runs if a <= start and stop <= b)
 
-    Each slope is read from the layer's output: for ReLU, and for Leaky ReLU
-    with a slope >= 0, an output is positive exactly where its pre-activation
-    is (-0.0, NaN and a LEAKY_ALPHA * z that underflows included)."""
-    acts = list(_activations(stack, batch))  # each layer's input, then the reconstruction
-    out = acts[-1]
-    diff = out - batch
-    m, n = batch.shape[-2:]
-    loss = np.divide(np.add.reduce(diff**2, axis=(-2, -1)), m * n, out=loss)  # np.mean, unwrapped
-    delta = 2.0 * diff / (m * n)
-    np.multiply(delta, LEAKY_ALPHA, out=delta, where=out <= 0.0)
-    for layer in range(N_LAYERS - 1, -1, -1):
-        np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads.weights[layer])
-        np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[layer])
-        if layer > 0:
-            delta = delta @ stack.weights[layer].swapaxes(-1, -2)
-            delta *= acts[layer] > 0.0  # a multiply casts it to 1.0 / 0.0
-    return loss
+
+def _layer_buffers(m: int, blocks: list, alternate: bool) -> tuple[list, list]:
+    """Per layer, a flat buffer of its values on m rows per model, and
+    ``(start, stop, view)`` of it as (C_run, m, width) per run of the layer's
+    biases in ``blocks``. With ``alternate``, the layers take turns at two
+    buffers, for values that only the next layer reads."""
+    shapes = [[(b - a, m, bias.shape[-1]) for a, b, bias in biases] for _, biases in blocks]
+    sizes = [sum(map(math.prod, layer)) for layer in shapes]
+    pair = [np.empty(max(sizes)) for _ in range(2)] if alternate else None
+    flats = [pair[l % 2][:size] if alternate else np.empty(size) for l, size in enumerate(sizes)]
+    return flats, [[(a, b, view) for (a, b, _), view in zip(biases, _carve(flat, layer))]
+                   for (_, biases), flat, layer in zip(blocks, flats, shapes)]
+
+
+class _Stack:
+    """The layout of C models of one input width that train in lockstep.
+
+    A stack vector holds one vector per model, layer-major: for each layer,
+    one (C_run, fan_in, fan_out) block of weights per run of neighbouring
+    models that share the weight's shape, then one (C_run, 1, fan_out) block
+    of biases per run that shares its width. A step thus makes one call per
+    run, and an elementwise update one call per vector; models sorted by dims
+    make the fewest runs."""
+
+    def __init__(self, dims: list[tuple[int, ...]]):
+        self.dims = dims
+        sizes = [param_count(d) for d in dims]
+        self.bases = np.cumsum([0, *sizes])  # each model's (P,) vector in their concatenation
+        # each model's tensors, as the positions of their values in that concatenation
+        tensors = [_layer_views(d, np.arange(base, base + size))[1:]
+                   for d, base, size in zip(dims, self.bases, sizes)]
+        self.layout, source = [], []  # (layer, kind, start, stop, block shape); block values
+        for layer in range(N_LAYERS):
+            for kind in (0, 1):  # weights, then biases
+                each = [np.atleast_2d(t[kind][layer]) for t in tensors]
+                for a, b in _runs([t.shape for t in each]):
+                    self.layout.append((layer, kind, a, b, (b - a, *each[a].shape)))
+                    source.append(np.stack(each[a:b]).ravel())
+        source = np.concatenate(source)
+        self.place = np.empty_like(source)  # each value's position in the stack vector
+        self.place[source] = np.arange(source.size)
+
+    def pack(self, vectors: list[np.ndarray]) -> np.ndarray:
+        """The stack vector of one (P,) vector per model."""
+        flat = np.empty(self.place.size)
+        flat[self.place] = np.concatenate(vectors)
+        return flat
+
+    def unpack(self, flat: np.ndarray, slot: int) -> np.ndarray:
+        """A copy of model ``slot``'s (P,) vector in the stack vector ``flat``."""
+        return flat[self.place[self.bases[slot] : self.bases[slot + 1]]]
+
+    def blocks(self, flat: np.ndarray) -> list[tuple[list, list]]:
+        """Per layer, ``(start, stop, view)`` of each weight block of ``flat``,
+        and of each bias block."""
+        views = [([], []) for _ in range(N_LAYERS)]
+        for (layer, kind, a, b, _), view in zip(self.layout, _carve(flat, [l[-1] for l in self.layout])):
+            views[layer][kind].append((a, b, view))
+        return views
+
+
+class _Pass:
+    """A forward pass of the (C, m, N) rows ``x``, one (m, N) slice per model,
+    through the stack vector ``params``, and with ``grads`` given, the
+    backward pass that writes the gradients there. The buffers and each
+    call's operands are made once, for every pass over new values of ``x``.
+
+    A stacked matmul or reduction equals the 2-D call on each slice bit for
+    bit, so a model's outputs and gradients do not depend on its stack."""
+
+    def __init__(self, stack: _Stack, params: np.ndarray, x: np.ndarray,
+                 grads: np.ndarray | None = None):
+        self.x = x
+        m = x.shape[-2]
+        blocks = stack.blocks(params)
+        # each layer's output: one flat buffer, for elementwise calls, seen as
+        # one view per run; backprop reads them all again
+        out_flats, out_runs = _layer_buffers(m, blocks, alternate=grads is None)
+        in_runs = [[(0, len(stack.dims), x)], *out_runs[:-1]]
+        (_, _, self.out), = out_runs[-1]  # one run: the models share the output width N
+        self.layers = [([(_part(in_runs[l], a, b), w, _part(out_runs[l], a, b)) for a, b, w in weights],
+                        [(z, bias) for (_, _, z), (_, _, bias) in zip(out_runs[l], biases)],
+                        out_flats[l])
+                       for l, (weights, biases) in enumerate(blocks)]
+        if grads is None:
+            return
+        # each layer's delta, the loss's gradient by its pre-activations
+        delta_flats, delta_runs = _layer_buffers(m, blocks, alternate=True)
+        (_, _, self.delta), = delta_runs[-1]
+        self.diff, self.leaky = np.empty_like(self.out), np.empty(self.out.shape, dtype=bool)
+        self.back = [(
+            [(_part(in_runs[l], a, b).swapaxes(-1, -2), _part(delta_runs[l], a, b), g)
+             for a, b, g in grad_w],
+            [(d, g) for (_, _, d), (_, _, g) in zip(delta_runs[l], grad_b)],
+            [(_part(delta_runs[l], a, b), w.swapaxes(-1, -2), _part(delta_runs[l - 1], a, b))
+             for a, b, w in weights] if l else [],
+            (delta_flats[l - 1], out_flats[l - 1], np.empty(out_flats[l - 1].shape, dtype=bool))
+            if l else None,
+        ) for l, ((weights, _), (grad_w, grad_b)) in enumerate(zip(blocks, stack.blocks(grads)))]
+
+    def forward(self) -> np.ndarray:
+        """The (C, m, N) reconstructions, in a buffer the next pass reuses."""
+        for layer, (products, biases, flat) in enumerate(self.layers):
+            for a, w, z in products:
+                np.matmul(a, w, out=z)
+            for z, bias in biases:
+                z += bias
+            _activate(flat, layer)
+        return self.out
+
+    def mse(self) -> np.ndarray:
+        """(C,) MSE of each model's reconstruction of its rows."""
+        diff = self.forward() - self.x
+        return np.mean(np.square(diff, out=diff), axis=(-2, -1))
+
+    def backprop(self, loss: np.ndarray | None = None) -> np.ndarray:
+        """Gradients of each model's batch-and-feature-mean MSE on its slice
+        of ``x``; returns the (C,) losses, written into ``loss`` when given.
+
+        Each slope is read from the layer's output: for ReLU, and for Leaky
+        ReLU with a slope >= 0, an output is positive exactly where its
+        pre-activation is (-0.0, NaN and a LEAKY_ALPHA * z that underflows
+        included)."""
+        out, diff, delta = self.forward(), self.diff, self.delta
+        m, n = self.x.shape[-2:]
+        # the loss is np.mean(diff**2) unwrapped, the delta 2.0 * diff / (m * n)
+        np.subtract(out, self.x, out=diff)
+        loss = np.add.reduce(np.square(diff, out=delta), axis=(-2, -1), out=loss)
+        loss /= m * n
+        np.multiply(diff, 2.0, out=delta)
+        delta /= m * n
+        np.multiply(delta, LEAKY_ALPHA, out=delta, where=np.less_equal(out, 0.0, out=self.leaky))
+        for products, sums, back, mask in reversed(self.back):
+            for a_t, d, g in products:
+                np.matmul(a_t, d, out=g)
+            for d, g in sums:
+                np.add.reduce(d, axis=-2, keepdims=True, out=g)
+            for d, w_t, d_in in back:
+                np.matmul(d, w_t, out=d_in)
+            if mask:
+                d_in, act, positive = mask
+                d_in *= np.greater(act, 0.0, out=positive)  # a multiply casts it to 1.0 / 0.0
+        return loss
 
 
 def train(
@@ -228,23 +352,27 @@ def train_group(
 ) -> list[tuple[AutoencoderModel, TrainReport] | TrainingDivergedError]:
     """``train`` for several models at once, bit for bit.
 
-    The models must share ``dims``, and their configs
-    ``batch_size``, ``max_epochs`` and ``patience``; learning rates and seeds
-    may differ. They train as one (C, P) stack, each with its own shuffling,
-    best snapshot, patience count and curves. A model leaves the stack at the
-    end of the epoch in which it stops early or a batch loss became
-    non-finite. Returns, in the models' order, what ``train`` returns for each
-    alone, or the TrainingDivergedError it raises.
+    The models must share their input width N, and their configs
+    ``batch_size``, ``max_epochs`` and ``patience``; hidden widths, learning
+    rates and seeds may differ. The train and validation rows are (m, N)
+    matrices. The models train as one ``_Stack``, sorted by dims, each with
+    its own shuffling, best snapshot, patience count and curves. A model
+    leaves the stack at the end of the epoch in which it stops early or a
+    batch loss became non-finite. Returns, in the models' order, what
+    ``train`` returns for each alone, or the TrainingDivergedError it raises.
     """
-    train_rows = np.asarray(train_rows, dtype=float)
-    val_rows = np.asarray(val_rows, dtype=float)
-    if train_rows.size == 0 or val_rows.size == 0:
-        raise ValueError("train and validation sets must be nonempty")
-    shared = {(m.dims, c.batch_size, c.max_epochs, c.patience) for m, c in zip(models, configs)}
+    shared = {(m.n, c.batch_size, c.max_epochs, c.patience) for m, c in zip(models, configs)}
     if len(models) != len(configs) or len(shared) != 1:
         raise ValueError("a group needs one config per model, and the models must share "
-                         "dims, the configs batch_size, max_epochs and patience")
-    dims, batch_size, max_epochs, patience = shared.pop()
+                         "their input width, the configs batch_size, max_epochs and patience")
+    n, batch_size, max_epochs, patience = shared.pop()
+    train_rows = np.asarray(train_rows, dtype=float)
+    val_rows = np.asarray(val_rows, dtype=float)
+    if {train_rows.ndim, val_rows.ndim} != {2} or {train_rows.shape[1], val_rows.shape[1]} != {n}:
+        raise ValueError(f"train and validation rows must be (m, {n}) matrices, "
+                         f"got {train_rows.shape} and {val_rows.shape}")
+    if train_rows.size == 0 or val_rows.size == 0:
+        raise ValueError("train and validation sets must be nonempty")
 
     results: list = [None] * len(models)
     rngs = [np.random.default_rng(c.seed) for c in configs]
@@ -259,52 +387,61 @@ def train_group(
             return TrainingDivergedError(
                 f"best validation MSE {best_val[k]:.6g} after {len(val_curve)} epochs exceeds "
                 f"the untrained model's {untrained[k]:.6g}, lr {configs[k].learning_rate}")
-        return (AutoencoderModel(dims, best[k]),
+        return (AutoencoderModel(models[k].dims, best[k]),
                 TrainReport(train_curve, val_curve, len(val_curve), best_val[k]))
 
-    live = list(range(len(models)))  # stack slot -> model index
-    params = np.stack([m.params for m in models])
-    untrained = _stack_mse(AutoencoderModel(dims, params), val_rows).tolist()
-    mom, vel = np.zeros_like(params), np.zeros_like(params)
-    lr = np.array([[c.learning_rate] for c in configs])
-    step = 0
     n_rows = train_rows.shape[0]
     starts = range(0, n_rows, batch_size)
-    sizes = np.diff([*starts, n_rows])[:, None]  # rows per batch
+    sizes = np.diff([*starts, n_rows]).tolist()  # rows per batch
+    live = sorted(range(len(models)), key=lambda k: models[k].dims)  # stack slot -> model index
+    # per slot: the parameters, Adam's moments and each parameter's learning rate
+    vectors = [(models[k].params, np.zeros(models[k].params.size), np.zeros(models[k].params.size),
+                np.full(models[k].params.size, configs[k].learning_rate)) for k in live]
+    step = 0
 
     for epoch in range(max_epochs):
-        work = AutoencoderModel(dims, params)
-        grads = AutoencoderModel(dims, np.empty_like(params))
-        m_hat, denom = np.empty_like(params), np.empty_like(params)
-        g = grads.params
+        if vectors:  # a new stack: the first one, or the models the last epoch kept
+            stack = _Stack([models[k].dims for k in live])
+            params, mom, vel, lr = (stack.pack(v) for v in zip(*vectors))
+            grads, m_hat = np.empty_like(params), np.empty_like(params)
+            val_pass = _Pass(stack, params, np.broadcast_to(val_rows, (len(live), *val_rows.shape)))
+            train_passes = {m: _Pass(stack, params, np.empty((len(live), m, n)), grads) for m in set(sizes)}
+            vectors = None
+            if epoch == 0:
+                untrained = dict(zip(live, val_pass.mse().tolist()))
         orders = np.stack([rngs[k].permutation(n_rows) for k in live])
         losses = np.empty((len(starts), len(live)))  # each batch's loss, per slot
-        for loss, start in zip(losses, starts):
-            _backprop(work, train_rows[orders[:, start : start + batch_size]], grads, loss)
+        for loss, start, size in zip(losses, starts, sizes):
+            batch = train_passes[size]
+            # the indices are a permutation's, so "clip" never clips; it
+            # spares the copy of `out` that "raise" makes
+            np.take(train_rows, orders[:, start : start + size], axis=0, out=batch.x, mode="clip")
+            batch.backprop(loss)
             step += 1
             # Adam in place, with the float ops of
             # mom = BETA1 * mom + (1 - BETA1) * g
             # vel = BETA2 * vel + (1 - BETA2) * g * g
             # params -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS)
+            # with m_hat as scratch, and grads once the gradients are read
             np.multiply(mom, BETA1, out=mom)
-            np.multiply(g, 1 - BETA1, out=m_hat)
+            np.multiply(grads, 1 - BETA1, out=m_hat)
             mom += m_hat
             np.multiply(vel, BETA2, out=vel)
-            np.multiply(g, 1 - BETA2, out=denom)
-            denom *= g
-            vel += denom
+            np.multiply(grads, 1 - BETA2, out=m_hat)
+            m_hat *= grads
+            vel += m_hat
             np.divide(mom, 1.0 - BETA1**step, out=m_hat)
             np.multiply(lr, m_hat, out=m_hat)
-            np.divide(vel, 1.0 - BETA2**step, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            m_hat /= denom
+            np.divide(vel, 1.0 - BETA2**step, out=grads)
+            np.sqrt(grads, out=grads)
+            grads += ADAM_EPS
+            m_hat /= grads
             params -= m_hat
 
         # summed in batch order, not pairwise as .sum() would, so the curves
         # keep their bits
-        train_mse = np.add.accumulate(losses * sizes)[-1] / n_rows
-        val_mse = _stack_mse(work, val_rows)
+        train_mse = np.add.accumulate(losses * np.array(sizes)[:, None])[-1] / n_rows
+        val_mse = val_pass.mse()
         for slot, k in enumerate(live):
             if (bad := np.flatnonzero(~np.isfinite(losses[:, slot]))).size:
                 results[k] = TrainingDivergedError(
@@ -317,18 +454,18 @@ def train_group(
                     f"non-finite validation loss at epoch {epoch}, lr {configs[k].learning_rate}")
             elif val < best_val[k] - MIN_DELTA:
                 best_val[k] = val
-                best[k] = params[slot].copy()
+                best[k] = stack.unpack(params, slot)
                 waits[k] = 0
             else:
                 waits[k] += 1
                 if waits[k] >= patience:
                     results[k] = finish(k)
-        keep = [results[k] is None for k in live]
-        if not all(keep):
-            live = [k for k, kept in zip(live, keep) if kept]
+        kept = [slot for slot, k in enumerate(live) if results[k] is None]
+        if len(kept) < len(live):
+            vectors = [[stack.unpack(v, slot) for v in (params, mom, vel, lr)] for slot in kept]
+            live = [live[slot] for slot in kept]
             if not live:
                 break
-            params, mom, vel, lr = params[keep], mom[keep], vel[keep], lr[keep]
 
     for k in live:
         results[k] = finish(k)

@@ -89,13 +89,14 @@ def preset_c_set(grid):
 
 
 def backprop_one(model, rows):
-    """``autoencoder._backprop`` on a stack of one: the batch-and-feature-mean
-    MSE on the (m, n) rows and its gradient, laid out like ``model.params``."""
+    """The training step's backprop on a stack of one: the
+    batch-and-feature-mean MSE on the (m, n) rows and its gradient, laid out
+    like ``model.params``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    stack = ae.AutoencoderModel(model.dims, model.params[None])
-    grads = ae.AutoencoderModel(model.dims, np.empty_like(stack.params))
-    loss = ae._backprop(stack, rows[None], grads)
-    return float(loss[0]), grads.params[0]
+    stack = ae._Stack([model.dims])
+    grads = np.empty(model.params.size)
+    loss = ae._Pass(stack, stack.pack([model.params]), rows[None], grads).backprop()
+    return float(loss[0]), stack.unpack(grads, 0)
 
 
 def _loss_from_layer(model, layer, z_batch, x):

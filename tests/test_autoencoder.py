@@ -50,30 +50,49 @@ def replay_first_epoch(model, rows, config):
     return ref, losses
 
 
-def backprop_keeping_preactivations(stack, batch):
+def backprop_keeping_preactivations(model, batch):
     """A backprop that keeps every pre-activation z and reads each slope from
-    z: the reference that ``_backprop``, which reads the slope from the
-    layer output, must equal bit for bit. Returns (losses, gradients)."""
+    z: the reference that the training step, which reads the slope from the
+    layer output, must equal bit for bit. Returns (loss, gradients) of the
+    one model on its (m, n) batch."""
     zs, acts = [], [batch]
     for layer in range(ae.N_LAYERS):
-        z = acts[-1] @ stack.weights[layer] + stack.biases[layer]
+        z = acts[-1] @ model.weights[layer] + model.biases[layer]
         zs.append(z)
         acts.append(np.maximum(z, 0.0) if layer < ae.N_LAYERS - 1
                     else np.where(z > 0.0, z, ae.LEAKY_ALPHA * z))
-    grads = ae.AutoencoderModel(stack.dims, np.empty_like(stack.params))
+    grads = ae.AutoencoderModel(model.dims, np.empty_like(model.params))
     diff = acts[-1] - batch
-    m, n = batch.shape[-2:]
+    m, n = batch.shape
     loss = np.add.reduce(diff**2, axis=(-2, -1)) / (m * n)
     delta = 2.0 * diff / (m * n)
     for layer in range(ae.N_LAYERS - 1, -1, -1):
         slope = (zs[layer] > 0.0 if layer < ae.N_LAYERS - 1
                  else np.where(zs[layer] > 0.0, 1.0, ae.LEAKY_ALPHA))
         delta = delta * slope
-        np.matmul(acts[layer].swapaxes(-1, -2), delta, out=grads.weights[layer])
-        np.add.reduce(delta, axis=-2, keepdims=True, out=grads.biases[layer])
+        np.matmul(acts[layer].T, delta, out=grads.weights[layer])
+        np.add.reduce(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
-            delta = delta @ stack.weights[layer].swapaxes(-1, -2)
+            delta = delta @ model.weights[layer].T
     return loss, grads.params
+
+
+def assert_each_equals_solo_training(models, configs, group, train_rows, val_rows):
+    """Each result of ``train_group`` is what ``train`` returns for its model
+    alone, or raises with the same message."""
+    for model, config, result in zip(models, configs, group, strict=True):
+        if isinstance(result, ae.TrainingDivergedError):
+            with pytest.raises(ae.TrainingDivergedError) as solo:
+                ae.train(model, train_rows, val_rows, config)
+            assert str(solo.value) == str(result)
+        else:
+            solo_model, solo_report = ae.train(model, train_rows, val_rows, config)
+            assert result[0].dims == model.dims
+            assert np.array_equal(result[0].params, solo_model.params)
+            assert result[1] == solo_report
+            # the returned model is the best snapshot, not the last state
+            val_mse = np.mean((forward_batch(result[0], val_rows) - val_rows) ** 2)
+            assert float(val_mse) == result[1].final_val_mse
 
 
 class TestBuild:
@@ -252,18 +271,30 @@ class TestTrain:
         assert isinstance(worse, ae.TrainingDivergedError)
         assert re.fullmatch(r"best validation MSE \S+ after \d+ epochs exceeds the untrained "
                             r"model's \S+, lr 0\.3", str(worse))
-        for model, config, result in zip(models, configs, group):
-            if isinstance(result, ae.TrainingDivergedError):
-                with pytest.raises(ae.TrainingDivergedError) as solo:
-                    ae.train(model, train_rows, val_rows, config)
-                assert str(solo.value) == str(result)
-            else:
-                solo_model, solo_report = ae.train(model, train_rows, val_rows, config)
-                assert np.array_equal(result[0].params, solo_model.params)
-                assert result[1] == solo_report
-                # the returned model is the best snapshot, not the last state
-                val_mse = np.mean((forward_batch(result[0], val_rows) - val_rows) ** 2)
-                assert float(val_mse) == result[1].final_val_mse
+        assert_each_equals_solo_training(models, configs, group, train_rows, val_rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mixed_width_group_matches_solo_training(self):
+        """Models of 2 E1 x 2 E2 widths (one with D1 != E1), given out of their
+        dims' order, train as one stack exactly as each does alone: through
+        a ragged last batch (22 rows at batch size 8), and after models stop
+        early, diverge mid-epoch or end worse than untrained."""
+        rows = np.random.default_rng(4).uniform(size=(30, 4))
+        train_rows, val_rows = rows[:22], rows[22:]
+        widths_and_lrs = [((8, 12, 8), 0.3), ((5, 9, 5), 1e-2), ((8, 9, 8), 1e-3),
+                          ((5, 12, 6), 0.05), ((8, 9, 8), 1e40), ((5, 12, 6), 1e-3),
+                          ((8, 12, 8), 0.05), ((5, 9, 5), 1e40)]
+        models = [ae.build(4, *widths, seed=s) for s, (widths, _) in enumerate(widths_and_lrs)]
+        configs = [TrainConfig(batch_size=8, learning_rate=lr, max_epochs=12, patience=2,
+                               seed=10 + s) for s, (_, lr) in enumerate(widths_and_lrs)]
+        group = ae.train_group(models, train_rows, val_rows, configs)
+
+        messages = [str(r) for r in group if isinstance(r, ae.TrainingDivergedError)]
+        assert "non-finite loss at epoch 0, batch 1, lr 1e+40" in messages
+        assert any("exceeds the untrained model's" in m for m in messages)
+        stopped = [r[1].stopped_epoch for r in group if not isinstance(r, ae.TrainingDivergedError)]
+        assert min(stopped) < max(stopped) == 12
+        assert_each_equals_solo_training(models, configs, group, train_rows, val_rows)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("stack, inf_row", [(3, 2), (2, 7), (3, 9)])
@@ -323,17 +354,27 @@ class TestTrain:
         assert match[3] == f"{untrained:.6g}"
 
     @pytest.mark.parametrize(
-        "dims, batch_size",
-        [((4, 8, 12, 8), 4), ((4, 8, 16, 8), 8)],
-        ids=["batch-size", "dims"],
+        "dims, batch_size, train_shape, val_shape, message",
+        [((4, 8, 12, 8), 4, (15, 4), (5, 4), "must share"),
+         ((5, 8, 12, 8), 8, (15, 4), (5, 4), "must share"),
+         ((4, 8, 12, 8), 8, (4,), (5, 4), r"must be \(m, 4\) matrices, got \(4,\) and \(5, 4\)$"),
+         ((4, 8, 12, 8), 8, (15, 4), (5, 5), r"must be \(m, 4\) matrices, got \(15, 4\) and \(5, 5\)$")],
+        ids=["batch-size", "dims", "1-D-rows", "row-width"],
     )
-    def test_group_rejects_models_that_differ_in_shape(self, dims, batch_size):
-        rows = np.random.default_rng(5).uniform(size=(20, 4))
+    def test_group_rejects_models_that_differ_in_shape(self, dims, batch_size, train_shape,
+                                                      val_shape, message):
+        """Models of one input width, configs of one batch size, and (m, N)
+        train and validation rows, or a ValueError."""
+        rng = np.random.default_rng(5)
+        train_rows, val_rows = rng.uniform(size=train_shape), rng.uniform(size=val_shape)
         models = [ae.build(4, 8, 12, 8, seed=0), ae.build(*dims, seed=1)]
         configs = [TrainConfig(batch_size=8, max_epochs=2, patience=2),
                    TrainConfig(batch_size=batch_size, max_epochs=2, patience=2)]
-        with pytest.raises(ValueError, match="must share"):
-            ae.train_group(models, rows[:15], rows[15:], configs)
+        with pytest.raises(ValueError, match=message):
+            ae.train_group(models, train_rows, val_rows, configs)
+        if models[0].dims == models[1].dims and configs[0] == configs[1]:
+            with pytest.raises(ValueError, match=message):  # and so does a stack of one
+                ae.train(models[0], train_rows, val_rows, configs[0])
 
     def test_report_lengths_match_stopped_epoch(self):
         rng = np.random.default_rng(3)
@@ -366,18 +407,21 @@ class TestGradients:
         size = ae._layer_views(dims)[0].size
         floats = st.floats(-4.0, 4.0)
         params = data.draw(hnp.arrays(np.float64, (stack, size), elements=floats))
-        model = ae.AutoencoderModel(dims, params)
+        models = [ae.AutoencoderModel(dims, p) for p in params]
         if zero_biases:
-            for b in model.biases:
-                b[...] = 0.0
+            for model in models:
+                for b in model.biases:
+                    b[...] = 0.0
         batch = data.draw(hnp.arrays(np.float64, (stack, m, n), elements=floats))
         if zero_row:
             batch[:, 0] = 0.0
-        grads = ae.AutoencoderModel(dims, np.empty_like(params))
-        loss = ae._backprop(model, batch, grads)
-        ref_loss, ref_grads = backprop_keeping_preactivations(model, batch)
-        assert loss.tobytes() == ref_loss.tobytes()
-        assert grads.params.tobytes() == ref_grads.tobytes()
+        layout = ae._Stack([dims] * stack)
+        grads = np.empty(stack * size)
+        loss = ae._Pass(layout, layout.pack(params), batch, grads).backprop()
+        for slot, (model, rows) in enumerate(zip(models, batch)):
+            ref_loss, ref_grads = backprop_keeping_preactivations(model, rows)
+            assert loss[slot].tobytes() == ref_loss.tobytes()
+            assert layout.unpack(grads, slot).tobytes() == ref_grads.tobytes()
 
     def test_zero_input_zero_bias_dead_path(self):
         model = ae.build(4, 8, 12, 8, seed=0)

@@ -33,6 +33,12 @@ def small_space():
     return gs.SearchSpace((8, 15), (20, 30), (8,), (0.01,))
 
 
+def mixed_space():
+    """Width groups that share a stack, across two batch sizes, with a
+    learning rate that diverges."""
+    return gs.SearchSpace((5, 8), (9, 12), (4, 8), (1e-2, 1e40))
+
+
 class TestEnumeration:
     def test_rng_table_has_54_candidates(self):
         candidates, skipped = gs.enumerate_candidates(gs.TABLE_SPACES[Pipeline.RNG], n=4)
@@ -99,29 +105,40 @@ class TestRun:
         keys = [gs._rank_key(r) for r in ok]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_parallelism_invariance(self):
         train, val = tiny_rows(seed=2)
-        serial, best_s = gs.run(small_space(), train, val, base_seed=5,
-                                max_epochs=10, patience=10, parallelism=1)
-        parallel, best_p = gs.run(small_space(), train, val, base_seed=5,
-                                  max_epochs=10, patience=10, parallelism=2)
-        assert best_s == best_p
-        assert [(r.candidate, r.status, r.val_mse) for r in serial] == \
-               [(r.candidate, r.status, r.val_mse) for r in parallel]
+        for space in (small_space(), mixed_space()):
+            serial, best_s = gs.run(space, train, val, base_seed=5,
+                                    max_epochs=10, patience=10, parallelism=1)
+            parallel, best_p = gs.run(space, train, val, base_seed=5,
+                                      max_epochs=10, patience=10, parallelism=2)
+            assert best_s == best_p
+            assert [(r.candidate, r.status, r.val_mse) for r in serial] == \
+                   [(r.candidate, r.status, r.val_mse) for r in parallel]
 
     def test_parallelism_below_one_is_an_error(self):
         train, val = tiny_rows(seed=2)
         with pytest.raises(ValueError, match=r"^parallelism must be >= 1, got 0$"):
             gs.run(small_space(), train, val, parallelism=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_each_trial_trained_alone_equals_its_result(self):
         train, val = tiny_rows(seed=2)
-        results, _ = gs.run(small_space(), train, val, base_seed=5, max_epochs=10, patience=10)
-        for r in results:
-            model, config = gs.trial(r.candidate, train.shape[1], 5, 10, 10)
-            _, report = ae.train(model, train, val, config)
-            assert (config.seed, report.final_val_mse, report.stopped_epoch) == \
-                   (r.seed, r.val_mse, r.stopped_epoch)
+        for space, patience, statuses in ((small_space(), 10, {"ok"}),
+                                          (mixed_space(), 3, {"ok", "failed"})):
+            results, _ = gs.run(space, train, val, base_seed=5, max_epochs=10, patience=patience)
+            assert {r.status for r in results} == statuses
+            for r in results:
+                model, config = gs.trial(r.candidate, train.shape[1], 5, 10, patience)
+                try:
+                    _, report = ae.train(model, train, val, config)
+                except ae.TrainingDivergedError as exc:
+                    alone = ("failed", None, None, str(exc))
+                else:
+                    alone = ("ok", report.final_val_mse, report.stopped_epoch, "")
+                assert (r.status, r.val_mse, r.stopped_epoch, r.message) == alone
+                assert r.seed == config.seed
 
     def test_repeat_runs_identical(self):
         train, val = tiny_rows(seed=3)
@@ -169,6 +186,28 @@ class TestRun:
         space = gs.SearchSpace((3,), (2,), (8,), (0.01,))
         with pytest.raises(ValueError):
             gs.run(space, train, val)
+
+
+class TestStacks:
+    def test_rng_table_trains_as_one_stack_per_batch_size(self):
+        candidates, _ = gs.enumerate_candidates(gs.TABLE_SPACES[Pipeline.RNG], n=4)
+        stacks = gs._stacks(candidates, 4)
+        assert [len(s) for s in stacks] == [18, 18, 18]
+        for stack in stacks:
+            assert len({c.batch_size for c in stack}) == 1
+            assert [(c.e1, c.e2) for c in stack] == sorted((c.e1, c.e2) for c in stack)
+            assert sum(ae.param_count((4, c.e1, c.e2, c.d1, 4)) for c in stack) <= gs.STACK_PARAMS
+        assert sorted(c.index for s in stacks for c in s) == [c.index for c in candidates]
+
+    @pytest.mark.parametrize("pipeline, n", [(Pipeline.MA, 28), (Pipeline.PCA, 72)])
+    def test_groups_above_the_cap_train_as_their_own_stacks(self, pipeline, n):
+        candidates, _ = gs.enumerate_candidates(gs.TABLE_SPACES[pipeline], n)
+        stacks = gs._stacks(candidates, n)
+        groups = {}
+        for c in candidates:
+            groups.setdefault((c.e1, c.e2, c.batch_size), []).append(c)
+        assert sorted(map(tuple, stacks), key=lambda s: s[0].index) == \
+               sorted(map(tuple, groups.values()), key=lambda s: s[0].index)
 
 
 class TestReport:

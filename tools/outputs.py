@@ -13,8 +13,9 @@ timestamp. The flow:
   b32 at seed 42;
 - score B and C with each model, and B with the RNG model by median;
 - evaluate each scored total-error map;
-- train without --architecture for 5 epochs: the RNG sweep and its report,
-  then the winner trained again.
+- train without --architecture: the RNG sweep for 5 epochs and the MA sweep
+  for 2, whose width groups are too large to share a stack, each with its
+  report, then the winner trained again.
 
 With --compare, the new manifest is then compared with OTHER_MANIFEST. Every
 file whose hash differs, or that only one side has, is listed. The exit
@@ -62,6 +63,8 @@ def flow() -> list[list[str]]:
                       "--pipeline", pipeline, "--out", f"{out}/kl.json"])
     steps.append(["train", "--dataset", "nominal.jsonl", "--pipeline", "RNG",
                   "--max-epochs", "5", "--patience", "5", "--seed", "42", "--out-dir", "searched"])
+    steps.append(["train", "--dataset", "nominal.jsonl", "--pipeline", "MA",
+                  "--max-epochs", "2", "--patience", "2", "--seed", "42", "--out-dir", "searched-MA"])
     return steps
 
 
