@@ -178,15 +178,36 @@ def _part(runs: list, start: int, stop: int) -> np.ndarray:
     return next(block[start - a : stop - a] for a, b, block in runs if a <= start and stop <= b)
 
 
-def _layer_buffers(m: int, blocks: list, alternate: bool) -> tuple[list, list]:
-    """Per layer, a flat buffer of its values on m rows per model, and
-    ``(start, stop, view)`` of it as (C_run, m, width) per run of the layer's
-    biases in ``blocks``. With ``alternate``, the layers take turns at two
-    buffers, for values that only the next layer reads."""
+def _scratch_parts(dims: list[tuple[int, ...]], m: int, backward: bool) -> list[int]:
+    """The sizes of the flat buffers of a pass of m rows per model through
+    models of ``dims``: for a forward pass alone, two buffers the layers take
+    turns at, as only the next layer reads an output; for a backward pass,
+    each layer's output, which backprop overwrites with the layer's delta,
+    and one buffer for the squared errors."""
+    sizes = [m * sum(d[layer] for d in dims) for layer in range(N_LAYERS)]
+    return [*sizes, sizes[-1]] if backward else [max(sizes[0::2]), max(sizes[1::2])]
+
+
+def _groups(dims: list[tuple[int, ...]], m: int, floats: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of runs of neighbouring models, each one model or as
+    many as the buffers of a forward pass of m rows per model fit in
+    ``floats``."""
+    groups = []
+    for k in range(len(dims)):
+        if groups and sum(_scratch_parts(dims[groups[-1][0] : k + 1], m, False)) <= floats:
+            groups[-1] = (groups[-1][0], k + 1)
+        else:
+            groups.append((k, k + 1))
+    return groups
+
+
+def _layer_buffers(m: int, blocks: list, buffers: list) -> tuple[list, list]:
+    """Per layer, a flat view of its values on m rows per model at the start
+    of one of ``buffers``, which the layers take turns at when there are
+    fewer buffers than layers, and ``(start, stop, view)`` of it as (C_run,
+    m, width) per run of the layer's biases in ``blocks``."""
     shapes = [[(b - a, m, bias.shape[-1]) for a, b, bias in biases] for _, biases in blocks]
-    sizes = [sum(map(math.prod, layer)) for layer in shapes]
-    pair = [np.empty(max(sizes)) for _ in range(2)] if alternate else None
-    flats = [pair[l % 2][:size] if alternate else np.empty(size) for l, size in enumerate(sizes)]
+    flats = [buffers[l % len(buffers)][: sum(map(math.prod, layer))] for l, layer in enumerate(shapes)]
     return flats, [[(a, b, view) for (a, b, _), view in zip(biases, _carve(flat, layer))]
                    for (_, biases), flat, layer in zip(blocks, flats, shapes)]
 
@@ -203,59 +224,69 @@ class _Stack:
 
     def __init__(self, dims: list[tuple[int, ...]]):
         self.dims = dims
-        sizes = [param_count(d) for d in dims]
-        self.bases = np.cumsum([0, *sizes])  # each model's (P,) vector in their concatenation
-        # each model's tensors, as the positions of their values in that concatenation
-        tensors = [_layer_views(d, np.arange(base, base + size))[1:]
-                   for d, base, size in zip(dims, self.bases, sizes)]
-        self.layout, source = [], []  # (layer, kind, start, stop, block shape); block values
+        self.size = sum(map(param_count, dims))
+        fans = [list(zip(d[:1] + d[:-1], d)) for d in dims]  # per model, each layer's (fan_in, fan_out)
+        self.layout = []  # (layer, kind, start, stop, block shape)
         for layer in range(N_LAYERS):
             for kind in (0, 1):  # weights, then biases
-                each = [np.atleast_2d(t[kind][layer]) for t in tensors]
-                for a, b in _runs([t.shape for t in each]):
-                    self.layout.append((layer, kind, a, b, (b - a, *each[a].shape)))
-                    source.append(np.stack(each[a:b]).ravel())
-        source = np.concatenate(source)
-        self.place = np.empty_like(source)  # each value's position in the stack vector
-        self.place[source] = np.arange(source.size)
+                each = [(f[layer][0] if kind == 0 else 1, f[layer][1]) for f in fans]
+                for a, b in _runs(each):
+                    self.layout.append((layer, kind, a, b, (b - a, *each[a])))
+
+    def _tensors(self, flat: np.ndarray, slot: int) -> list[np.ndarray]:
+        """Model ``slot``'s weights and biases in the stack vector ``flat``,
+        as views in the order of its (P,) vector."""
+        return [view[0] for layer in self.blocks(flat, slot, slot + 1) for runs in layer
+                for _, _, view in runs]
 
     def pack(self, vectors: list[np.ndarray]) -> np.ndarray:
         """The stack vector of one (P,) vector per model."""
-        flat = np.empty(self.place.size)
-        flat[self.place] = np.concatenate(vectors)
+        flat = np.empty(self.size)
+        for slot, vector in enumerate(vectors):
+            tensors = self._tensors(flat, slot)
+            for tensor, part in zip(tensors, _carve(vector, [t.shape for t in tensors])):
+                tensor[...] = part
         return flat
 
     def unpack(self, flat: np.ndarray, slot: int) -> np.ndarray:
         """A copy of model ``slot``'s (P,) vector in the stack vector ``flat``."""
-        return flat[self.place[self.bases[slot] : self.bases[slot + 1]]]
+        return np.concatenate([t.ravel() for t in self._tensors(flat, slot)])
 
-    def blocks(self, flat: np.ndarray) -> list[tuple[list, list]]:
+    def blocks(self, flat: np.ndarray, start: int = 0, stop: int | None = None) -> list[tuple[list, list]]:
         """Per layer, ``(start, stop, view)`` of each weight block of ``flat``,
-        and of each bias block."""
+        and of each bias block, cut to models ``start:stop`` (all by default)
+        and counted from ``start``."""
+        stop = len(self.dims) if stop is None else stop
         views = [([], []) for _ in range(N_LAYERS)]
         for (layer, kind, a, b, _), view in zip(self.layout, _carve(flat, [l[-1] for l in self.layout])):
-            views[layer][kind].append((a, b, view))
+            if (lo := max(a, start)) < (hi := min(b, stop)):
+                views[layer][kind].append((lo - start, hi - start, view[lo - a : hi - a]))
         return views
 
 
 class _Pass:
-    """A forward pass of the (C, m, N) rows ``x``, one (m, N) slice per model,
-    through the stack vector ``params``, and with ``grads`` given, the
-    backward pass that writes the gradients there. The buffers and each
-    call's operands are made once, for every pass over new values of ``x``.
+    """A forward pass of the (C, m, N) rows ``x``, one (m, N) slice for each
+    of the C models from ``start`` of the stack, through the stack vector
+    ``params``, and with ``grads`` given, the backward pass that writes the
+    gradients there. The buffers and each call's operands are made once, for
+    every pass over new values of ``x``; the buffers are carved from
+    ``scratch`` when given, which passes that never run at once may share
+    (``_scratch_parts`` gives their sizes).
 
     A stacked matmul or reduction equals the 2-D call on each slice bit for
     bit, so a model's outputs and gradients do not depend on its stack."""
 
     def __init__(self, stack: _Stack, params: np.ndarray, x: np.ndarray,
-                 grads: np.ndarray | None = None):
+                 grads: np.ndarray | None = None, scratch: np.ndarray | None = None, start: int = 0):
         self.x = x
-        m = x.shape[-2]
-        blocks = stack.blocks(params)
+        count, m = x.shape[0], x.shape[-2]
+        blocks = stack.blocks(params, start, start + count)
+        parts = _scratch_parts(stack.dims[start : start + count], m, grads is not None)
+        buffers = _carve(np.empty(sum(parts)) if scratch is None else scratch, [(p,) for p in parts])
         # each layer's output: one flat buffer, for elementwise calls, seen as
         # one view per run; backprop reads them all again
-        out_flats, out_runs = _layer_buffers(m, blocks, alternate=grads is None)
-        in_runs = [[(0, len(stack.dims), x)], *out_runs[:-1]]
+        out_flats, out_runs = _layer_buffers(m, blocks, buffers[:N_LAYERS])
+        in_runs = [[(0, count, x)], *out_runs[:-1]]
         (_, _, self.out), = out_runs[-1]  # one run: the models share the output width N
         self.layers = [([(_part(in_runs[l], a, b), w, _part(out_runs[l], a, b)) for a, b, w in weights],
                         [(z, bias) for (_, _, z), (_, _, bias) in zip(out_runs[l], biases)],
@@ -263,19 +294,19 @@ class _Pass:
                        for l, (weights, biases) in enumerate(blocks)]
         if grads is None:
             return
-        # each layer's delta, the loss's gradient by its pre-activations
-        delta_flats, delta_runs = _layer_buffers(m, blocks, alternate=True)
-        (_, _, self.delta), = delta_runs[-1]
-        self.diff, self.leaky = np.empty_like(self.out), np.empty(self.out.shape, dtype=bool)
+        # each layer's delta, the loss's gradient by its pre-activations, in
+        # the buffer of the layer's output; one bool buffer takes each slope
+        self.square = buffers[-1].reshape(self.out.shape)
+        slopes = np.empty(max(parts[:N_LAYERS]), dtype=bool)
+        self.leaky = slopes[: self.out.size].reshape(self.out.shape)
         self.back = [(
-            [(_part(in_runs[l], a, b).swapaxes(-1, -2), _part(delta_runs[l], a, b), g)
+            [(_part(in_runs[l], a, b).swapaxes(-1, -2), _part(out_runs[l], a, b), g)
              for a, b, g in grad_w],
-            [(d, g) for (_, _, d), (_, _, g) in zip(delta_runs[l], grad_b)],
-            [(_part(delta_runs[l], a, b), w.swapaxes(-1, -2), _part(delta_runs[l - 1], a, b))
+            [(d, g) for (_, _, d), (_, _, g) in zip(out_runs[l], grad_b)],
+            [(_part(out_runs[l], a, b), w.swapaxes(-1, -2), _part(out_runs[l - 1], a, b))
              for a, b, w in weights] if l else [],
-            (delta_flats[l - 1], out_flats[l - 1], np.empty(out_flats[l - 1].shape, dtype=bool))
-            if l else None,
-        ) for l, ((weights, _), (grad_w, grad_b)) in enumerate(zip(blocks, stack.blocks(grads)))]
+            (out_flats[l - 1], slopes[: out_flats[l - 1].size]) if l else None,
+        ) for l, ((weights, _), (grad_w, grad_b)) in enumerate(zip(blocks, stack.blocks(grads, start, start + count)))]
 
     def forward(self) -> np.ndarray:
         """The (C, m, N) reconstructions, in a buffer the next pass reuses."""
@@ -300,25 +331,27 @@ class _Pass:
         ReLU with a slope >= 0, an output is positive exactly where its
         pre-activation is (-0.0, NaN and a LEAKY_ALPHA * z that underflows
         included)."""
-        out, diff, delta = self.forward(), self.diff, self.delta
+        out = self.forward()
         m, n = self.x.shape[-2:]
+        np.less_equal(out, 0.0, out=self.leaky)
         # the loss is np.mean(diff**2) unwrapped, the delta 2.0 * diff / (m * n)
-        np.subtract(out, self.x, out=diff)
-        loss = np.add.reduce(np.square(diff, out=delta), axis=(-2, -1), out=loss)
+        delta = np.subtract(out, self.x, out=out)
+        loss = np.add.reduce(np.square(delta, out=self.square), axis=(-2, -1), out=loss)
         loss /= m * n
-        np.multiply(diff, 2.0, out=delta)
+        delta *= 2.0
         delta /= m * n
-        np.multiply(delta, LEAKY_ALPHA, out=delta, where=np.less_equal(out, 0.0, out=self.leaky))
+        np.multiply(delta, LEAKY_ALPHA, out=delta, where=self.leaky)
         for products, sums, back, mask in reversed(self.back):
             for a_t, d, g in products:
                 np.matmul(a_t, d, out=g)
             for d, g in sums:
                 np.add.reduce(d, axis=-2, keepdims=True, out=g)
-            for d, w_t, d_in in back:
-                np.matmul(d, w_t, out=d_in)
-            if mask:
-                d_in, act, positive = mask
-                d_in *= np.greater(act, 0.0, out=positive)  # a multiply casts it to 1.0 / 0.0
+            if mask:  # the layer's input is read: its buffer takes the next delta
+                act, positive = mask
+                np.greater(act, 0.0, out=positive)
+                for d, w_t, d_in in back:
+                    np.matmul(d, w_t, out=d_in)
+                act *= positive  # a multiply casts it to 1.0 / 0.0
         return loss
 
 
@@ -390,26 +423,46 @@ def train_group(
         return (AutoencoderModel(models[k].dims, best[k]),
                 TrainReport(train_curve, val_curve, len(val_curve), best_val[k]))
 
-    n_rows = train_rows.shape[0]
+    def validate() -> np.ndarray:
+        """(C,) validation MSE of each model in the stack."""
+        return np.concatenate([p.mse() for p in val_passes])
+
+    n_rows, n_val = train_rows.shape[0], val_rows.shape[0]
     starts = range(0, n_rows, batch_size)
     sizes = np.diff([*starts, n_rows]).tolist()  # rows per batch
     live = sorted(range(len(models)), key=lambda k: models[k].dims)  # stack slot -> model index
-    # per slot: the parameters, Adam's moments and each parameter's learning rate
-    vectors = [(models[k].params, np.zeros(models[k].params.size), np.zeros(models[k].params.size),
-                np.full(models[k].params.size, configs[k].learning_rate)) for k in live]
+    # per slot: the parameters and Adam's moments
+    vectors = [(models[k].params, np.zeros(models[k].params.size), np.zeros(models[k].params.size))
+               for k in live]
     step = 0
 
     for epoch in range(max_epochs):
         if vectors:  # a new stack: the first one, or the models the last epoch kept
             stack = _Stack([models[k].dims for k in live])
-            params, mom, vel, lr = (stack.pack(v) for v in zip(*vectors))
-            grads, m_hat = np.empty_like(params), np.empty_like(params)
-            val_pass = _Pass(stack, params, np.broadcast_to(val_rows, (len(live), *val_rows.shape)))
-            train_passes = {m: _Pass(stack, params, np.empty((len(live), m, n)), grads) for m in set(sizes)}
+            params, mom, vel = (stack.pack(v) for v in zip(*vectors))
             vectors = None
+            # each parameter's learning rate: the float the models share, or
+            # a vector of their own rates; either way lr * m_hat keeps its op
+            rates = [configs[k].learning_rate for k in live]
+            lr = rates[0] if len(set(rates)) == 1 else stack.pack(
+                [np.full(models[k].params.size, rate) for k, rate in zip(live, rates)])
+            grads, m_hat = np.empty_like(params), np.empty_like(params)
+            # the passes never run at once, so their buffers share one scratch
+            # vector, sized for the largest training pass: validation runs in
+            # groups of neighbouring models that fit it, or one model each
+            floats = max(sum(_scratch_parts(stack.dims, m, True)) for m in set(sizes))
+            groups = _groups(stack.dims, n_val, floats)
+            scratch = np.empty(max(floats, *(sum(_scratch_parts(stack.dims[a:b], n_val, False))
+                                             for a, b in groups)))
+            val_passes = [_Pass(stack, params, np.broadcast_to(val_rows, (b - a, n_val, n)), scratch=scratch,
+                                start=a) for a, b in groups]
+            train_passes = {m: _Pass(stack, params, np.empty((len(live), m, n)), grads, scratch)
+                            for m in set(sizes)}
             if epoch == 0:
-                untrained = dict(zip(live, val_pass.mse().tolist()))
-        orders = np.stack([rngs[k].permutation(n_rows) for k in live])
+                untrained = dict(zip(live, validate().tolist()))
+        orders = np.empty((len(live), n_rows), dtype=np.intp)  # filled in place, not held twice
+        for order, k in zip(orders, live):
+            order[...] = rngs[k].permutation(n_rows)
         losses = np.empty((len(starts), len(live)))  # each batch's loss, per slot
         for loss, start, size in zip(losses, starts, sizes):
             batch = train_passes[size]
@@ -441,7 +494,7 @@ def train_group(
         # summed in batch order, not pairwise as .sum() would, so the curves
         # keep their bits
         train_mse = np.add.accumulate(losses * np.array(sizes)[:, None])[-1] / n_rows
-        val_mse = val_pass.mse()
+        val_mse = validate()
         for slot, k in enumerate(live):
             if (bad := np.flatnonzero(~np.isfinite(losses[:, slot]))).size:
                 results[k] = TrainingDivergedError(
@@ -462,7 +515,7 @@ def train_group(
                     results[k] = finish(k)
         kept = [slot for slot, k in enumerate(live) if results[k] is None]
         if len(kept) < len(live):
-            vectors = [[stack.unpack(v, slot) for v in (params, mom, vel, lr)] for slot in kept]
+            vectors = [[stack.unpack(v, slot) for v in (params, mom, vel)] for slot in kept]
             live = [live[slot] for slot in kept]
             if not live:
                 break

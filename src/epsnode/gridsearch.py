@@ -42,10 +42,16 @@ TABLE_SPACES: dict[Pipeline, SearchSpace] = {
 }
 
 # Width groups (candidates of one E1, E2 and batch size) join one stack while
-# it holds at most this many parameters. On 2 cores with numpy 2.4.6, Adam
-# cost 5.9 ns per parameter at 28k floats and 8.3-9.0 ns at 140k-700k, as the
-# arrays leave L2: the MA table at 3 epochs ran 7.35-7.90 s CPU as one stack
-# per batch size, against 5.96-7.35 s as one stack per width group.
+# it holds at most this many parameters. The cap decides that the RNG table
+# trains as one stack per batch size (17,772 parameters on 4-wide rows),
+# while each MA and PCA width group (21,620 parameters or more on the
+# 28-wide MA rows of 5 anchors) stays a stack of its own: on 2 cores with
+# numpy 2.4.6, the MA table at 3 epochs ran 7.35-7.90 s CPU as one stack per
+# batch size against 5.96-7.35 s as one stack per width group, and as one
+# stack per (batch, E1) it was slower in 4 of 5 runs, as Adam's arrays leave
+# L2 (5.9 ns per parameter at 28k floats, 8.3-9.0 ns at 140k-700k). On those
+# rows any cap from 17,772 to 44,249 gives the same stacks; 2**15 is one
+# value in that range, not a measured optimum.
 STACK_PARAMS = 2**15
 
 

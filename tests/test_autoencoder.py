@@ -296,6 +296,27 @@ class TestTrain:
         assert min(stopped) < max(stopped) == 12
         assert_each_equals_solo_training(models, configs, group, train_rows, val_rows)
 
+    def test_mixed_width_group_sharing_one_learning_rate_matches_solo_training(self):
+        """A stack whose models share one learning rate multiplies by it as a
+        float, not a per-parameter vector, and 33 validation rows against
+        batches of 8 make it validate its models in groups: each model still
+        trains as it does alone, also once models that stopped early have
+        left the stack."""
+        rows = np.random.default_rng(4).uniform(size=(60, 4))
+        train_rows, val_rows = rows[:27], rows[27:]
+        widths = [(8, 12, 8), (5, 9, 5), (8, 9, 8), (5, 12, 6)]
+        models = [ae.build(4, *w, seed=s) for s, w in enumerate(widths)]
+        configs = [TrainConfig(batch_size=8, learning_rate=0.05, max_epochs=12, patience=2,
+                               seed=10 + s) for s in range(len(widths))]
+        group = ae.train_group(models, train_rows, val_rows, configs)
+
+        dims = sorted(m.dims for m in models)
+        floats = max(sum(ae._scratch_parts(dims, m, True)) for m in (8, 3))
+        assert [b - a for a, b in ae._groups(dims, len(val_rows), floats)] == [2, 1, 1]
+        stopped = [report.stopped_epoch for _, report in group]
+        assert min(stopped) < max(stopped) == 12
+        assert_each_equals_solo_training(models, configs, group, train_rows, val_rows)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("stack, inf_row", [(3, 2), (2, 7), (3, 9)])
     def test_each_model_diverges_at_its_own_batch(self, stack, inf_row):
