@@ -50,33 +50,84 @@ def _carve(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     return [flat[end - math.prod(shape) : end].reshape(shape) for shape, end in zip(shapes, ends)]
 
 
-def _layer_views(dims: tuple[int, ...], flat: np.ndarray | None = None):
-    """``(flat, weights, biases)`` with per-layer views of the (P,) vector
-    ``flat`` (zeros when None). The only code that knows one model's layout:
-    layer by layer, the row-major (fan_in, fan_out) weights, then the fan_out
-    biases."""
-    if len(dims) != N_LAYERS:
-        raise ValueError(f"dims must have {N_LAYERS} entries, got {list(dims)}")
-    size = param_count(dims)
-    if size * 8 > MAX_ARRAY_BYTES:
-        raise ValueError(f"dims {list(dims)} need {size} parameters, "
-                         "more than one numpy array of floats holds")
-    flat = np.zeros(size) if flat is None else flat
-    if flat.shape != (size,):
-        raise ValueError(f"dims {list(dims)} need {size} parameters, got {flat.shape}")
-    views = _carve(flat, [shape for n_in, n_out in zip(dims[:1] + dims[:-1], dims)
-                          for shape in ((n_in, n_out), (n_out,))])
-    return flat, views[0::2], views[1::2]
+def _runs(keys: list) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of equal neighbours in ``keys``."""
+    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    return list(zip([0, *cuts], [*cuts, len(keys)]))
+
+
+class _Stack:
+    """The one parameter layout, of C models of one input width.
+
+    A stack vector is layer-major: for each layer, every model's row-major
+    (fan_in, fan_out) weights, then every model's fan_out biases, each at a
+    per-model offset. Neighbouring models that share a tensor's shape thus
+    lie in one block, which a training step reads with one call; models
+    sorted by dims make the fewest runs. A model's own (P,) vector is the
+    stack vector of a stack of one."""
+
+    def __init__(self, dims: list[tuple[int, ...]]):
+        for d in dims:
+            if len(d) != N_LAYERS:
+                raise ValueError(f"dims must have {N_LAYERS} entries, got {list(d)}")
+        self.dims = dims
+        # per layer and kind (0 weights, 1 biases): each model's tensor shape,
+        # the C + 1 offsets that bound the models' tensors, and the runs
+        self.shapes = [[[(d[max(layer - 1, 0)] if kind == 0 else 1, d[layer]) for d in dims]
+                        for kind in (0, 1)] for layer in range(N_LAYERS)]
+        self.offsets, self.size = [], 0
+        for layer in self.shapes:
+            self.offsets.append([])
+            for shapes in layer:
+                self.offsets[-1].append(list(itertools.accumulate(map(math.prod, shapes), initial=self.size)))
+                self.size = self.offsets[-1][-1][-1]
+        self.runs = [[_runs(shapes) for shapes in layer] for layer in self.shapes]
+        if self.size * 8 > MAX_ARRAY_BYTES:
+            raise ValueError(f"dims {', '.join(str(list(d)) for d in dims)} need {self.size} parameters, "
+                             "more than one numpy array of floats holds")
+
+    def view(self, flat: np.ndarray, layer: int, kind: int, a: int, b: int) -> np.ndarray:
+        """Models ``a:b``'s tensors of one kind of the layer, which they share
+        the shape of, in the stack vector ``flat``: a (b - a, fan_in,
+        fan_out) block of weights or a (b - a, 1, fan_out) one of biases."""
+        o = self.offsets[layer][kind]
+        return flat[o[a] : o[b]].reshape(b - a, *self.shapes[layer][kind][a])
+
+    def tensors(self, flat: np.ndarray, slot: int) -> tuple[list, list]:
+        """Model ``slot``'s per-layer weights and biases, as views of the
+        stack vector ``flat``."""
+        if flat.shape != (self.size,):
+            raise ValueError(f"dims {list(self.dims[slot])} need {self.size} parameters, got {flat.shape}")
+        return ([self.view(flat, layer, 0, slot, slot + 1)[0] for layer in range(N_LAYERS)],
+                [self.view(flat, layer, 1, slot, slot + 1)[0, 0] for layer in range(N_LAYERS)])
+
+    def _spans(self, slot: int) -> list[slice]:
+        """Model ``slot``'s slices of a stack vector, in the order of its
+        (P,) vector."""
+        return [slice(o[slot], o[slot + 1]) for layer in self.offsets for o in layer]
+
+    def pack(self, vectors: list[np.ndarray]) -> np.ndarray:
+        """The stack vector of one (P,) vector per model."""
+        flat = np.empty(self.size)
+        for slot, vector in enumerate(vectors):
+            spans = self._spans(slot)
+            for span, part in zip(spans, _carve(vector, [(s.stop - s.start,) for s in spans])):
+                flat[span] = part
+        return flat
+
+    def unpack(self, flat: np.ndarray, slot: int) -> np.ndarray:
+        """A copy of model ``slot``'s (P,) vector in the stack vector ``flat``."""
+        return np.concatenate([flat[span] for span in self._spans(slot)])
 
 
 @dataclass
 class AutoencoderModel:
     dims: tuple[int, int, int, int, int]  # (N, E1, E2, D1, N)
-    params: np.ndarray                    # float64 (P,); see _layer_views
+    params: np.ndarray                    # float64 (P,), laid out by _Stack
 
     def __post_init__(self):
         # weights[l] has shape (dims[l_in], dims[l_out]); both lists are views
-        _, self.weights, self.biases = _layer_views(self.dims, self.params)
+        self.weights, self.biases = _Stack([self.dims]).tensors(self.params, 0)
 
     @property
     def n(self) -> int:
@@ -129,14 +180,14 @@ def build(n: int, e1: int, e2: int, d1: int, seed: int = 0) -> AutoencoderModel:
     if reason := constraint_violation(n, e1, e2, d1):
         raise ConstraintError(reason)
     dims = (n, e1, e2, d1, n)
-    params, weights, _ = _layer_views(dims)
+    model = AutoencoderModel(dims, np.zeros(_Stack([dims]).size))
     rng = np.random.default_rng(seed)
     # dims are the five dense layer widths; the input dimension equals N,
     # so the transition chain is n -> N -> E1 -> E2 -> D1 -> N.
-    for w in weights:
+    for w in model.weights:
         limit = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
-    return AutoencoderModel(dims, params)
+    return model
 
 
 def _activate(z: np.ndarray, layer: int) -> np.ndarray:
@@ -146,182 +197,95 @@ def _activate(z: np.ndarray, layer: int) -> np.ndarray:
     return np.maximum(z, 0.0 if layer < N_LAYERS - 1 else LEAKY_ALPHA * z, out=z)
 
 
-def _dense(model: AutoencoderModel, a: np.ndarray, layer: int) -> np.ndarray:
-    """One layer on the rows ``a``: the product, then the bias and the
-    activation in place."""
-    z = a @ model.weights[layer]
-    z += model.biases[layer]
+def _dense(weights: np.ndarray, bias: np.ndarray, a: np.ndarray, layer: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """One layer on the rows ``a``: the product, into ``out`` when given,
+    then the bias and the activation in place."""
+    z = np.matmul(a, weights, out=out)
+    z += bias
     return _activate(z, layer)
 
 
-def _reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    """The network's output for the rows ``x``."""
-    for layer in range(N_LAYERS):
-        x = _dense(model, x, layer)
+def _reconstruct(weights: list, biases: list, x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The network's output for the rows ``x``. With ``scratch``, the layers
+    write their outputs on the (m, N) rows at its start and its end in turn,
+    as only the next layer reads one: it takes m times the widest two
+    neighbouring layers."""
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        out = None
+        if scratch is not None:
+            size = len(x) * w.shape[1]
+            out = (scratch[:size] if layer % 2 == 0 else scratch[-size:]).reshape(len(x), w.shape[1])
+        x = _dense(w, b, x, layer, out)
     return x
+
+
+def _mse(weights: list, biases: list, rows: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """The MSE of the network's reconstruction of the (m, N) rows."""
+    diff = _reconstruct(weights, biases, rows, scratch)
+    diff -= rows
+    return float(np.mean(np.square(diff, out=diff)))
 
 
 def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     """Reconstruction of one length-N row, or of each row of an (m, N) matrix."""
-    return feat.each_row(lambda rows: _reconstruct(model, rows), x, model.n)
-
-
-def _runs(keys: list) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each run of equal neighbours in ``keys``."""
-    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
-    return list(zip([0, *cuts], [*cuts, len(keys)]))
-
-
-def _part(runs: list, start: int, stop: int) -> np.ndarray:
-    """Models ``start:stop`` of the block, in ``runs`` of ``(start, stop,
-    block)``, whose run holds them all."""
-    return next(block[start - a : stop - a] for a, b, block in runs if a <= start and stop <= b)
-
-
-def _scratch_parts(dims: list[tuple[int, ...]], m: int, backward: bool) -> list[int]:
-    """The sizes of the flat buffers of a pass of m rows per model through
-    models of ``dims``: for a forward pass alone, two buffers the layers take
-    turns at, as only the next layer reads an output; for a backward pass,
-    each layer's output, which backprop overwrites with the layer's delta,
-    and one buffer for the squared errors."""
-    sizes = [m * sum(d[layer] for d in dims) for layer in range(N_LAYERS)]
-    return [*sizes, sizes[-1]] if backward else [max(sizes[0::2]), max(sizes[1::2])]
-
-
-def _groups(dims: list[tuple[int, ...]], m: int, floats: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` of runs of neighbouring models, each one model or as
-    many as the buffers of a forward pass of m rows per model fit in
-    ``floats``."""
-    groups = []
-    for k in range(len(dims)):
-        if groups and sum(_scratch_parts(dims[groups[-1][0] : k + 1], m, False)) <= floats:
-            groups[-1] = (groups[-1][0], k + 1)
-        else:
-            groups.append((k, k + 1))
-    return groups
-
-
-def _layer_buffers(m: int, blocks: list, buffers: list) -> tuple[list, list]:
-    """Per layer, a flat view of its values on m rows per model at the start
-    of one of ``buffers``, which the layers take turns at when there are
-    fewer buffers than layers, and ``(start, stop, view)`` of it as (C_run,
-    m, width) per run of the layer's biases in ``blocks``."""
-    shapes = [[(b - a, m, bias.shape[-1]) for a, b, bias in biases] for _, biases in blocks]
-    flats = [buffers[l % len(buffers)][: sum(map(math.prod, layer))] for l, layer in enumerate(shapes)]
-    return flats, [[(a, b, view) for (a, b, _), view in zip(biases, _carve(flat, layer))]
-                   for (_, biases), flat, layer in zip(blocks, flats, shapes)]
-
-
-class _Stack:
-    """The layout of C models of one input width that train in lockstep.
-
-    A stack vector holds one vector per model, layer-major: for each layer,
-    one (C_run, fan_in, fan_out) block of weights per run of neighbouring
-    models that share the weight's shape, then one (C_run, 1, fan_out) block
-    of biases per run that shares its width. A step thus makes one call per
-    run, and an elementwise update one call per vector; models sorted by dims
-    make the fewest runs."""
-
-    def __init__(self, dims: list[tuple[int, ...]]):
-        self.dims = dims
-        self.size = sum(map(param_count, dims))
-        fans = [list(zip(d[:1] + d[:-1], d)) for d in dims]  # per model, each layer's (fan_in, fan_out)
-        self.layout = []  # (layer, kind, start, stop, block shape)
-        for layer in range(N_LAYERS):
-            for kind in (0, 1):  # weights, then biases
-                each = [(f[layer][0] if kind == 0 else 1, f[layer][1]) for f in fans]
-                for a, b in _runs(each):
-                    self.layout.append((layer, kind, a, b, (b - a, *each[a])))
-
-    def _tensors(self, flat: np.ndarray, slot: int) -> list[np.ndarray]:
-        """Model ``slot``'s weights and biases in the stack vector ``flat``,
-        as views in the order of its (P,) vector."""
-        return [view[0] for layer in self.blocks(flat, slot, slot + 1) for runs in layer
-                for _, _, view in runs]
-
-    def pack(self, vectors: list[np.ndarray]) -> np.ndarray:
-        """The stack vector of one (P,) vector per model."""
-        flat = np.empty(self.size)
-        for slot, vector in enumerate(vectors):
-            tensors = self._tensors(flat, slot)
-            for tensor, part in zip(tensors, _carve(vector, [t.shape for t in tensors])):
-                tensor[...] = part
-        return flat
-
-    def unpack(self, flat: np.ndarray, slot: int) -> np.ndarray:
-        """A copy of model ``slot``'s (P,) vector in the stack vector ``flat``."""
-        return np.concatenate([t.ravel() for t in self._tensors(flat, slot)])
-
-    def blocks(self, flat: np.ndarray, start: int = 0, stop: int | None = None) -> list[tuple[list, list]]:
-        """Per layer, ``(start, stop, view)`` of each weight block of ``flat``,
-        and of each bias block, cut to models ``start:stop`` (all by default)
-        and counted from ``start``."""
-        stop = len(self.dims) if stop is None else stop
-        views = [([], []) for _ in range(N_LAYERS)]
-        for (layer, kind, a, b, _), view in zip(self.layout, _carve(flat, [l[-1] for l in self.layout])):
-            if (lo := max(a, start)) < (hi := min(b, stop)):
-                views[layer][kind].append((lo - start, hi - start, view[lo - a : hi - a]))
-        return views
+    return feat.each_row(lambda rows: _reconstruct(model.weights, model.biases, rows), x, model.n)
 
 
 class _Pass:
-    """A forward pass of the (C, m, N) rows ``x``, one (m, N) slice for each
-    of the C models from ``start`` of the stack, through the stack vector
-    ``params``, and with ``grads`` given, the backward pass that writes the
-    gradients there. The buffers and each call's operands are made once, for
-    every pass over new values of ``x``; the buffers are carved from
-    ``scratch`` when given, which passes that never run at once may share
-    (``_scratch_parts`` gives their sizes).
+    """The training pass of the (C, m, N) rows ``x``, one (m, N) slice per
+    model of the stack: forward through the stack vector ``params``, then
+    backward, writing the gradients into ``grads``. Each layer's values on
+    every model's rows are one flat buffer carved from ``scratch``, m rows
+    per model at m times its bias offset, which backprop overwrites with
+    the layer's delta; one more holds the squared errors (``floats`` gives
+    the size). Each call's operands are made once, for every pass over new
+    values of ``x``.
 
     A stacked matmul or reduction equals the 2-D call on each slice bit for
     bit, so a model's outputs and gradients do not depend on its stack."""
 
-    def __init__(self, stack: _Stack, params: np.ndarray, x: np.ndarray,
-                 grads: np.ndarray | None = None, scratch: np.ndarray | None = None, start: int = 0):
+    @staticmethod
+    def floats(stack: _Stack, m: int) -> int:
+        """The scratch a pass of m rows per model needs."""
+        widths = [o[-1] - o[0] for _, o in stack.offsets]
+        return m * (sum(widths) + widths[-1])
+
+    def __init__(self, stack: _Stack, params: np.ndarray, grads: np.ndarray, x: np.ndarray,
+                 scratch: np.ndarray):
         self.x = x
-        count, m = x.shape[0], x.shape[-2]
-        blocks = stack.blocks(params, start, start + count)
-        parts = _scratch_parts(stack.dims[start : start + count], m, grads is not None)
-        buffers = _carve(np.empty(sum(parts)) if scratch is None else scratch, [(p,) for p in parts])
-        # each layer's output: one flat buffer, for elementwise calls, seen as
-        # one view per run; backprop reads them all again
-        out_flats, out_runs = _layer_buffers(m, blocks, buffers[:N_LAYERS])
-        in_runs = [[(0, count, x)], *out_runs[:-1]]
-        (_, _, self.out), = out_runs[-1]  # one run: the models share the output width N
-        self.layers = [([(_part(in_runs[l], a, b), w, _part(out_runs[l], a, b)) for a, b, w in weights],
-                        [(z, bias) for (_, _, z), (_, _, bias) in zip(out_runs[l], biases)],
-                        out_flats[l])
-                       for l, (weights, biases) in enumerate(blocks)]
-        if grads is None:
-            return
+        count, m, _ = x.shape
+        widths = [o[-1] - o[0] for _, o in stack.offsets]
+        *outs, square = _carve(scratch, [(m * w,) for w in [*widths, widths[-1]]])
+
+        def rows(layer: int, a: int, b: int) -> np.ndarray:
+            """Models ``a:b``'s (b - a, m, width) values of the layer, or
+            their input rows for layer -1."""
+            if layer < 0:
+                return x[a:b]
+            o = stack.offsets[layer][1]
+            return outs[layer][m * (o[a] - o[0]) : m * (o[b] - o[0])].reshape(b - a, m, stack.dims[a][layer])
+
+        # per layer, one call per run of models that share the weight's
+        # shape, and one per run that shares the bias's
+        self.layers = [([(rows(l - 1, a, b), stack.view(params, l, 0, a, b), rows(l, a, b))
+                         for a, b in stack.runs[l][0]],
+                        [(rows(l, a, b), stack.view(params, l, 1, a, b)) for a, b in stack.runs[l][1]],
+                        outs[l]) for l in range(N_LAYERS)]
+        self.out = rows(N_LAYERS - 1, 0, count)
         # each layer's delta, the loss's gradient by its pre-activations, in
         # the buffer of the layer's output; one bool buffer takes each slope
-        self.square = buffers[-1].reshape(self.out.shape)
-        slopes = np.empty(max(parts[:N_LAYERS]), dtype=bool)
+        self.square = square.reshape(self.out.shape)
+        slopes = np.empty(max(map(len, outs)), dtype=bool)
         self.leaky = slopes[: self.out.size].reshape(self.out.shape)
         self.back = [(
-            [(_part(in_runs[l], a, b).swapaxes(-1, -2), _part(out_runs[l], a, b), g)
-             for a, b, g in grad_w],
-            [(d, g) for (_, _, d), (_, _, g) in zip(out_runs[l], grad_b)],
-            [(_part(out_runs[l], a, b), w.swapaxes(-1, -2), _part(out_runs[l - 1], a, b))
-             for a, b, w in weights] if l else [],
-            (out_flats[l - 1], slopes[: out_flats[l - 1].size]) if l else None,
-        ) for l, ((weights, _), (grad_w, grad_b)) in enumerate(zip(blocks, stack.blocks(grads, start, start + count)))]
-
-    def forward(self) -> np.ndarray:
-        """The (C, m, N) reconstructions, in a buffer the next pass reuses."""
-        for layer, (products, biases, flat) in enumerate(self.layers):
-            for a, w, z in products:
-                np.matmul(a, w, out=z)
-            for z, bias in biases:
-                z += bias
-            _activate(flat, layer)
-        return self.out
-
-    def mse(self) -> np.ndarray:
-        """(C,) MSE of each model's reconstruction of its rows."""
-        diff = self.forward() - self.x
-        return np.mean(np.square(diff, out=diff), axis=(-2, -1))
+            [(rows(l - 1, a, b).swapaxes(-1, -2), rows(l, a, b), stack.view(grads, l, 0, a, b))
+             for a, b in stack.runs[l][0]],
+            [(rows(l, a, b), stack.view(grads, l, 1, a, b)) for a, b in stack.runs[l][1]],
+            [(rows(l, a, b), stack.view(params, l, 0, a, b).swapaxes(-1, -2), rows(l - 1, a, b))
+             for a, b in stack.runs[l][0]] if l else [],
+            (outs[l - 1], slopes[: outs[l - 1].size]) if l else None,
+        ) for l in range(N_LAYERS)]
 
     def backprop(self, loss: np.ndarray | None = None) -> np.ndarray:
         """Gradients of each model's batch-and-feature-mean MSE on its slice
@@ -331,7 +295,13 @@ class _Pass:
         ReLU with a slope >= 0, an output is positive exactly where its
         pre-activation is (-0.0, NaN and a LEAKY_ALPHA * z that underflows
         included)."""
-        out = self.forward()
+        for layer, (products, biases, flat) in enumerate(self.layers):
+            for a, w, z in products:
+                np.matmul(a, w, out=z)
+            for z, bias in biases:
+                z += bias
+            _activate(flat, layer)
+        out = self.out
         m, n = self.x.shape[-2:]
         np.less_equal(out, 0.0, out=self.leaky)
         # the loss is np.mean(diff**2) unwrapped, the delta 2.0 * diff / (m * n)
@@ -423,14 +393,11 @@ def train_group(
         return (AutoencoderModel(models[k].dims, best[k]),
                 TrainReport(train_curve, val_curve, len(val_curve), best_val[k]))
 
-    def validate() -> np.ndarray:
-        """(C,) validation MSE of each model in the stack."""
-        return np.concatenate([p.mse() for p in val_passes])
-
     n_rows, n_val = train_rows.shape[0], val_rows.shape[0]
     starts = range(0, n_rows, batch_size)
     sizes = np.diff([*starts, n_rows]).tolist()  # rows per batch
     live = sorted(range(len(models)), key=lambda k: models[k].dims)  # stack slot -> model index
+    untrained = [_mse(model.weights, model.biases, val_rows) for model in models]
     # per slot: the parameters and Adam's moments
     vectors = [(models[k].params, np.zeros(models[k].params.size), np.zeros(models[k].params.size))
                for k in live]
@@ -447,19 +414,14 @@ def train_group(
             lr = rates[0] if len(set(rates)) == 1 else stack.pack(
                 [np.full(models[k].params.size, rate) for k, rate in zip(live, rates)])
             grads, m_hat = np.empty_like(params), np.empty_like(params)
-            # the passes never run at once, so their buffers share one scratch
-            # vector, sized for the largest training pass: validation runs in
-            # groups of neighbouring models that fit it, or one model each
-            floats = max(sum(_scratch_parts(stack.dims, m, True)) for m in set(sizes))
-            groups = _groups(stack.dims, n_val, floats)
-            scratch = np.empty(max(floats, *(sum(_scratch_parts(stack.dims[a:b], n_val, False))
-                                             for a, b in groups)))
-            val_passes = [_Pass(stack, params, np.broadcast_to(val_rows, (b - a, n_val, n)), scratch=scratch,
-                                start=a) for a, b in groups]
-            train_passes = {m: _Pass(stack, params, np.empty((len(live), m, n)), grads, scratch)
+            # the training passes and the validation of each model never run
+            # at once, so they share one scratch vector, sized for the largest
+            # training pass and for one model's forward on the validation rows
+            scratch = np.empty(max(*(_Pass.floats(stack, m) for m in set(sizes)),
+                                   *(n_val * max(map(sum, itertools.pairwise(d))) for d in stack.dims)))
+            train_passes = {m: _Pass(stack, params, grads, np.empty((len(live), m, n)), scratch)
                             for m in set(sizes)}
-            if epoch == 0:
-                untrained = dict(zip(live, validate().tolist()))
+            tensors = [stack.tensors(params, slot) for slot in range(len(live))]
         orders = np.empty((len(live), n_rows), dtype=np.intp)  # filled in place, not held twice
         for order, k in zip(orders, live):
             order[...] = rngs[k].permutation(n_rows)
@@ -494,15 +456,15 @@ def train_group(
         # summed in batch order, not pairwise as .sum() would, so the curves
         # keep their bits
         train_mse = np.add.accumulate(losses * np.array(sizes)[:, None])[-1] / n_rows
-        val_mse = validate()
+        val_mse = [_mse(weights, biases, val_rows, scratch) for weights, biases in tensors]
         for slot, k in enumerate(live):
             if (bad := np.flatnonzero(~np.isfinite(losses[:, slot]))).size:
                 results[k] = TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bad[0]}, lr {configs[k].learning_rate}")
                 continue
             curves[k][0].append(float(train_mse[slot]))
-            curves[k][1].append(val := float(val_mse[slot]))
-            if not np.isfinite(val):
+            curves[k][1].append(val := val_mse[slot])
+            if not math.isfinite(val):
                 results[k] = TrainingDivergedError(
                     f"non-finite validation loss at epoch {epoch}, lr {configs[k].learning_rate}")
             elif val < best_val[k] - MIN_DELTA:
@@ -567,18 +529,19 @@ def load_bundle(path: str | Path) -> dict:
         if obj["leaky_alpha"] != LEAKY_ALPHA:
             raise ValueError(f"leaky_alpha must be {LEAKY_ALPHA}, got {obj['leaky_alpha']!r}")
         dims = tuple(json_integer(d) for d in obj["dims"])
-        params, weights, biases = _layer_views(dims)
+        model = AutoencoderModel(dims, np.zeros(_Stack([dims]).size))
         if dims[-1] != dims[0]:
             raise ValueError(f"dims {list(dims)} must end in dims[0], the input it reconstructs")
         if reason := constraint_violation(*dims[:4]):
             raise ConstraintError(f"dims {list(dims)}: {reason}")
         saved = [json_numbers(a) for a in obj["weights"] + obj["biases"]]
-        shapes, fits = [a.shape for a in saved], [v.shape for v in weights + biases]
+        views = model.weights + model.biases
+        shapes, fits = [a.shape for a in saved], [v.shape for v in views]
         if shapes != fits:
             raise ValueError(f"weight and bias shapes {shapes} do not fit dims, which need {fits}")
-        for view, values in zip(weights + biases, saved):
+        for view, values in zip(views, saved):
             view[...] = values
-        if not np.isfinite(params).all():
+        if not np.isfinite(model.params).all():
             raise ValueError("a weight or bias is not finite")
         pipeline = feat.Pipeline(obj["pipeline"])
         scaler = feat.arrays_from_json(feat.Scaler, obj["scaler"])
@@ -601,5 +564,5 @@ def load_bundle(path: str | Path) -> dict:
         if (width := feat.feature_length(pipeline, len(anchor_ids), pca)) != dims[0]:
             raise ValueError(f"{len(anchor_ids)} anchor_ids give {pipeline.value} features of "
                              f"length {width}, not dims[0] = {dims[0]}")
-        return {"model": AutoencoderModel(dims, params), "pipeline": pipeline,
+        return {"model": model, "pipeline": pipeline,
                 "scaler": scaler, "pca": pca, "anchor_ids": anchor_ids}

@@ -95,7 +95,8 @@ def backprop_one(model, rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     stack = ae._Stack([model.dims])
     grads = np.empty(model.params.size)
-    loss = ae._Pass(stack, stack.pack([model.params]), rows[None], grads).backprop()
+    scratch = np.empty(ae._Pass.floats(stack, len(rows)))
+    loss = ae._Pass(stack, stack.pack([model.params]), grads, rows[None], scratch).backprop()
     return float(loss[0]), stack.unpack(grads, 0)
 
 
@@ -104,7 +105,7 @@ def _loss_from_layer(model, layer, z_batch, x):
     the given pre-activation rows, which it overwrites."""
     a = ae._activate(z_batch, layer)
     for nxt in range(layer + 1, ae.N_LAYERS):
-        a = ae._dense(model, a, nxt)
+        a = ae._dense(model.weights[nxt], model.biases[nxt], a, nxt)
     return np.mean((a - x) ** 2, axis=1)
 
 
@@ -115,7 +116,8 @@ def finite_difference_gradients(model, x, step=1e-5):
     perturbing the parameter but allows batching the downstream forward
     passes; a bias acts as the weight of a constant input 1."""
     x = np.asarray(x, dtype=float)
-    grad, grads_w, grads_b = ae._layer_views(model.dims, np.empty_like(model.params))
+    grad = np.empty_like(model.params)
+    grads_w, grads_b = ae._Stack([model.dims]).tensors(grad, 0)
     a = x[None, :]
     for layer in range(ae.N_LAYERS):
         z = a @ model.weights[layer] + model.biases[layer]

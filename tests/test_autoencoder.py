@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def forward_batch(model, rows):
     """All (m, n) rows through the network as one batched product, as
     training and validation take them; it rounds differently from
     ``forward``, which sends the rows as a stack of one-row products."""
-    return ae._reconstruct(model, np.asarray(rows, dtype=float))
+    return ae._reconstruct(model.weights, model.biases, np.asarray(rows, dtype=float))
 
 
 def replay_first_epoch(model, rows, config):
@@ -298,10 +299,8 @@ class TestTrain:
 
     def test_mixed_width_group_sharing_one_learning_rate_matches_solo_training(self):
         """A stack whose models share one learning rate multiplies by it as a
-        float, not a per-parameter vector, and 33 validation rows against
-        batches of 8 make it validate its models in groups: each model still
-        trains as it does alone, also once models that stopped early have
-        left the stack."""
+        float, not a per-parameter vector: each model still trains as it does
+        alone, also once models that stopped early have left the stack."""
         rows = np.random.default_rng(4).uniform(size=(60, 4))
         train_rows, val_rows = rows[:27], rows[27:]
         widths = [(8, 12, 8), (5, 9, 5), (8, 9, 8), (5, 12, 6)]
@@ -310,9 +309,6 @@ class TestTrain:
                                seed=10 + s) for s in range(len(widths))]
         group = ae.train_group(models, train_rows, val_rows, configs)
 
-        dims = sorted(m.dims for m in models)
-        floats = max(sum(ae._scratch_parts(dims, m, True)) for m in (8, 3))
-        assert [b - a for a, b in ae._groups(dims, len(val_rows), floats)] == [2, 1, 1]
         stopped = [report.stopped_epoch for _, report in group]
         assert min(stopped) < max(stopped) == 12
         assert_each_equals_solo_training(models, configs, group, train_rows, val_rows)
@@ -406,6 +402,31 @@ class TestTrain:
                                          max_epochs=30, seed=0))
         assert len(report.train_mse) == len(report.val_mse) == report.stopped_epoch
 
+    def test_memory_stays_within_the_training_buffers(self):
+        """Training the MA reference net holds its parameter-sized vectors,
+        one scratch vector and little else: validation writes into that
+        scratch, not into copies of each model or fresh layer outputs."""
+        n, e1, e2, d1, batch, m_val = 28, 70, 90, 70, 64, 400
+        rng = np.random.default_rng(8)
+        train_rows, val_rows = rng.uniform(size=(1600, n)), rng.uniform(size=(m_val, n))
+        model = ae.build(n, e1, e2, d1, seed=8)
+        config = TrainConfig(batch_size=batch, max_epochs=3, patience=3, seed=8)
+        # the parameters, Adam's two moments, the gradients and Adam's step
+        # buffer, and the best snapshot, with the one it replaces
+        vectors = 7 * 8 * ae.param_count(model.dims)
+        # the larger of a training batch's layer values plus its squared
+        # errors, and one forward pass's two widest neighbouring layers on
+        # the validation rows
+        scratch = 8 * max(batch * (sum(model.dims) + n), m_val * (e2 + d1))
+        slack = 128 * 2**10  # the batch, the epoch's orders, numpy's buffers
+        tracemalloc.start()
+        try:
+            ae.train(model, train_rows, val_rows, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= vectors + scratch + slack
+
 
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
@@ -425,7 +446,7 @@ class TestGradients:
         gradients and losses of reading it from the pre-activation, bit for
         bit, for stacks of 1 and 3 and with pre-activations at exactly 0."""
         dims = (n, n + de1, n + de1 + de2, n + dd1, n)
-        size = ae._layer_views(dims)[0].size
+        size = ae._Stack([dims]).size
         floats = st.floats(-4.0, 4.0)
         params = data.draw(hnp.arrays(np.float64, (stack, size), elements=floats))
         models = [ae.AutoencoderModel(dims, p) for p in params]
@@ -438,7 +459,8 @@ class TestGradients:
             batch[:, 0] = 0.0
         layout = ae._Stack([dims] * stack)
         grads = np.empty(stack * size)
-        loss = ae._Pass(layout, layout.pack(params), batch, grads).backprop()
+        scratch = np.empty(ae._Pass.floats(layout, m))
+        loss = ae._Pass(layout, layout.pack(params), grads, batch, scratch).backprop()
         for slot, (model, rows) in enumerate(zip(models, batch)):
             ref_loss, ref_grads = backprop_keeping_preactivations(model, rows)
             assert loss[slot].tobytes() == ref_loss.tobytes()

@@ -385,7 +385,7 @@ def hidden_width(obj, width):
     and zero weights: a net whose dims ``build`` refuses."""
     n = obj["dims"][0]
     dims = [n, width, width, width, n]
-    _, weights, biases = ae._layer_views(tuple(dims))
+    weights, biases = ae._Stack([dims]).tensors(np.zeros(ae.param_count(dims)), 0)
     return obj | {"dims": dims, "weights": [w.tolist() for w in weights],
                   "biases": [b.tolist() for b in biases]}
 
@@ -795,6 +795,10 @@ class TestTrainScoreEvaluate:
              "dims [4, 8, 12, 9223372036854775808, 4] need 156797324626531188908 parameters"),
             ("RNG", lambda obj: hidden_width(obj, 2),
              "dims [4, 2, 2, 2, 4]: N < N_E1 violated: 4 >= 2"),
+            ("RNG", lambda obj: obj | {"dims": obj["dims"][:4]},
+             "invalid model bundle: dims must have 5 entries, got [4, 8, 12, 8]"),
+            ("RNG", lambda obj: obj | {"dims": obj["dims"] + [4]},
+             "invalid model bundle: dims must have 5 entries, got [4, 8, 12, 8, 4, 4]"),
         ],
         ids=["no-leaky-alpha", "no-weights", "no-pipeline", "no-scaler", "json-list",
              "scaler-without-mins", "truncated", "int-dims", "int-weights",
@@ -804,7 +808,7 @@ class TestTrainScoreEvaluate:
              "float-dims", "float-anchor-id", "string-anchor-ids", "anchor-ids-short",
              "string-scaler", "bool-scaler", "bool-weight", "weight-too-large", "string-bias",
              "string-pca-component", "output-of-3", "list-scaler", "no-anchor-ids", "dims-too-large",
-             "not-overcomplete"],
+             "not-overcomplete", "dims-of-4", "dims-of-6"],
     )
     def test_score_rejects_malformed_bundle(self, request, workspace, capsys, pipeline, corrupt,
                                             named):
